@@ -19,6 +19,13 @@ interface): per GT, k = clamp(round(sum of top-q IoUs), 1, q) with
 q = min(10, candidates), each GT takes its k lowest-cost candidates, and a
 prediction claimed by several GTs goes to the one with the lowest cost.
 Ties break by (GT index, prediction index) on original indices.
+
+Arrays are the core form. Per image, ground truths are (G,4) corners and (G,)
+class ids (`GroundTruthArrays`); predictions are (P,4) corners, (P,C) scores
+and (P,2) anchor points (`PredictionArrays`). `align_cost` also accepts lists
+of `GroundTruth` / `Prediction` and stacks them. The cost is built one GT row
+at a time, vectorised over predictions: only the returned |GT| x |pred|
+matrices grow with the pair count, never the temporaries.
 """
 from __future__ import annotations
 
@@ -33,6 +40,8 @@ __all__ = [
     "Box",
     "Prediction",
     "GroundTruth",
+    "GroundTruthArrays",
+    "PredictionArrays",
     "CostMatrix",
     "AssignmentResult",
     "pairwise_iou",
@@ -80,6 +89,8 @@ class Prediction:
             raise ValidationError("prediction needs at least one class score")
         if np.any(scores < 0) or np.any(scores > 1):
             raise ValidationError("class scores must lie in [0, 1]")
+        if len(self.anchor_point) != 2:
+            raise ValidationError(f"anchor_point must hold 2 numbers, got {self.anchor_point!r}")
         object.__setattr__(self, "cls_scores", scores)
 
 
@@ -93,6 +104,44 @@ class GroundTruth:
             raise ValidationError(f"class_id must be >= 0, got {self.class_id}")
         if self.box.area <= 0:
             raise ValidationError("ground-truth box must have positive area")
+
+
+@dataclass(frozen=True)
+class GroundTruthArrays:
+    """One image's ground truths: (G,4) float64 corners and (G,) integer class ids.
+
+    Values are not re-validated here; GroundTruth objects or the CLI's bulk
+    parse check them before stacking.
+    """
+
+    boxes: np.ndarray
+    class_ids: np.ndarray
+
+    def __post_init__(self):
+        if self.boxes.ndim != 2 or self.boxes.shape[1] != 4 or self.class_ids.shape != self.boxes.shape[:1]:
+            raise ShapeError(
+                f"ground truths need (G,4) boxes and (G,) class ids, got {self.boxes.shape} "
+                f"and {self.class_ids.shape}"
+            )
+
+
+@dataclass(frozen=True)
+class PredictionArrays:
+    """One image's predictions: (P,4) float64 corners, (P,C) class scores in
+    [0, 1] and (P,2) anchor points, checked like GroundTruthArrays' values."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    anchors: np.ndarray
+
+    def __post_init__(self):
+        n = self.boxes.shape[0]
+        if (self.boxes.shape != (n, 4) or self.scores.ndim != 2 or self.scores.shape[0] != n
+                or self.anchors.shape != (n, 2)):
+            raise ShapeError(
+                f"predictions need (P,4) boxes, (P,C) scores and (P,2) anchors, got "
+                f"{self.boxes.shape}, {self.scores.shape} and {self.anchors.shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,61 +170,93 @@ class AssignmentResult:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _iou(a: Box, b: Box) -> float:
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def _box_rows(items) -> np.ndarray:
+    """(N,4) float64 corners from an array or a sequence of Box / GroundTruth / Prediction."""
+    if isinstance(items, np.ndarray):
+        return items.astype(np.float64, copy=False).reshape(-1, 4)
+    boxes = [item if isinstance(item, Box) else item.box for item in items]
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def pairwise_iou(gts, preds) -> np.ndarray:
-    """|GT| x |pred| intersection-over-union; degenerate unions give 0."""
-    out = np.zeros((len(gts), len(preds)), dtype=np.float64)
-    for i, gt in enumerate(gts):
-        gbox = gt.box if isinstance(gt, GroundTruth) else gt
-        for j, pred in enumerate(preds):
-            pbox = pred.box if isinstance(pred, Prediction) else pred
-            out[i, j] = _iou(gbox, pbox)
+    """|GT| x |pred| intersection-over-union; degenerate unions give 0.
+
+    Either side is an (N,4) corner array or a sequence of Box, GroundTruth or
+    Prediction. Rows are computed one GT at a time, with the operations in the
+    order of the per-pair formula, so values are bit-identical to it.
+    """
+    gt_boxes, pred_boxes = _box_rows(gts), _box_rows(preds)
+    areas = (pred_boxes[:, 2] - pred_boxes[:, 0]) * (pred_boxes[:, 3] - pred_boxes[:, 1])
+    out = np.zeros((len(gt_boxes), len(pred_boxes)), dtype=np.float64)
+    for i, box in enumerate(gt_boxes):
+        ix = np.maximum(np.minimum(box[2], pred_boxes[:, 2]) - np.maximum(box[0], pred_boxes[:, 0]), 0.0)
+        iy = np.maximum(np.minimum(box[3], pred_boxes[:, 3]) - np.maximum(box[1], pred_boxes[:, 1]), 0.0)
+        inter = ix * iy
+        union = (box[2] - box[0]) * (box[3] - box[1]) + areas - inter
+        np.divide(inter, union, out=out[i], where=union > 0.0)
     return out
 
 
-def _bce(p: float, target: float) -> float:
-    p = min(max(p, LOG_EPS), 1.0 - LOG_EPS)
-    return -(target * math.log(p) + (1.0 - target) * math.log(1.0 - p))
+def _stack_gts(gts) -> GroundTruthArrays:
+    if isinstance(gts, GroundTruthArrays):
+        return gts
+    return GroundTruthArrays(boxes=_box_rows(gts),
+                             class_ids=np.array([g.class_id for g in gts], dtype=np.int64))
+
+
+def _stack_preds(preds) -> PredictionArrays:
+    if isinstance(preds, PredictionArrays):
+        return preds
+    n_classes = preds[0].cls_scores.size if preds else 0
+    for j, pred in enumerate(preds):
+        if pred.cls_scores.size != n_classes:
+            raise ValidationError(
+                f"expected {n_classes} class scores like predictions[0], got {pred.cls_scores.size}",
+                path=f"predictions[{j}].cls_scores",
+            )
+    scores = np.array([p.cls_scores for p in preds], dtype=np.float64).reshape(len(preds), n_classes)
+    anchors = np.array([p.anchor_point for p in preds], dtype=np.float64).reshape(-1, 2)
+    return PredictionArrays(boxes=_box_rows(preds), scores=scores, anchors=anchors)
+
+
+def _pair_costs(alpha: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """-ln(max(alpha, eps)) + (alpha - p)^2 * BCE(p, alpha), elementwise."""
+    pc = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
+    bce = -(alpha * np.log(pc) + (1.0 - alpha) * np.log(1.0 - pc))
+    return -np.log(np.maximum(alpha, ALPHA_EPS)) + (alpha - p) ** 2 * bce
 
 
 def align_cost(gts, preds, center_prior: bool = False) -> CostMatrix:
     """Aligned assignment costs for one image.
 
-    center_prior additionally requires a prediction's anchor point to lie
-    inside the GT box for candidacy; it is off by default.
+    gts is a GroundTruthArrays or a sequence of GroundTruth; preds is a
+    PredictionArrays or a sequence of Prediction (lists are stacked into
+    arrays first). center_prior additionally requires a prediction's anchor
+    point to lie inside the GT box for candidacy; it is off by default.
+
+    Each GT row is computed over all predictions at once, and the cost only at
+    that row's candidates, so no temporary grows with |GT| x |pred|.
     """
-    n_gt, n_pred = len(gts), len(preds)
-    costs = np.full((n_gt, n_pred), np.inf, dtype=np.float64)
-    alphas = pairwise_iou(gts, preds)
-    mask = alphas > ALPHA_EPS
-    for i, gt in enumerate(gts):
-        if n_pred and gt.class_id >= preds[0].cls_scores.size:
+    gts, preds = _stack_gts(gts), _stack_preds(preds)
+    n_pred, n_classes = preds.scores.shape
+    if n_pred:
+        bad = np.flatnonzero((gts.class_ids < 0) | (gts.class_ids >= n_classes))
+        if bad.size:
+            i = int(bad[0])
             raise ValidationError(
-                f"gt class_id {gt.class_id} out of range for {preds[0].cls_scores.size} classes"
+                f"gt class_id {gts.class_ids[i]} out of range for {n_classes} classes",
+                path=f"ground_truths[{i}]",
             )
-        for j, pred in enumerate(preds):
-            if center_prior:
-                ax, ay = pred.anchor_point
-                inside = gt.box.x1 <= ax <= gt.box.x2 and gt.box.y1 <= ay <= gt.box.y2
-                mask[i, j] &= inside
-            if not mask[i, j]:
-                continue
-            alpha = alphas[i, j]
-            p = float(pred.cls_scores[gt.class_id])
-            c_reg = -math.log(max(alpha, ALPHA_EPS))
-            c_cls = (alpha - p) ** 2 * _bce(p, alpha)
-            costs[i, j] = c_reg + c_cls
+    alphas = pairwise_iou(gts.boxes, preds.boxes)
+    mask = alphas > ALPHA_EPS
+    costs = np.full(alphas.shape, np.inf, dtype=np.float64)
+    ax, ay = preds.anchors[:, 0], preds.anchors[:, 1]
+    for i, (box, cls) in enumerate(zip(gts.boxes, gts.class_ids)):
+        if center_prior:
+            mask[i] &= (box[0] <= ax) & (ax <= box[2]) & (box[1] <= ay) & (ay <= box[3])
+        cand = np.flatnonzero(mask[i])
+        if cand.size:
+            costs[i, cand] = _pair_costs(alphas[i, cand], preds.scores[cand, cls])
     return CostMatrix(costs=costs, alphas=alphas, candidate_mask=mask)
 
 

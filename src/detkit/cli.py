@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__
 from .assign import (
     Box,
-    GroundTruth,
-    Prediction,
+    GroundTruthArrays,
+    PredictionArrays,
     align_cost,
     dynamic_k_assign,
     sinkhorn_assign,
@@ -192,33 +192,106 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _parse_image(doc: dict, idx: int):
-    preds = []
-    for j, p in enumerate(doc.get("predictions", [])):
+def _records(image: dict, key: str, path: str) -> list:
+    records = image.get(key, [])
+    if not isinstance(records, list):
+        raise ValidationError("expected a list", path=path)
+    for j, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValidationError("expected an object", path=f"{path}[{j}]")
+    return records
+
+
+def _field(records: list, key: str, path: str, default=None) -> list:
+    if default is not None:
+        return [rec.get(key, default) for rec in records]
+    try:
+        return [rec[key] for rec in records]
+    except KeyError:
+        j = next(j for j, rec in enumerate(records) if key not in rec)
+        raise ValidationError(f"missing field '{key}'", path=f"{path}[{j}]") from None
+
+
+def _number_rows(values: list, width: int | None, path: str, key: str) -> np.ndarray:
+    """Stack per-record number lists into an (N, width) float64 array in one
+    conversion; width None takes the first record's length. When the bulk
+    conversion fails, the first bad record is found and named."""
+    if not values:
+        return np.empty((0, width or 0), dtype=np.float64)
+    try:
+        rows = np.array(values)
+    except ValueError:  # ragged nesting
+        rows = None
+    if (rows is not None and rows.dtype.kind in "iuf" and rows.ndim == 2
+            and (width is None or rows.shape[1] == width)):
+        return rows.astype(np.float64, copy=False)
+    expected = width
+    for j, value in enumerate(values):
         try:
-            preds.append(
-                Prediction(
-                    box=Box(*p["box"]),
-                    cls_scores=np.asarray(p["cls_scores"], dtype=np.float64),
-                    anchor_point=tuple(p.get("anchor_point", (0.0, 0.0))),
-                )
-            )
-        except (KeyError, TypeError) as e:
-            raise ValidationError(f"bad prediction: {e}", path=f"images[{idx}].predictions[{j}]") from e
-    gts = []
-    for j, g in enumerate(doc.get("ground_truths", [])):
-        try:
-            gts.append(GroundTruth(box=Box(*g["box"]), class_id=int(g["class_id"])))
-        except (KeyError, TypeError) as e:
-            raise ValidationError(f"bad ground truth: {e}", path=f"images[{idx}].ground_truths[{j}]") from e
-    return gts, preds
+            row = np.array(value)
+        except ValueError:
+            row = None
+        if row is None or row.dtype.kind not in "iuf" or row.ndim != 1:
+            raise ValidationError("expected a list of numbers", path=f"{path}[{j}].{key}")
+        expected = len(row) if expected is None else expected
+        if len(row) != expected:
+            like = f" like {path}[0].{key}" if width is None else ""
+            raise ValidationError(f"expected {expected} numbers{like}, got {len(row)}",
+                                  path=f"{path}[{j}].{key}")
+    raise ValidationError(f"expected lists of {expected} numbers", path=f"{path}[*].{key}")
+
+
+def _first_bad(ok: np.ndarray, message: str, path: str) -> None:
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValidationError(message, path=path.format(int(bad[0])))
+
+
+def _corners_ok(boxes: np.ndarray) -> np.ndarray:
+    return (np.isfinite(boxes).all(axis=1)
+            & (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3]))
+
+
+def _parse_image(image, idx: int) -> tuple[GroundTruthArrays, PredictionArrays]:
+    """One image's JSON lists straight to arrays, validated in bulk; errors name
+    the first bad record's field path."""
+    path = f"images[{idx}]"
+    if not isinstance(image, dict):
+        raise ValidationError("expected an object", path=path)
+    pp, gp = f"{path}.predictions", f"{path}.ground_truths"
+    preds, gts = _records(image, "predictions", pp), _records(image, "ground_truths", gp)
+
+    pred_boxes = _number_rows(_field(preds, "box", pp), 4, pp, "box")
+    _first_bad(_corners_ok(pred_boxes), "box corners must be finite with x1 <= x2, y1 <= y2", pp + "[{}].box")
+    scores = _number_rows(_field(preds, "cls_scores", pp), None, pp, "cls_scores")
+    if preds and scores.shape[1] == 0:
+        raise ValidationError("prediction needs at least one class score", path=f"{pp}[0].cls_scores")
+    _first_bad(((scores >= 0) & (scores <= 1)).all(axis=1), "class scores must lie in [0, 1]",
+               pp + "[{}].cls_scores")
+    anchors = _number_rows(_field(preds, "anchor_point", pp, default=(0.0, 0.0)), 2, pp, "anchor_point")
+    _first_bad(np.isfinite(anchors).all(axis=1), "anchor point must be finite", pp + "[{}].anchor_point")
+
+    gt_boxes = _number_rows(_field(gts, "box", gp), 4, gp, "box")
+    areas = (gt_boxes[:, 2] - gt_boxes[:, 0]) * (gt_boxes[:, 3] - gt_boxes[:, 1])
+    _first_bad(_corners_ok(gt_boxes) & (areas > 0), "ground-truth box must be finite with positive area",
+               gp + "[{}].box")
+    class_ids = _field(gts, "class_id", gp)
+    # without predictions, any id the int64 array can hold is in range
+    n_classes = scores.shape[1] if preds else np.iinfo(np.int64).max
+    for j, cid in enumerate(class_ids):
+        if not isinstance(cid, int) or isinstance(cid, bool):
+            raise ValidationError("class_id must be an integer", path=f"{gp}[{j}].class_id")
+        if not 0 <= cid < n_classes:
+            raise ValidationError(f"class_id {cid} out of range [0, {n_classes})", path=f"{gp}[{j}].class_id")
+    return (GroundTruthArrays(boxes=gt_boxes, class_ids=np.array(class_ids, dtype=np.int64)),
+            PredictionArrays(boxes=pred_boxes, scores=scores, anchors=anchors))
 
 
 def cmd_assign(args) -> int:
     doc = json.loads(_read(args.input))
-    images = doc.get("images")
+    images = doc.get("images") if isinstance(doc, dict) else None
     if not isinstance(images, list):
-        raise ValidationError("expected a list", path="images")
+        raise ValidationError("expected an object holding an 'images' list", path="images")
     solver = sinkhorn_assign if args.solver == "sinkhorn" else dynamic_k_assign
     manifest = _make_manifest("assign", [args.input])
     lines = []

@@ -1,5 +1,7 @@
 """Assignment tests. naive_assign is the independent oracle: pure-Python loops
-re-deriving the documented rules from scratch, no shared helpers."""
+re-deriving the documented rules from scratch, no shared helpers.
+scalar_align_cost is the per-pair loop the array core replaced, kept as the
+reference its row-at-a-time numpy form is checked against."""
 import math
 
 import numpy as np
@@ -10,13 +12,15 @@ from detkit.assign import (
     Box,
     CostMatrix,
     GroundTruth,
+    GroundTruthArrays,
     Prediction,
+    PredictionArrays,
     align_cost,
     dynamic_k_assign,
     pairwise_iou,
     sinkhorn_assign,
 )
-from detkit.errors import ValidationError
+from detkit.errors import ShapeError, ValidationError
 
 
 # --- independent oracle -------------------------------------------------------
@@ -76,6 +80,42 @@ def naive_assign(gt_boxes, gt_classes, pred_boxes, pred_scores):
     return assigned, per_gt_k, soft
 
 
+def _scalar_iou(a: Box, b: Box) -> float:
+    ix1 = max(a.x1, b.x1)
+    iy1 = max(a.y1, b.y1)
+    ix2 = min(a.x2, b.x2)
+    iy2 = min(a.y2, b.y2)
+    inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def _scalar_bce(p: float, target: float) -> float:
+    p = min(max(p, 1e-12), 1.0 - 1e-12)
+    return -(target * math.log(p) + (1.0 - target) * math.log(1.0 - p))
+
+
+def scalar_align_cost(gts, preds, center_prior=False):
+    """The library's former per-pair cost loop: (costs, alphas, mask) lists."""
+    alphas = np.array([[_scalar_iou(g.box, p.box) for p in preds] for g in gts],
+                      dtype=np.float64).reshape(len(gts), len(preds))
+    mask = alphas > 1e-8
+    costs = np.full(alphas.shape, np.inf)
+    for i, gt in enumerate(gts):
+        for j, pred in enumerate(preds):
+            if center_prior:
+                ax, ay = pred.anchor_point
+                mask[i, j] &= gt.box.x1 <= ax <= gt.box.x2 and gt.box.y1 <= ay <= gt.box.y2
+            if not mask[i, j]:
+                continue
+            alpha = alphas[i, j]
+            p = float(pred.cls_scores[gt.class_id])
+            costs[i, j] = -math.log(max(alpha, 1e-8)) + (alpha - p) ** 2 * _scalar_bce(p, alpha)
+    return costs, alphas, mask
+
+
 # --- helpers -------------------------------------------------------------------
 
 def make_pred(box, scores, anchor=(0.0, 0.0)):
@@ -116,6 +156,11 @@ class TestPairwiseIou:
     def test_disjoint_boxes(self):
         m = pairwise_iou([make_gt([0, 0, 1, 1])], [make_pred([5, 5, 6, 6], [0.5])])
         assert m[0, 0] == 0.0
+
+    def test_degenerate_union_gives_zero(self):
+        point = np.array([[1.0, 1.0, 1.0, 1.0]])
+        assert pairwise_iou(point, point)[0, 0] == 0.0
+        assert pairwise_iou([Box(1, 1, 1, 1)], [Box(1, 1, 1, 1)])[0, 0] == 0.0
 
     def test_hand_computed_overlap(self):
         m = pairwise_iou([make_gt([0, 0, 2, 2])], [make_pred([1, 1, 3, 3], [0.5])])
@@ -188,11 +233,97 @@ class TestAlignCost:
         m_prior = align_cost(gts, [inside, outside], center_prior=True)
         assert m_prior.candidate_mask[0, 0] and not m_prior.candidate_mask[0, 1]
 
+    def test_center_prior_includes_box_edges(self):
+        gts = [make_gt([0, 0, 4, 4])]
+        corner = make_pred([0, 0, 4, 4], [0.9], anchor=(4, 0))
+        assert align_cost(gts, [corner], center_prior=True).candidate_mask[0, 0]
+
     def test_class_id_out_of_range(self):
         gts = [make_gt([0, 0, 4, 4], cls=5)]
         preds = [make_pred([0, 0, 4, 4], [0.9, 0.1])]
         with pytest.raises(ValidationError, match="class_id"):
             align_cost(gts, preds)
+
+
+def random_scene(rng, n_classes=4):
+    """A denser instance than random_instance, with anchor points, degenerate
+    prediction boxes and scores at exactly 0 and 1."""
+    n_gt, n_pred = int(rng.integers(1, 7)), int(rng.integers(1, 61))
+    gts = []
+    for _ in range(n_gt):
+        x1, y1 = rng.uniform(0, 60, 2)
+        w, h = rng.uniform(4, 40, 2)
+        gts.append(make_gt([x1, y1, x1 + w, y1 + h], int(rng.integers(0, n_classes))))
+    preds = []
+    for _ in range(n_pred):
+        x1, y1 = rng.uniform(0, 60, 2)
+        w, h = rng.uniform(0, 40, 2) * (rng.uniform() > 0.1)  # some zero-area boxes
+        scores = rng.uniform(0, 1, n_classes)
+        scores[rng.uniform(size=n_classes) < 0.1] = float(rng.integers(0, 2))
+        anchor = (x1 + w * rng.uniform(), y1 + h * rng.uniform())
+        preds.append(make_pred([x1, y1, x1 + w, y1 + h], scores, anchor=anchor))
+    return gts, preds
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("center_prior", [False, True])
+    def test_matches_scalar_reference(self, center_prior):
+        rng = np.random.default_rng(11 + center_prior)
+        for _ in range(300):
+            gts, preds = random_scene(rng)
+            m = align_cost(gts, preds, center_prior=center_prior)
+            costs, alphas, mask = scalar_align_cost(gts, preds, center_prior=center_prior)
+            assert np.array_equal(m.alphas, alphas)
+            assert np.array_equal(m.candidate_mask, mask)
+            assert np.all(np.isinf(m.costs[~mask]))
+            # numpy's vectorised log may differ from libm's in the last bits
+            np.testing.assert_array_max_ulp(m.costs[mask], costs[mask], maxulp=4)
+
+    def test_array_bundles_match_object_lists(self):
+        rng = np.random.default_rng(12)
+        gts, preds = random_scene(rng)
+        gt_arrays = GroundTruthArrays(
+            boxes=np.array([[g.box.x1, g.box.y1, g.box.x2, g.box.y2] for g in gts]),
+            class_ids=np.array([g.class_id for g in gts]),
+        )
+        pred_arrays = PredictionArrays(
+            boxes=np.array([[p.box.x1, p.box.y1, p.box.x2, p.box.y2] for p in preds]),
+            scores=np.stack([p.cls_scores for p in preds]),
+            anchors=np.array([p.anchor_point for p in preds]),
+        )
+        a = align_cost(gt_arrays, pred_arrays, center_prior=True)
+        b = align_cost(gts, preds, center_prior=True)
+        for field in ("costs", "alphas", "candidate_mask"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(pairwise_iou(gt_arrays.boxes, pred_arrays.boxes), b.alphas)
+
+    def test_gts_without_predictions(self):
+        m = align_cost([make_gt([0, 0, 4, 4])], [], center_prior=True)
+        assert m.costs.shape == (1, 0)
+        assert dynamic_k_assign(m).per_gt_k == (0,)
+
+    def test_cls_score_lengths_must_agree(self):
+        gts = [make_gt([0, 0, 4, 4])]
+        preds = [make_pred([0, 0, 4, 4], [0.9]), make_pred([0, 0, 4, 4], [0.9, 0.1])]
+        with pytest.raises(ValidationError, match=r"predictions\[1\]\.cls_scores"):
+            align_cost(gts, preds)
+
+    def test_anchor_point_needs_two_numbers(self):
+        with pytest.raises(ValidationError, match="anchor_point"):
+            make_pred([0, 0, 4, 4], [0.9], anchor=(1.0,))
+
+    def test_negative_class_id_in_arrays_rejected(self):
+        gts = GroundTruthArrays(boxes=np.array([[0.0, 0, 4, 4]]), class_ids=np.array([-1]))
+        preds = PredictionArrays(boxes=np.array([[0.0, 0, 4, 4]]), scores=np.array([[0.5]]),
+                                 anchors=np.zeros((1, 2)))
+        with pytest.raises(ValidationError, match=r"ground_truths\[0\]"):
+            align_cost(gts, preds)
+
+    def test_bundle_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            GroundTruthArrays(boxes=np.zeros((2, 4)), class_ids=np.zeros(3, dtype=np.int64))
+        with pytest.raises(ShapeError):
+            PredictionArrays(boxes=np.zeros((2, 4)), scores=np.zeros((2, 3)), anchors=np.zeros((1, 2)))
 
 
 class TestDynamicK:

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detkit.assign import Box, GroundTruth, Prediction, align_cost, dynamic_k_assign
 from detkit.cli import main
 from detkit.genome import genome_from_json, genome_to_json, preset_genome
 from detkit.tensorops import Tensor4, save_raw_tensor
@@ -166,6 +169,112 @@ class TestScoreCommand:
         assert doc["per_scale"] == pytest.approx(list(expected.per_scale), rel=1e-12)
 
 
+def _pred(box=(0, 0, 4, 4), scores=(0.9,), **extra):
+    return {"box": list(box), "cls_scores": list(scores), **extra}
+
+
+def _gt(box=(0, 0, 4, 4), class_id=0):
+    return {"box": list(box), "class_id": class_id}
+
+
+def _image(preds=(), gts=()):
+    return {"images": [{"predictions": list(preds), "ground_truths": list(gts)}]}
+
+
+# (input document or raw text, extra flags, field path the error must name)
+BAD_ASSIGN_INPUTS = [
+    ([], [], "images"),
+    ({"images": {}}, [], "images"),
+    ({"images": [5]}, [], "images[0]"),
+    ({"images": [{"predictions": {}}]}, [], "images[0].predictions"),
+    ({"images": [{"ground_truths": [[0, 0, 4, 4]]}]}, [], "images[0].ground_truths[0]"),
+    (_image([{"box": [0, 0, 1, 1]}]), [], "images[0].predictions[0]"),
+    (_image([_pred(), _pred(scores=(0.5, 0.5))]), [], "images[0].predictions[1].cls_scores"),
+    (_image([_pred(anchor_point=[1.0])]), ["--center-prior"], "images[0].predictions[0].anchor_point"),
+    (_image([_pred(), _pred(anchor_point=["x", 1])]), [], "images[0].predictions[1].anchor_point"),
+    (_image([_pred(), _pred(box=(2, 0, 1, 1))]), [], "images[0].predictions[1].box"),
+    (_image([_pred(scores=(1.5,))]), [], "images[0].predictions[0].cls_scores"),
+    (_image([_pred(), _pred(scores=(-0.1,))]), [], "images[0].predictions[1].cls_scores"),
+    (_image([_pred(scores=())]), [], "images[0].predictions[0].cls_scores"),
+    (_image([_pred()], [_gt(), _gt(box=(0, 0, 0, 4))]), [], "images[0].ground_truths[1].box"),
+    (_image([_pred(box=("a", 0, 1, 1))]), [], "images[0].predictions[0].box"),
+    (_image([_pred(box=(0, 0, None, 1))]), [], "images[0].predictions[0].box"),
+    (_image([_pred(), _pred(box=(0, 0, 1))]), [], "images[0].predictions[1].box"),
+    (_image([_pred(), _pred(box=(0, 0, 1, [1]))]), [], "images[0].predictions[1].box"),
+    (_image([], [_gt(box=(0, 0, 1, 1, 1))]), [], "images[0].ground_truths[0].box"),
+    (_image([_pred(scores=(0.5, 0.5))], [_gt(class_id=2)]), [], "images[0].ground_truths[0].class_id"),
+    (_image([_pred()], [_gt(class_id=-1)]), [], "images[0].ground_truths[0].class_id"),
+    (_image([_pred()], [_gt(class_id="abc")]), [], "images[0].ground_truths[0].class_id"),
+    (_image([_pred()], [_gt(class_id=1.5)]), [], "images[0].ground_truths[0].class_id"),
+    ('{"images": [{"predictions": [{"box": [0, 0, 1, 1], "cls_scores": [NaN]}]}]}', [],
+     "images[0].predictions[0].cls_scores"),
+    ('{"images": [{"predictions": [{"box": [0, 0, Infinity, 1], "cls_scores": [0.5]}]}]}', [],
+     "images[0].predictions[0].box"),
+    ({"images": [_image([_pred()])["images"][0], _image([_pred(box=(1, 1, 0, 0))])["images"][0]]},
+     [], "images[1].predictions[0].box"),
+]
+
+
+def anchor_grid_image(rng, n_gt, size=640, classes=3):
+    """One image on the 80^2 + 40^2 + 20^2 = 8400 anchor grid of a 640 input;
+    predictions anchored inside a GT score its class high."""
+    centres = []
+    for stride in (8, 16, 32):
+        ys, xs = np.mgrid[0:size // stride, 0:size // stride]
+        centres.append(np.stack([(xs.ravel() + 0.5) * stride, (ys.ravel() + 0.5) * stride,
+                                 np.full(xs.size, stride)], axis=1))
+    grid = np.concatenate(centres).astype(np.float64)
+    half = grid[:, 2:] * rng.uniform(1.0, 2.5, (len(grid), 2))
+    boxes = np.concatenate([grid[:, :2] - half, grid[:, :2] + half], axis=1).clip(0, size).round(2)
+    ctr = rng.uniform(0, size, (n_gt, 2))
+    wh = rng.uniform(16, 200, (n_gt, 2))
+    gt_boxes = np.concatenate([ctr - wh / 2, ctr + wh / 2], axis=1).clip(0, size).round(2)
+    gt_cls = rng.integers(0, classes, n_gt)
+    scores = rng.uniform(0, 0.2, (len(grid), classes))
+    for box, c in zip(gt_boxes, gt_cls):
+        inside = ((grid[:, 0] >= box[0]) & (grid[:, 0] <= box[2])
+                  & (grid[:, 1] >= box[1]) & (grid[:, 1] <= box[3]))
+        scores[inside, c] = rng.uniform(0.3, 1.0, int(inside.sum()))
+    return {
+        "predictions": [{"box": b, "cls_scores": s, "anchor_point": a}
+                        for b, s, a in zip(boxes.tolist(), scores.round(5).tolist(), grid[:, :2].tolist())],
+        "ground_truths": [{"box": b, "class_id": int(c)} for b, c in zip(gt_boxes.tolist(), gt_cls)],
+    }
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-3, 100) | st.floats()
+                 | st.text(max_size=3))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_coords = st.floats(-10, 80) | st.integers(-10, 80)
+
+
+@st.composite
+def assign_documents(draw):
+    """Assign inputs that are mostly well formed, with any field replaced by
+    arbitrary JSON now and then."""
+    def maybe(strategy):
+        return draw(st.one_of(strategy, _json_values) if draw(st.integers(0, 9)) == 0 else strategy)
+
+    n_classes = draw(st.integers(1, 3))
+    scores = st.lists(st.floats(0, 1), min_size=n_classes, max_size=n_classes)
+    images = []
+    for _ in range(draw(st.integers(0, 2))):
+        preds = [{"box": maybe(st.lists(_coords, min_size=4, max_size=4)),
+                  "cls_scores": maybe(scores),
+                  "anchor_point": maybe(st.lists(_coords, min_size=2, max_size=2))}
+                 for _ in range(draw(st.integers(0, 5)))]
+        gts = [{"box": maybe(st.lists(_coords, min_size=4, max_size=4)),
+                "class_id": maybe(st.integers(0, n_classes))}
+               for _ in range(draw(st.integers(0, 3)))]
+        images.append(maybe(st.just({"predictions": maybe(st.just(preds)),
+                                     "ground_truths": maybe(st.just(gts))})))
+    return maybe(st.just({"images": images}))
+
+
 class TestAssignCommand:
     def test_perfect_pair_fixture(self, tmp_path, capsys):
         path = tmp_path / "images.json"
@@ -207,6 +316,40 @@ class TestAssignCommand:
         path = tmp_path / "images.json"
         path.write_text(json.dumps({"images": [{"predictions": [{"box": [0, 0, 1, 1]}]}]}))
         assert main(["assign", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("doc, flags, where", BAD_ASSIGN_INPUTS,
+                             ids=[case[2] for case in BAD_ASSIGN_INPUTS])
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, doc, flags, where):
+        path = tmp_path / "images.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["assign", "--input", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: "), err
+
+    def test_8400_anchor_image_matches_object_path(self, tmp_path, capsys):
+        doc = anchor_grid_image(np.random.default_rng(3), n_gt=20)
+        path = tmp_path / "images.json"
+        path.write_text(json.dumps({"images": [doc]}))
+        assert main(["assign", "--input", str(path)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        gts = [GroundTruth(Box(*g["box"]), g["class_id"]) for g in doc["ground_truths"]]
+        preds = [Prediction(Box(*p["box"]), np.asarray(p["cls_scores"]), tuple(p["anchor_point"]))
+                 for p in doc["predictions"]]
+        expected = dynamic_k_assign(align_cost(gts, preds))
+        assert record["assigned_gt"] == [-1 if a is None else a for a in expected.assigned_gt]
+        assert record["per_gt_k"] == list(expected.per_gt_k)
+        assert record["soft_labels"] == list(expected.soft_labels)
+        assert record["warnings"] == list(expected.warnings)
+        assert sum(a >= 0 for a in record["assigned_gt"]) >= 20
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=assign_documents(), flags=st.sampled_from(
+        [[], ["--center-prior"], ["--solver", "sinkhorn", "--center-prior"]]))
+    def test_fuzzed_documents_exit_0_or_2(self, tmp_path_factory, doc, flags):
+        path = tmp_path_factory.mktemp("fuzz") / "images.json"
+        path.write_text(json.dumps(doc))
+        assert main(["assign", "--input", str(path), "--out", str(path.with_suffix(".out")),
+                     *flags]) in (0, 2)
 
 
 class TestLossCommand:
