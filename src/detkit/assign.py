@@ -58,7 +58,7 @@ TOPK_CANDIDATES = 10
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box in pixel coordinates, corners (x1, y1) <= (x2, y2)."""
+    """Axis-aligned box in pixel coordinates, finite corners (x1, y1) <= (x2, y2)."""
 
     x1: float
     y1: float
@@ -66,6 +66,8 @@ class Box:
     y2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
+            raise ValidationError(f"box corners must be finite: {self}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ValidationError(f"box corners out of order: {self}")
 

@@ -14,8 +14,7 @@ Exit codes: 0 ok, 2 input/config error, 3 infeasible search, 4 internal error.
 Every output *file* references a `<file>.manifest.json` sidecar recording the
 command, a hash of its inputs, the seed, the toolkit version, and timestamps;
 keeping timestamps in the sidecar is what lets seeded runs produce
-byte-identical primary outputs. DETKIT_THREADS caps the evaluation worker
-count during search.
+byte-identical primary outputs.
 """
 from __future__ import annotations
 
@@ -23,6 +22,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -40,7 +40,7 @@ from .assign import (
     sinkhorn_assign,
 )
 from .cost import DeviceProfile, builtin_profile, cost_report
-from .errors import DetkitError, InfeasibleError, ValidationError
+from .errors import DetkitError, InfeasibleError, ShapeError, ValidationError
 from .genome import genome_from_json, genome_to_json, preset_genome
 from .graph import build_graph
 from .losses import (
@@ -321,30 +321,81 @@ def _mean(values):
     return float(sum(values) / len(values)) if values else 0.0
 
 
+def _get(spec, key: str, path: str, default=None):
+    """spec[key] of a JSON object, or default when absent; errors name the
+    field path. A default of None makes the field required."""
+    if not isinstance(spec, dict):
+        raise ValidationError("expected an object", path=path or None)
+    if key in spec:
+        return spec[key]
+    if default is None:
+        raise ValidationError("missing required field", path=f"{path}.{key}" if path else key)
+    return default
+
+
+def _is_number(value) -> bool:
+    # JSON numbers only (no bools); ints too large for a float are rejected
+    if type(value) is int:
+        return abs(value) < 2 ** 1023
+    return type(value) is float and math.isfinite(value)
+
+
+def _num(spec, key: str, path: str, default=None) -> float:
+    value = _get(spec, key, path, default)
+    if not _is_number(value):
+        raise ValidationError(f"expected a finite number, got {value!r}",
+                              path=f"{path}.{key}" if path else key)
+    return float(value)
+
+
+def _num_list(spec, key: str, path: str, length: int | None = None) -> list:
+    value = _get(spec, key, path)
+    if (not isinstance(value, list) or not value or not all(map(_is_number, value))
+            or (length is not None and len(value) != length)):
+        raise ValidationError(f"expected a list of {length or 'one or more'} finite numbers",
+                              path=f"{path}.{key}")
+    return value
+
+
+def _box(spec, key: str, path: str) -> Box:
+    corners = _num_list(spec, key, path, length=4)
+    try:
+        return Box(*corners)
+    except ValidationError as e:
+        raise ValidationError(str(e), path=f"{path}.{key}") from None
+
+
 def cmd_loss(args) -> int:
     base = Path(args.input).parent
     doc = json.loads(_read(args.input))
+    if not isinstance(doc, dict):
+        raise ValidationError("expected an object", path="input")
     weights_doc = doc.get("weights", {})
     weights = LossWeights(
-        qfl=float(weights_doc.get("qfl", 1.0)),
-        dfl=float(weights_doc.get("dfl", 0.25)),
-        giou=float(weights_doc.get("giou", 2.0)),
+        qfl=_num(weights_doc, "qfl", "weights", 1.0),
+        dfl=_num(weights_doc, "dfl", "weights", 0.25),
+        giou=_num(weights_doc, "giou", "weights", 2.0),
     )
     if "components" in doc:
-        comp = doc["components"]
-        q, d, g = (float(comp.get(k, 0.0)) for k in ("qfl", "dfl", "giou"))
+        q, d, g = (_num(doc["components"], k, "components", 0.0) for k in ("qfl", "dfl", "giou"))
     elif "pairs" in doc:
+        if not isinstance(doc["pairs"], list):
+            raise ValidationError("expected a list", path="pairs")
         qs, ds, gs = [], [], []
         for i, pair in enumerate(doc["pairs"]):
+            path = f"pairs[{i}]"
+            if not isinstance(pair, dict):
+                raise ValidationError("expected an object", path=path)
             if "qfl" in pair:
-                spec = pair["qfl"]
-                qs.append(qfl(spec["pred"], spec["target"], spec.get("beta", 2.0)))
+                spec, sp = pair["qfl"], f"{path}.qfl"
+                qs.append(qfl(_num(spec, "pred", sp), _num(spec, "target", sp), _num(spec, "beta", sp, 2.0)))
             if "dfl" in pair:
-                spec = pair["dfl"]
-                ds.append(dfl(np.asarray(spec["probs"], dtype=np.float64), spec["target"]))
+                spec, sp = pair["dfl"], f"{path}.dfl"
+                ds.append(dfl(np.asarray(_num_list(spec, "probs", sp), dtype=np.float64),
+                              _num(spec, "target", sp)))
             if "giou" in pair:
-                spec = pair["giou"]
-                gs.append(giou_loss(Box(*spec["pred_box"]), Box(*spec["gt_box"])))
+                spec, sp = pair["giou"], f"{path}.giou"
+                gs.append(giou_loss(_box(spec, "pred_box", sp), _box(spec, "gt_box", sp)))
         q, d, g = _mean(qs), _mean(ds), _mean(gs)
     else:
         raise ValidationError("need either 'components' or 'pairs'", path="input")
@@ -353,20 +404,28 @@ def cmd_loss(args) -> int:
     if "schedule" in doc:
         s = doc["schedule"]
         schedule = DistillSchedule(
-            stage1_epochs=int(s.get("stage1_epochs", 284)),
-            stage2_epochs=int(s.get("stage2_epochs", 16)),
-            w_start=float(s.get("w_start", 0.5)),
-            w_end=float(s.get("w_end", 0.0)),
-            mode=s.get("mode", "cosine"),
+            stage1_epochs=int(_num(s, "stage1_epochs", "schedule", 284)),
+            stage2_epochs=int(_num(s, "stage2_epochs", "schedule", 16)),
+            w_start=_num(s, "w_start", "schedule", 0.5),
+            w_end=_num(s, "w_end", "schedule", 0.0),
+            mode=_get(s, "mode", "schedule", "cosine"),
         )
-    epoch = int(doc.get("epoch", 0))
+    epoch = int(_num(doc, "epoch", "", 0))
 
     distill = 0.0
     if "distill" in doc:
         spec = doc["distill"]
-        teacher = [load_raw_tensor(base / p) for p in spec["teacher"]]
-        student = [load_raw_tensor(base / p) for p in spec["student"]]
-        distill = distill_loss(teacher, student, kind=spec.get("kind", "cwd"))
+        files = {}
+        for key in ("teacher", "student"):
+            files[key] = _get(spec, key, "distill")
+            if not isinstance(files[key], list) or not all(isinstance(f, str) for f in files[key]):
+                raise ValidationError("expected a list of file names", path=f"distill.{key}")
+        try:
+            teacher = [load_raw_tensor(base / f) for f in files["teacher"]]
+            student = [load_raw_tensor(base / f) for f in files["student"]]
+            distill = distill_loss(teacher, student, kind=_get(spec, "kind", "distill", "cwd"))
+        except ShapeError as e:  # the tensors' shapes come from the input files
+            raise ValidationError(str(e), path="distill") from None
 
     breakdown = loss_breakdown((q, d, g), weights, distill=distill,
                                epoch=epoch, schedule=schedule)

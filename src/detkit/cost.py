@@ -185,9 +185,13 @@ def _node_params(graph: OpGraph, n: OpNode) -> int:
     return params
 
 
-def _node_bytes(graph: OpGraph, n: OpNode) -> int:
+def _node_bytes(graph: OpGraph, n: OpNode, params: int) -> int:
     moved = n.out_elements + sum(graph.node(s).out_elements for s in n.inputs)
-    return BYTES_PER_VALUE * (moved + _node_params(graph, n))
+    return BYTES_PER_VALUE * (moved + params)
+
+
+def _node_latency(flops: int, nbytes: int, profile: DeviceProfile) -> float:
+    return max(flops / profile.flops_per_ms, nbytes / profile.bytes_per_ms) + profile.per_op_overhead_ms
 
 
 def count_flops(graph: OpGraph, strict: bool = False) -> int:
@@ -201,12 +205,10 @@ def count_params(graph: OpGraph) -> int:
 
 
 def estimate_latency(report: CostReport, profile: DeviceProfile) -> float:
-    """Roofline latency: per-node max of compute and memory time, plus a fixed
-    dispatch overhead per node. Deterministic in the report and profile."""
-    total = 0.0
-    for n in report.per_node:
-        total += max(n.flops / profile.flops_per_ms, n.bytes / profile.bytes_per_ms)
-    return total + profile.per_op_overhead_ms * len(report.per_node)
+    """Roofline latency: in-order sum over the report's rows of the per-node max
+    of compute and memory time plus a fixed dispatch overhead. Equals
+    `cost_report(graph, profile).latency_ms` for the same profile."""
+    return sum(_node_latency(n.flops, n.bytes, profile) for n in report.per_node)
 
 
 def cost_report(graph: OpGraph, profile: DeviceProfile | None = None,
@@ -214,29 +216,14 @@ def cost_report(graph: OpGraph, profile: DeviceProfile | None = None,
     """Full per-node breakdown; attaches modeled latency when a profile is given."""
     rows = []
     for n in graph.nodes:
-        rows.append(
-            NodeCost(
-                name=n.name,
-                kind=n.kind,
-                flops=_node_flops(graph, n, strict),
-                params=_node_params(graph, n),
-                bytes=_node_bytes(graph, n),
-            )
-        )
-    latency = None
-    if profile is not None:
-        rows = [
-            NodeCost(
-                name=r.name, kind=r.kind, flops=r.flops, params=r.params, bytes=r.bytes,
-                latency_ms=max(r.flops / profile.flops_per_ms, r.bytes / profile.bytes_per_ms)
-                + profile.per_op_overhead_ms,
-            )
-            for r in rows
-        ]
-        latency = sum(r.latency_ms for r in rows)
+        flops = _node_flops(graph, n, strict)
+        params = _node_params(graph, n)
+        nbytes = _node_bytes(graph, n, params)
+        latency = None if profile is None else _node_latency(flops, nbytes, profile)
+        rows.append(NodeCost(n.name, n.kind, flops, params, nbytes, latency))
     return CostReport(
         flops=sum(r.flops for r in rows),
         params=sum(r.params for r in rows),
-        latency_ms=latency,
+        latency_ms=None if profile is None else sum(r.latency_ms for r in rows),
         per_node=tuple(rows),
     )

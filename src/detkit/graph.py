@@ -75,48 +75,41 @@ class OpNode:
 
 @dataclass(frozen=True)
 class OpGraph:
-    """An acyclic operator graph with designated output and pyramid nodes."""
+    """An acyclic operator graph with designated output and pyramid nodes.
+
+    Node ids are unique and every input id is smaller than the id of the node
+    reading it (the order `GraphBuilder` emits), which makes the graph acyclic
+    and ascending ids a dependency order, whatever the storage order of
+    `nodes`.
+    """
 
     nodes: tuple[OpNode, ...]
     outputs: tuple[int, ...]
     pyramid: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {n.nid: n for n in self.nodes})
+        by_id: dict[int, OpNode] = {}
+        for n in self.nodes:
+            if n.nid in by_id:
+                raise ValidationError(f"node {n.name} repeats node id {n.nid}")
+            by_id[n.nid] = n
+        for n in self.nodes:
+            for src in n.inputs:
+                if src not in by_id:
+                    raise ValidationError(f"node {n.name} reads unknown node id {src}")
+                if src >= n.nid:
+                    raise ValidationError(
+                        f"node {n.name} (id {n.nid}) reads node id {src}; inputs need smaller ids")
+        object.__setattr__(self, "_by_id", by_id)
 
     def node(self, nid: int) -> OpNode:
         return self._by_id[nid]
 
     def topo_order(self) -> tuple[int, ...]:
-        """Dependency order by Kahn's algorithm with ids as tie-break, so the
-        result does not depend on the storage order of `nodes`."""
-        indeg = {n.nid: len(n.inputs) for n in self.nodes}
-        consumers: dict[int, list[int]] = {n.nid: [] for n in self.nodes}
-        for n in self.nodes:
-            for src in n.inputs:
-                if src not in consumers:
-                    raise ValidationError(f"node {n.name} reads unknown node id {src}")
-                consumers[src].append(n.nid)
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order: list[int] = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            inserted = False
-            for consumer in consumers[nid]:
-                indeg[consumer] -= 1
-                if indeg[consumer] == 0:
-                    ready.append(consumer)
-                    inserted = True
-            if inserted:
-                ready.sort()
-        if len(order) != len(self.nodes):
-            raise ValidationError("graph contains a cycle")
-        return tuple(order)
+        """Dependency order: ascending node ids."""
+        return tuple(sorted(self._by_id))
 
     def validate(self) -> None:
-        order = self.topo_order()
-        assert len(order) == len(self.nodes)
         for n in self.nodes:
             shapes = [self.node(s).out_shape for s in n.inputs]
             _check_node_shapes(n, shapes)

@@ -15,18 +15,15 @@ extractor; fusion and head layers only enter through the cost term.
 The search is a seeded (mu + lambda) elitist loop with tournament parenting.
 Child 0 of every generation always mutates the current best, so with a
 single-dimension mutation space the best genome advances every generation.
-Candidate evaluation is pure and may run on a thread pool (capped by
-DETKIT_THREADS); results are merged in child order, so parallel and serial
-runs produce identical archives.
+Candidates are evaluated serially in child order and evaluation is pure, so a
+seed fixes the archive byte for byte.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .cost import CostReport, DeviceProfile, builtin_profile, cost_report
@@ -196,6 +193,11 @@ class SearchConfig:
     tournament_size: int = 2
 
     def __post_init__(self):
+        for name in ("width_step", "width_min", "width_max", "depth_max",
+                     "scale_rule_depth", "tournament_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"expected an integer, got {value!r}", path=name)
         if self.population < 2:
             raise ValidationError("population must be >= 2", path="population")
         if self.generations < 0:
@@ -204,9 +206,19 @@ class SearchConfig:
             raise ValidationError("mutations_per_child must be >= 1", path="mutations_per_child")
         if not self.latency_budget_ms > 0:
             raise ValidationError("latency_budget_ms must be > 0", path="latency_budget_ms")
-        unknown = set(self.mutation_ops) - set(MUTATION_OPS)
+        if not self.mutation_ops:
+            raise ValidationError("at least one mutation op is required", path="mutation_ops")
+        unknown = [op for op in self.mutation_ops if op not in MUTATION_OPS]
         if unknown:
-            raise ValidationError(f"unknown mutation ops {sorted(unknown)}", path="mutation_ops")
+            raise ValidationError(f"unknown mutation ops {unknown}", path="mutation_ops")
+        if self.width_step < 1:
+            raise ValidationError("width_step must be >= 1", path="width_step")
+        if not 1 <= self.width_min <= self.width_max:
+            raise ValidationError("need 1 <= width_min <= width_max", path="width_min")
+        if self.depth_max < 1:
+            raise ValidationError("depth_max must be >= 1", path="depth_max")
+        if self.tournament_size < 1:
+            raise ValidationError("tournament_size must be >= 1", path="tournament_size")
 
     @staticmethod
     def from_json(text: str) -> "SearchConfig":
@@ -214,6 +226,8 @@ class SearchConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValidationError(f"config is not valid JSON: {e}") from e
+        if not isinstance(doc, dict):
+            raise ValidationError("config must be a JSON object")
         for key in ("population", "generations", "mutations_per_child", "latency_budget_ms", "seed"):
             if key not in doc:
                 raise ValidationError("missing required field", path=key)
@@ -223,23 +237,31 @@ class SearchConfig:
         else:
             profile = DeviceProfile.from_json(json.dumps(profile_doc))
         kwargs = {}
-        for key in ("mutation_ops",):
-            if key in doc:
-                kwargs[key] = tuple(doc[key])
+        if "mutation_ops" in doc:
+            if not isinstance(doc["mutation_ops"], list):
+                raise ValidationError("expected a list of op names", path="mutation_ops")
+            kwargs["mutation_ops"] = tuple(doc["mutation_ops"])
         for key in ("width_step", "width_min", "width_max", "depth_max",
                     "scale_rule", "scale_rule_depth", "tournament_size"):
             if key in doc:
                 kwargs[key] = doc[key]
         budget = doc["latency_budget_ms"]
         return SearchConfig(
-            population=int(doc["population"]),
-            generations=int(doc["generations"]),
-            mutations_per_child=int(doc["mutations_per_child"]),
-            latency_budget_ms=math.inf if budget in ("inf", None) else float(budget),
-            seed=int(doc["seed"]),
+            population=_number(doc, "population", int),
+            generations=_number(doc, "generations", int),
+            mutations_per_child=_number(doc, "mutations_per_child", int),
+            latency_budget_ms=math.inf if budget in ("inf", None) else _number(doc, "latency_budget_ms", float),
+            seed=_number(doc, "seed", int),
             device_profile=profile,
             **kwargs,
         )
+
+
+def _number(doc: dict, key: str, kind: type):
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected a number, got {doc[key]!r}", path=key) from None
 
 
 def _stacked_depth(genome: DetectorGenome) -> int:
@@ -407,14 +429,6 @@ class ParetoArchive:
 # --- search loop ------------------------------------------------------------------
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DETKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEntry:
     """Pure candidate evaluation: lower, score, cost."""
     graph = build_graph(genome)
@@ -423,16 +437,25 @@ def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEn
     return ArchiveEntry(genome=genome, score=score, cost=cost)
 
 
-def _evaluate_many(genomes, profile: DeviceProfile) -> list[ArchiveEntry]:
-    workers = _worker_count()
-    if workers > 1 and len(genomes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda g: evaluate_genome(g, profile), genomes))
-    return [evaluate_genome(g, profile) for g in genomes]
-
-
 def _rank_key(entry: ArchiveEntry):
     return (-entry.score.value, entry.latency_ms)
+
+
+def _mutated(genome: DetectorGenome, rng: random.Random, cfg: SearchConfig) -> DetectorGenome:
+    for _ in range(cfg.mutations_per_child):
+        genome = mutate(genome, rng, cfg)
+    return genome
+
+
+def _offspring(population: list[ArchiveEntry], rng: random.Random,
+               cfg: SearchConfig) -> list[DetectorGenome]:
+    """Child 0 mutates the current best, the others a tournament winner."""
+    children = [_mutated(population[0].genome, rng, cfg)]
+    for _ in range(1, cfg.population):
+        contestants = [population[rng.randrange(len(population))]
+                       for _ in range(cfg.tournament_size)]
+        children.append(_mutated(min(contestants, key=_rank_key).genome, rng, cfg))
+    return children
 
 
 def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
@@ -453,57 +476,24 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
             f"> budget {cfg.latency_budget_ms:.4f} ms"
         )
 
-    initial = [seed_genome]
-    while len(initial) < cfg.population:
-        child = seed_genome
-        for _ in range(cfg.mutations_per_child):
-            child = mutate(child, rng, cfg)
-        initial.append(child)
-    evaluated = [seed_entry] + _evaluate_many(initial[1:], profile)
-
     archive = ParetoArchive()
     population: list[ArchiveEntry] = []
-    gen_record = []
-    for entry in evaluated:
-        feasible = entry.latency_ms <= cfg.latency_budget_ms
-        gen_record.append((entry.score.value, entry.latency_ms, feasible))
-        if feasible:
-            population.append(entry)
-            archive.insert(entry)
-    archive.history.append(gen_record)
-    if not population:
-        raise InfeasibleError("no feasible candidate in generation 0")
-    population.sort(key=_rank_key)
-    population = population[: cfg.population]
-    log.info("generation=0 best_score=%.6f best_latency_ms=%.4f",
-             population[0].score.value, population[0].latency_ms)
-
-    for gen in range(1, cfg.generations + 1):
-        children = []
-        for child_idx in range(cfg.population):
-            if child_idx == 0:
-                parent = population[0]  # always exploit the current best
-            else:
-                contestants = [population[rng.randrange(len(population))]
-                               for _ in range(cfg.tournament_size)]
-                parent = min(contestants, key=_rank_key)
-            child = parent.genome
-            for _ in range(cfg.mutations_per_child):
-                child = mutate(child, rng, cfg)
-            children.append(child)
-
-        child_entries = _evaluate_many(children, profile)
-        gen_record = []
-        for entry in child_entries:
+    entries = [seed_entry] + [evaluate_genome(_mutated(seed_genome, rng, cfg), profile)
+                              for _ in range(cfg.population - 1)]
+    for gen in range(cfg.generations + 1):
+        if gen > 0:
+            entries = [evaluate_genome(g, profile) for g in _offspring(population, rng, cfg)]
+        record = []
+        for entry in entries:
             feasible = entry.latency_ms <= cfg.latency_budget_ms
-            gen_record.append((entry.score.value, entry.latency_ms, feasible))
+            record.append((entry.score.value, entry.latency_ms, feasible))
             if feasible:
                 population.append(entry)
                 archive.insert(entry)
-        archive.history.append(gen_record)
+        archive.history.append(record)
+        # the feasible seed keeps generation 0, and so every later one, non-empty
         population.sort(key=_rank_key)
-        population = population[: cfg.population]
+        del population[cfg.population:]
         log.info("generation=%d best_score=%.6f best_latency_ms=%.4f",
                  gen, population[0].score.value, population[0].latency_ms)
-
     return archive

@@ -426,3 +426,6 @@ def test_box_validation():
         Box(2, 0, 1, 1)
     with pytest.raises(ValidationError):
         GroundTruth(Box(0, 0, 0, 4), class_id=0)  # zero area
+    for corners in ((math.nan, 0, 2, 2), (0, 0, math.inf, 2), (0, -math.inf, 2, 2)):
+        with pytest.raises(ValidationError, match="finite"):
+            Box(*corners)

@@ -45,6 +45,23 @@ def single_conv_genome_doc():
     }
 
 
+# (fields overriding a valid search config, field path the error must name)
+BAD_SEARCH_CONFIGS = [
+    ({"tournament_size": 0}, "tournament_size"),
+    ({"tournament_size": "2"}, "tournament_size"),
+    ({"mutation_ops": []}, "mutation_ops"),
+    ({"mutation_ops": "widen"}, "mutation_ops"),
+    ({"mutation_ops": ["widen", "grow"]}, "mutation_ops"),
+    ({"latency_budget_ms": "abc"}, "latency_budget_ms"),
+    ({"latency_budget_ms": [5]}, "latency_budget_ms"),
+    ({"width_step": 0}, "width_step"),
+    ({"width_step": 8.5}, "width_step"),
+    ({"width_min": 64, "width_max": 32}, "width_min"),
+    ({"depth_max": 0}, "depth_max"),
+    ({"population": "many"}, "population"),
+]
+
+
 class TestSearchCommand:
     def test_fixed_seed_byte_identical_archives(self, tmp_path, tiny_genome_path, search_config_path):
         out1 = tmp_path / "a1.ndjson"
@@ -107,6 +124,18 @@ class TestSearchCommand:
         cfg.write_text("{\"population\": 2")
         assert main(["search", "--space", str(tiny_genome_path), "--config", str(cfg),
                      "--out", str(tmp_path / "x.ndjson")]) == 2
+
+
+    @pytest.mark.parametrize("changes, where", BAD_SEARCH_CONFIGS,
+                             ids=[f"{where}={changes[where]!r}" for changes, where in BAD_SEARCH_CONFIGS])
+    def test_degenerate_config_exits_2_naming_the_field(self, tmp_path, capsys, search_config_path,
+                                                        tiny_genome_path, changes, where):
+        cfg = tmp_path / "degenerate.json"
+        cfg.write_text(json.dumps({**json.loads(search_config_path.read_text()), **changes}))
+        assert main(["search", "--space", str(tiny_genome_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "x.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: "), err
 
 
 class TestCostCommand:
@@ -352,6 +381,32 @@ class TestAssignCommand:
                      *flags]) in (0, 2)
 
 
+_GIOU_OK = {"pred_box": [0, 0, 2, 2], "gt_box": [0, 0, 2, 2]}
+
+# (input document or raw text, field path the error must name)
+BAD_LOSS_INPUTS = [
+    ([1], "input"),
+    ({"pairs": 5}, "pairs"),
+    ({"pairs": [7]}, "pairs[0]"),
+    ({"pairs": [{"qfl": {"target": 1.0}}]}, "pairs[0].qfl.pred"),
+    ({"pairs": [{"qfl": 0.5}]}, "pairs[0].qfl"),
+    ({"pairs": [{}, {"qfl": {"pred": "x", "target": 1.0}}]}, "pairs[1].qfl.pred"),
+    ({"pairs": [{"giou": {**_GIOU_OK, "pred_box": [0, 0, 2]}}]}, "pairs[0].giou.pred_box"),
+    ({"pairs": [{"giou": {**_GIOU_OK, "gt_box": [3, 0, 2, 2]}}]}, "pairs[0].giou.gt_box"),
+    ('{"pairs": [{}, {"giou": {"pred_box": [NaN, 0, 2, 2], "gt_box": [0, 0, 2, 2]}}]}',
+     "pairs[1].giou.pred_box"),
+    ({"pairs": [{"dfl": {"probs": [0.5, "a"], "target": 0}}]}, "pairs[0].dfl.probs"),
+    ({"pairs": [{"dfl": {"probs": [0.5, 0.5]}}]}, "pairs[0].dfl.target"),
+    ({"weights": {"qfl": "abc"}, "components": {}}, "weights.qfl"),
+    ({"weights": [], "components": {}}, "weights"),
+    ({"components": {"giou": None}}, "components.giou"),
+    ({"components": {}, "epoch": "x"}, "epoch"),
+    ({"components": {}, "schedule": {"w_start": "half"}}, "schedule.w_start"),
+    ({"components": {}, "distill": {"teacher": ["t.bin"]}}, "distill.student"),
+    ({"components": {}, "distill": {"teacher": "t.bin", "student": []}}, "distill.teacher"),
+]
+
+
 class TestLossCommand:
     def test_component_fixture_totals_0_9(self, tmp_path, capsys):
         path = tmp_path / "pairs.json"
@@ -398,6 +453,23 @@ class TestLossCommand:
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps({"weights": {}}))
         assert main(["loss", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("doc, where", BAD_LOSS_INPUTS, ids=[case[1] for case in BAD_LOSS_INPUTS])
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, doc, where):
+        path = tmp_path / "pairs.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["loss", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: "), err
+
+    def test_teacher_student_shape_mismatch_exits_2(self, tmp_path, capsys):
+        save_raw_tensor(tmp_path / "t.bin", Tensor4(np.zeros((1, 2, 4, 4), dtype=np.float32)))
+        save_raw_tensor(tmp_path / "s.bin", Tensor4(np.zeros((1, 3, 4, 4), dtype=np.float32)))
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"components": {},
+                                    "distill": {"teacher": ["t.bin"], "student": ["s.bin"]}}))
+        assert main(["loss", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: distill: ")
 
 
 class TestFoldCommand:

@@ -152,6 +152,12 @@ class TestReportInvariants:
         assert report.latency_ms == pytest.approx(sum(n.latency_ms for n in report.per_node))
         assert all(n.flops >= 0 and n.params >= 0 and n.bytes >= 0 for n in report.per_node)
 
+    def test_latency_is_in_order_row_sum_and_matches_estimate(self):
+        profile = builtin_profile("x86-like")
+        report = cost_report(build_graph(preset_genome("s")), profile)
+        assert report.latency_ms == sum(n.latency_ms for n in report.per_node)
+        assert report.latency_ms == estimate_latency(report, profile)
+
     def test_table_and_json_render(self):
         report = cost_report(build_graph(preset_genome("tiny")), builtin_profile("t4-like"))
         text = report.to_table()

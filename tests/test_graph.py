@@ -5,7 +5,7 @@ import pytest
 
 from detkit.errors import ValidationError
 from detkit.genome import BlockSpec, DetectorGenome, HeadConfig, NeckConfig, preset_genome
-from detkit.graph import GraphBuilder, build_graph
+from detkit.graph import GraphBuilder, OpGraph, OpNode, build_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -199,3 +199,37 @@ def test_builder_rejects_mixed_spatial_concat():
     b = gb.conv(a, 4, name="c", stride=2)
     with pytest.raises(ValidationError, match="concat"):
         gb.concat([a, b], name="bad")
+
+
+def _three_node_graph(edit=None):
+    """input -> conv -> add(conv, input); `edit` replaces nodes by position."""
+    nodes = {
+        0: OpNode(0, "in", "input", (), (1, 4, 8, 8)),
+        1: OpNode(1, "conv", "conv", (0,), (1, 4, 8, 8), kernel=3),
+        2: OpNode(2, "add", "add", (1, 0), (1, 4, 8, 8)),
+    }
+    nodes.update(edit or {})
+    return tuple(nodes.values())
+
+
+class TestOpGraphContract:
+    def test_well_formed_graph_is_accepted(self):
+        OpGraph(nodes=_three_node_graph(), outputs=(2,)).validate()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({2: OpNode(1, "add", "add", (1, 0), (1, 4, 8, 8))}, "repeats node id 1"),
+        ({2: OpNode(2, "add", "add", (1, 7), (1, 4, 8, 8))}, "unknown node id 7"),
+        ({1: OpNode(1, "conv", "conv", (2,), (1, 4, 8, 8), kernel=3)}, "reads node id 2"),
+        ({1: OpNode(1, "conv", "conv", (1,), (1, 4, 8, 8), kernel=3)}, "reads node id 1"),
+    ], ids=["duplicate-nid", "unknown-input", "forward-edge-cycle", "self-loop"])
+    def test_bad_edges_raise_naming_the_node(self, edit, message):
+        with pytest.raises(ValidationError, match=message):
+            OpGraph(nodes=_three_node_graph(edit), outputs=(2,))
+
+    def test_topo_order_of_reversed_storage_is_ascending_ids(self):
+        graph = build_graph(preset_genome("tiny"))
+        reversed_graph = OpGraph(nodes=tuple(reversed(graph.nodes)), outputs=graph.outputs,
+                                 pyramid=graph.pyramid)
+        ids = tuple(range(len(graph.nodes)))
+        assert graph.topo_order() == ids
+        assert reversed_graph.topo_order() == ids

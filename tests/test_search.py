@@ -234,14 +234,6 @@ class TestSearch:
         b = search(g, cfg).to_ndjson()
         assert a == b
 
-    def test_parallel_evaluation_matches_serial(self, monkeypatch):
-        g = preset_genome("tiny")
-        cfg = make_cfg(population=4, generations=3, seed=5)
-        serial = search(g, cfg).to_ndjson()
-        monkeypatch.setenv("DETKIT_THREADS", "4")
-        parallel = search(g, cfg).to_ndjson()
-        assert serial == parallel
-
     def test_archive_within_budget_and_best_beats_generation0(self):
         g = preset_genome("tiny")
         seed_latency = evaluate_genome(g, builtin_profile("t4-like")).latency_ms
