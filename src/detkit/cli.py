@@ -11,10 +11,10 @@ Subcommands wrap the library modules with machine-readable outputs:
     detkit preset --name s
 
 Exit codes: 0 ok, 2 input/config error, 3 infeasible search, 4 internal error.
-Every output *file* references a `<file>.manifest.json` sidecar recording the
+Every output *file* gets a `<file>.manifest.json` sidecar recording the
 command, a hash of its inputs, the seed, the toolkit version, and timestamps;
-keeping timestamps in the sidecar is what lets seeded runs produce
-byte-identical primary outputs.
+JSON and NDJSON outputs name it. Keeping timestamps in the sidecar is what
+lets seeded runs produce byte-identical primary outputs.
 """
 from __future__ import annotations
 
@@ -22,10 +22,8 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +39,7 @@ from .assign import (
 )
 from .cost import DeviceProfile, builtin_profile, cost_report
 from .errors import DetkitError, InfeasibleError, ShapeError, ValidationError
+from .fields import array, get, integer, number, string, strings
 from .genome import genome_from_json, genome_to_json, preset_genome
 from .graph import build_graph
 from .losses import (
@@ -63,45 +62,21 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_hash: str
-    seed: int | None
-    version: str
-    created_utc: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "version": self.version,
-                "created_utc": self.created_utc,
-            },
-            indent=2,
-        ) + "\n"
-
-
-def _make_manifest(command: str, input_paths, seed=None) -> RunManifest:
+def _manifest_json(command: str, input_paths, seed) -> str:
     digest = hashlib.sha256()
     for path in input_paths:
         digest.update(str(path).encode())
         digest.update(Path(path).read_bytes())
-    return RunManifest(
-        command=command,
-        config_hash=digest.hexdigest(),
-        seed=seed,
-        version=__version__,
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
-
-
-def _write_manifest(out_path: Path, manifest: RunManifest) -> str:
-    sidecar = Path(str(out_path) + ".manifest.json")
-    sidecar.write_text(manifest.to_json())
-    return sidecar.name
+    return json.dumps(
+        {
+            "command": command,
+            "config_hash": digest.hexdigest(),
+            "seed": seed,
+            "version": __version__,
+            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        },
+        indent=2,
+    ) + "\n"
 
 
 def _read(path) -> str:
@@ -128,18 +103,26 @@ def _parse_res(raw: str) -> tuple[int, int]:
         raise ValidationError(f"--res must be an integer or HxW, got {raw!r}") from None
 
 
-def _emit(text: str, out: str | None, manifest: RunManifest | None = None) -> None:
+def _emit(out: str | None, command: str, inputs, *, doc: dict | None = None,
+          records: list | None = None, text: str | None = None, seed: int | None = None) -> None:
+    """Write one primary output, given as a JSON `doc`, NDJSON `records` or
+    plain `text`, to `out` or to stdout. A file gets a `<file>.manifest.json`
+    sidecar hashing `inputs`; a doc names it in a trailing "manifest" key,
+    records in a leading {"manifest": ...} line."""
+    ref = None if out is None else Path(out).name + ".manifest.json"
+    try:
+        if doc is not None:
+            text = json.dumps(doc if ref is None else {**doc, "manifest": ref}, indent=2, allow_nan=False) + "\n"
+        elif records is not None:
+            head = [] if ref is None else [{"manifest": ref}]
+            text = "\n".join(json.dumps(r, sort_keys=True, allow_nan=False) for r in head + records) + "\n"
+    except ValueError:  # NaN or infinity, which JSON cannot hold; finite inputs overflowed
+        raise ValidationError("the result is not finite: an input value is out of range") from None
     if out is None:
         sys.stdout.write(text)
         return
-    path = Path(out)
-    if manifest is not None:
-        ref = _write_manifest(path, manifest)
-        if text.startswith("{") and text.rstrip().endswith("}"):
-            doc = json.loads(text)
-            doc["manifest"] = ref
-            text = json.dumps(doc, indent=2) + "\n"
-    path.write_text(text)
+    Path(out + ".manifest.json").write_text(_manifest_json(command, inputs, seed))
+    Path(out).write_text(text)
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -148,13 +131,10 @@ def _emit(text: str, out: str | None, manifest: RunManifest | None = None) -> No
 def cmd_search(args) -> int:
     cfg = SearchConfig.from_json(_read(args.config))
     genome = genome_from_json(_read(args.space))
-    manifest = _make_manifest("search", [args.space, args.config], seed=cfg.seed)
     archive = search(genome, cfg)
-
-    ref = _write_manifest(Path(args.out), manifest)
-    lines = [json.dumps({"manifest": ref}, sort_keys=True)]
-    lines.extend(archive.to_ndjson().splitlines())
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    inputs = [args.space, args.config]
+    _emit(args.out, "search", inputs, records=[e.to_record() for e in archive.sorted_entries()],
+          seed=cfg.seed)
 
     if args.history:
         rows = ["generation,best_score,best_latency_ms"]
@@ -167,7 +147,7 @@ def cmd_search(args) -> int:
                 if top[0] > best_score or (top[0] == best_score and top[1] < best_latency):
                     best_score, best_latency = top
             rows.append(f"{gen},{best_score:.6f},{best_latency:.6f}")
-        Path(args.history).write_text("\n".join(rows) + "\n")
+        _emit(args.history, "search", inputs, text="\n".join(rows) + "\n", seed=cfg.seed)
     print(f"wrote {len(archive.entries)} archive entries to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -177,18 +157,17 @@ def cmd_cost(args) -> int:
     res = _parse_res(args.res) if args.res else None
     profile = _load_profile(args.profile)
     report = cost_report(build_graph(genome, input_res=res), profile, strict=args.strict)
-    manifest = _make_manifest("cost", [args.genome])
-    text = report.to_table() if args.format == "table" else report.to_json()
-    _emit(text, args.out, manifest)
+    if args.format == "table":
+        _emit(args.out, "cost", [args.genome], text=report.to_table())
+    else:
+        _emit(args.out, "cost", [args.genome], doc=report.to_doc())
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
     genome = genome_from_json(_read(args.genome))
     score = entropy_score(build_graph(genome))
-    manifest = _make_manifest("score", [args.genome])
-    text = json.dumps({"value": score.value, "per_scale": list(score.per_scale)}, indent=2) + "\n"
-    _emit(text, args.out, manifest)
+    _emit(args.out, "score", [args.genome], doc={"value": score.value, "per_scale": list(score.per_scale)})
     return EXIT_OK
 
 
@@ -293,27 +272,18 @@ def cmd_assign(args) -> int:
     if not isinstance(images, list):
         raise ValidationError("expected an object holding an 'images' list", path="images")
     solver = sinkhorn_assign if args.solver == "sinkhorn" else dynamic_k_assign
-    manifest = _make_manifest("assign", [args.input])
-    lines = []
+    records = []
     for idx, image in enumerate(images):
         gts, preds = _parse_image(image, idx)
         result = solver(align_cost(gts, preds, center_prior=args.center_prior))
-        lines.append(json.dumps(
-            {
-                "image": idx,
-                "assigned_gt": [a if a is not None else -1 for a in result.assigned_gt],
-                "per_gt_k": list(result.per_gt_k),
-                "soft_labels": [s for s in result.soft_labels],
-                "warnings": list(result.warnings),
-            },
-            sort_keys=True,
-        ))
-    if args.out:
-        ref = _write_manifest(Path(args.out), manifest)
-        lines.insert(0, json.dumps({"manifest": ref}, sort_keys=True))
-        Path(args.out).write_text("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        records.append({
+            "image": idx,
+            "assigned_gt": [a if a is not None else -1 for a in result.assigned_gt],
+            "per_gt_k": list(result.per_gt_k),
+            "soft_labels": [s for s in result.soft_labels],
+            "warnings": list(result.warnings),
+        })
+    _emit(args.out, "assign", [args.input], records=records)
     return EXIT_OK
 
 
@@ -321,48 +291,15 @@ def _mean(values):
     return float(sum(values) / len(values)) if values else 0.0
 
 
-def _get(spec, key: str, path: str, default=None):
-    """spec[key] of a JSON object, or default when absent; errors name the
-    field path. A default of None makes the field required."""
-    if not isinstance(spec, dict):
-        raise ValidationError("expected an object", path=path or None)
-    if key in spec:
-        return spec[key]
-    if default is None:
-        raise ValidationError("missing required field", path=f"{path}.{key}" if path else key)
-    return default
-
-
-def _is_number(value) -> bool:
-    # JSON numbers only (no bools); ints too large for a float are rejected
-    if type(value) is int:
-        return abs(value) < 2 ** 1023
-    return type(value) is float and math.isfinite(value)
-
-
-def _num(spec, key: str, path: str, default=None) -> float:
-    value = _get(spec, key, path, default)
-    if not _is_number(value):
-        raise ValidationError(f"expected a finite number, got {value!r}",
-                              path=f"{path}.{key}" if path else key)
-    return float(value)
-
-
-def _num_list(spec, key: str, path: str, length: int | None = None) -> list:
-    value = _get(spec, key, path)
-    if (not isinstance(value, list) or not value or not all(map(_is_number, value))
-            or (length is not None and len(value) != length)):
-        raise ValidationError(f"expected a list of {length or 'one or more'} finite numbers",
-                              path=f"{path}.{key}")
-    return value
-
-
 def _box(spec, key: str, path: str) -> Box:
-    corners = _num_list(spec, key, path, length=4)
+    where = f"{path}.{key}"
+    corners = array(spec, key, path).tolist()
+    if len(corners) != 4:
+        raise ValidationError(f"expected 4 numbers, got {len(corners)}", path=where)
     try:
         return Box(*corners)
     except ValidationError as e:
-        raise ValidationError(str(e), path=f"{path}.{key}") from None
+        raise ValidationError(str(e), path=where) from None
 
 
 def cmd_loss(args) -> int:
@@ -370,14 +307,14 @@ def cmd_loss(args) -> int:
     doc = json.loads(_read(args.input))
     if not isinstance(doc, dict):
         raise ValidationError("expected an object", path="input")
-    weights_doc = doc.get("weights", {})
+    weights_doc = get(doc, "weights", default={})
     weights = LossWeights(
-        qfl=_num(weights_doc, "qfl", "weights", 1.0),
-        dfl=_num(weights_doc, "dfl", "weights", 0.25),
-        giou=_num(weights_doc, "giou", "weights", 2.0),
+        qfl=number(weights_doc, "qfl", "weights", 1.0),
+        dfl=number(weights_doc, "dfl", "weights", 0.25),
+        giou=number(weights_doc, "giou", "weights", 2.0),
     )
     if "components" in doc:
-        q, d, g = (_num(doc["components"], k, "components", 0.0) for k in ("qfl", "dfl", "giou"))
+        q, d, g = (number(doc["components"], k, "components", 0.0) for k in ("qfl", "dfl", "giou"))
     elif "pairs" in doc:
         if not isinstance(doc["pairs"], list):
             raise ValidationError("expected a list", path="pairs")
@@ -388,11 +325,10 @@ def cmd_loss(args) -> int:
                 raise ValidationError("expected an object", path=path)
             if "qfl" in pair:
                 spec, sp = pair["qfl"], f"{path}.qfl"
-                qs.append(qfl(_num(spec, "pred", sp), _num(spec, "target", sp), _num(spec, "beta", sp, 2.0)))
+                qs.append(qfl(number(spec, "pred", sp), number(spec, "target", sp), number(spec, "beta", sp, 2.0)))
             if "dfl" in pair:
                 spec, sp = pair["dfl"], f"{path}.dfl"
-                ds.append(dfl(np.asarray(_num_list(spec, "probs", sp), dtype=np.float64),
-                              _num(spec, "target", sp)))
+                ds.append(dfl(array(spec, "probs", sp), number(spec, "target", sp)))
             if "giou" in pair:
                 spec, sp = pair["giou"], f"{path}.giou"
                 gs.append(giou_loss(_box(spec, "pred_box", sp), _box(spec, "gt_box", sp)))
@@ -404,108 +340,81 @@ def cmd_loss(args) -> int:
     if "schedule" in doc:
         s = doc["schedule"]
         schedule = DistillSchedule(
-            stage1_epochs=int(_num(s, "stage1_epochs", "schedule", 284)),
-            stage2_epochs=int(_num(s, "stage2_epochs", "schedule", 16)),
-            w_start=_num(s, "w_start", "schedule", 0.5),
-            w_end=_num(s, "w_end", "schedule", 0.0),
-            mode=_get(s, "mode", "schedule", "cosine"),
+            stage1_epochs=integer(s, "stage1_epochs", "schedule", 284),
+            stage2_epochs=integer(s, "stage2_epochs", "schedule", 16),
+            w_start=number(s, "w_start", "schedule", 0.5),
+            w_end=number(s, "w_end", "schedule", 0.0),
+            mode=string(s, "mode", "schedule", "cosine"),
         )
-    epoch = int(_num(doc, "epoch", "", 0))
+    epoch = integer(doc, "epoch", default=0)
 
     distill = 0.0
     if "distill" in doc:
         spec = doc["distill"]
-        files = {}
-        for key in ("teacher", "student"):
-            files[key] = _get(spec, key, "distill")
-            if not isinstance(files[key], list) or not all(isinstance(f, str) for f in files[key]):
-                raise ValidationError("expected a list of file names", path=f"distill.{key}")
+        teacher_files, student_files = strings(spec, "teacher", "distill"), strings(spec, "student", "distill")
+        kind = string(spec, "kind", "distill", "cwd")
         try:
-            teacher = [load_raw_tensor(base / f) for f in files["teacher"]]
-            student = [load_raw_tensor(base / f) for f in files["student"]]
-            distill = distill_loss(teacher, student, kind=_get(spec, "kind", "distill", "cwd"))
+            teacher = [load_raw_tensor(base / f) for f in teacher_files]
+            student = [load_raw_tensor(base / f) for f in student_files]
+            distill = distill_loss(teacher, student, kind=kind)
         except ShapeError as e:  # the tensors' shapes come from the input files
             raise ValidationError(str(e), path="distill") from None
 
     breakdown = loss_breakdown((q, d, g), weights, distill=distill,
                                epoch=epoch, schedule=schedule)
-    manifest = _make_manifest("loss", [args.input])
-    text = json.dumps(
-        {
-            "qfl": breakdown.qfl,
-            "dfl": breakdown.dfl,
-            "giou": breakdown.giou,
-            "distill": breakdown.distill,
-            "distill_weight": distill_weight(epoch, schedule) if schedule else 1.0,
-            "total": breakdown.total,
-        },
-        indent=2,
-    ) + "\n"
-    _emit(text, args.out, manifest)
+    _emit(args.out, "loss", [args.input], doc={
+        "qfl": breakdown.qfl,
+        "dfl": breakdown.dfl,
+        "giou": breakdown.giou,
+        "distill": breakdown.distill,
+        "distill_weight": distill_weight(epoch, schedule) if schedule else 1.0,
+        "total": breakdown.total,
+    })
     return EXIT_OK
 
 
-def _conv_from_doc(doc: dict, path: str) -> tuple[ConvParams, BnParams]:
-    try:
-        w = np.asarray(doc["weight"], dtype=np.float32)
-        bias = doc.get("bias")
-        b = np.zeros(w.shape[0], dtype=np.float32) if bias is None else np.asarray(bias, dtype=np.float32)
-        conv = ConvParams(w, b, stride=int(doc.get("stride", 1)),
-                          padding=int(doc.get("padding", w.shape[2] // 2)))
-        bn_doc = doc["bn"]
-        bn = BnParams(
-            gamma=np.asarray(bn_doc["gamma"], dtype=np.float32),
-            beta=np.asarray(bn_doc["beta"], dtype=np.float32),
-            running_mean=np.asarray(bn_doc["mean"], dtype=np.float32),
-            running_var=np.asarray(bn_doc["var"], dtype=np.float32),
-            epsilon=float(bn_doc.get("eps", 1e-5)),
-        )
-    except KeyError as e:
-        raise ValidationError(f"missing field {e}", path=path) from e
-    return conv, bn
+def _bn_from_doc(doc, path: str) -> BnParams:
+    return BnParams(
+        gamma=array(doc, "gamma", path),
+        beta=array(doc, "beta", path),
+        running_mean=array(doc, "mean", path),
+        running_var=array(doc, "var", path),
+        epsilon=number(doc, "eps", path, 1e-5),
+    )
+
+
+def _conv_from_doc(doc, path: str) -> tuple[ConvParams, BnParams]:
+    w = array(doc, "weight", path, ndim=4)
+    bias = get(doc, "bias", path, None)
+    conv = ConvParams(w, np.zeros(w.shape[0]) if bias is None else array(doc, "bias", path),
+                      stride=integer(doc, "stride", path, 1),
+                      padding=integer(doc, "padding", path, w.shape[2] // 2))
+    return conv, _bn_from_doc(get(doc, "bn", path), f"{path}.bn")
 
 
 def cmd_fold(args) -> int:
     doc = json.loads(_read(args.block))
-    for key in ("conv3", "conv1"):
-        if key not in doc:
-            raise ValidationError("missing required field", path=key)
-    conv3, bn3 = _conv_from_doc(doc["conv3"], "conv3")
-    conv1, bn1 = _conv_from_doc(doc["conv1"], "conv1")
-    identity_bn = None
-    if doc.get("identity_bn") is not None:
-        bn_doc = doc["identity_bn"]
-        identity_bn = BnParams(
-            gamma=np.asarray(bn_doc["gamma"], dtype=np.float32),
-            beta=np.asarray(bn_doc["beta"], dtype=np.float32),
-            running_mean=np.asarray(bn_doc["mean"], dtype=np.float32),
-            running_var=np.asarray(bn_doc["var"], dtype=np.float32),
-            epsilon=float(bn_doc.get("eps", 1e-5)),
-        )
-    branches = RepBranchParams(conv3=conv3, bn3=bn3, conv1=conv1, bn1=bn1,
-                               identity_bn=identity_bn)
-    folded = reparam_fold(branches)
-    manifest = _make_manifest("fold", [args.block])
-    text = json.dumps(
-        {
-            "weight": folded.weights.tolist(),
-            "bias": folded.bias.tolist(),
-            "kernel": 3,
-            "stride": folded.stride,
-            "padding": folded.padding,
-        },
-        indent=2,
-    ) + "\n"
-    _emit(text, args.out, manifest)
+    try:
+        conv3, bn3 = _conv_from_doc(get(doc, "conv3"), "conv3")
+        conv1, bn1 = _conv_from_doc(get(doc, "conv1"), "conv1")
+        identity_doc = get(doc, "identity_bn", default=None)
+        identity_bn = None if identity_doc is None else _bn_from_doc(identity_doc, "identity_bn")
+        folded = reparam_fold(RepBranchParams(conv3=conv3, bn3=bn3, conv1=conv1, bn1=bn1,
+                                              identity_bn=identity_bn))
+    except ShapeError as e:  # every shape comes from the block document
+        raise ValidationError(str(e), path="block") from None
+    _emit(args.out, "fold", [args.block], doc={
+        "weight": folded.weights.tolist(),
+        "bias": folded.bias.tolist(),
+        "kernel": 3,
+        "stride": folded.stride,
+        "padding": folded.padding,
+    })
     return EXIT_OK
 
 
 def cmd_preset(args) -> int:
-    text = genome_to_json(preset_genome(args.name))
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "preset", [], text=genome_to_json(preset_genome(args.name)))
     return EXIT_OK
 
 
@@ -572,7 +481,7 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValidationError, json.JSONDecodeError, OSError) as e:
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except DetkitError as e:

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .fields import number, string
 from .graph import OpGraph, OpNode
 
 __all__ = [
@@ -50,9 +51,10 @@ class DeviceProfile:
     per_op_overhead_ms: float = 0.0
 
     def __post_init__(self):
-        if self.flops_per_ms <= 0 or self.bytes_per_ms <= 0:
+        # written so that NaN fails too
+        if not (self.flops_per_ms > 0 and self.bytes_per_ms > 0):
             raise ValidationError("flops_per_ms and bytes_per_ms must be positive")
-        if self.per_op_overhead_ms < 0:
+        if not self.per_op_overhead_ms >= 0:
             raise ValidationError("per_op_overhead_ms must be >= 0")
 
     def to_json(self) -> str:
@@ -72,14 +74,16 @@ class DeviceProfile:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValidationError(f"profile is not valid JSON: {e}") from e
-        for key in ("name", "flops_per_ms", "bytes_per_ms"):
-            if key not in doc:
-                raise ValidationError("missing required field", path=key)
+        return DeviceProfile.from_doc(doc)
+
+    @staticmethod
+    def from_doc(doc, path: str = "") -> "DeviceProfile":
+        """Read a profile object; `path` is its place in an enclosing document."""
         return DeviceProfile(
-            name=str(doc["name"]),
-            flops_per_ms=float(doc["flops_per_ms"]),
-            bytes_per_ms=float(doc["bytes_per_ms"]),
-            per_op_overhead_ms=float(doc.get("per_op_overhead_ms", 0.0)),
+            name=string(doc, "name", path),
+            flops_per_ms=number(doc, "flops_per_ms", path),
+            bytes_per_ms=number(doc, "bytes_per_ms", path),
+            per_op_overhead_ms=number(doc, "per_op_overhead_ms", path, 0.0),
         )
 
 
@@ -122,7 +126,10 @@ class CostReport:
     per_node: tuple[NodeCost, ...]
 
     def to_json(self) -> str:
-        doc = {
+        return json.dumps(self.to_doc(), indent=2) + "\n"
+
+    def to_doc(self) -> dict:
+        return {
             "flops": self.flops,
             "params": self.params,
             "latency_ms": self.latency_ms,
@@ -138,7 +145,6 @@ class CostReport:
                 for n in self.per_node
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
 
     def to_table(self) -> str:
         header = f"{'node':<40}{'kind':<16}{'flops':>16}{'params':>12}{'bytes':>14}{'lat_ms':>10}"

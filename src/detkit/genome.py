@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
+from .fields import boolean, get, integer, integers, number, string
 
 __all__ = [
     "BLOCK_KINDS",
@@ -195,18 +196,6 @@ class DetectorGenome:
 
 # --- JSON schema -----------------------------------------------------------
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ValidationError("missing required field", path=f"{path}.{key}" if path else key)
-    return doc[key]
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"expected integer, got {value!r}", path=path)
-    return value
-
-
 def genome_to_json(genome: DetectorGenome) -> str:
     """Serialize a genome to its versioned JSON document."""
     genome.validate()
@@ -250,65 +239,53 @@ def genome_from_json(text: str) -> DetectorGenome:
         raise ValidationError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ValidationError("document root must be an object")
-    version = _as_int(_require(doc, "schema_version", ""), "schema_version")
+    version = integer(doc, "schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version}", path="schema_version")
 
-    backbone_doc = _require(doc, "backbone", "")
+    backbone_doc = get(doc, "backbone")
     if not isinstance(backbone_doc, list):
         raise ValidationError("must be a list", path="backbone")
     blocks = []
     for i, b in enumerate(backbone_doc):
         path = f"backbone[{i}]"
-        if not isinstance(b, dict):
-            raise ValidationError("must be an object", path=path)
         blocks.append(
             BlockSpec(
-                kind=_require(b, "kind", path),
-                in_ch=_as_int(_require(b, "in_ch", path), f"{path}.in_ch"),
-                out_ch=_as_int(_require(b, "out_ch", path), f"{path}.out_ch"),
-                stride=_as_int(b.get("stride", 1), f"{path}.stride"),
-                depth=_as_int(b.get("depth", 1), f"{path}.depth"),
-                kernel=_as_int(b.get("kernel", 3), f"{path}.kernel"),
+                kind=string(b, "kind", path),
+                in_ch=integer(b, "in_ch", path),
+                out_ch=integer(b, "out_ch", path),
+                stride=integer(b, "stride", path, 1),
+                depth=integer(b, "depth", path, 1),
+                kernel=integer(b, "kernel", path, 3),
             )
         )
 
-    neck_doc = doc.get("neck")
+    neck_doc = get(doc, "neck", default=None)
     neck = None
     if neck_doc is not None:
-        if not isinstance(neck_doc, dict):
-            raise ValidationError("must be an object or null", path="neck")
-        widths = _require(neck_doc, "widths", "neck")
-        if not isinstance(widths, list) or len(widths) != 3:
-            raise ValidationError("must be a list of 3 integers", path="neck.widths")
         neck = NeckConfig(
-            depth=_as_int(_require(neck_doc, "depth", "neck"), "neck.depth"),
-            widths=tuple(_as_int(w, f"neck.widths[{i}]") for i, w in enumerate(widths)),
-            fusion_style=neck_doc.get("fusion_style", "CspReparamElan"),
-            extra_upsample=bool(neck_doc.get("extra_upsample", False)),
-            extra_downsample=bool(neck_doc.get("extra_downsample", True)),
+            depth=integer(neck_doc, "depth", "neck"),
+            widths=tuple(integers(neck_doc, "widths", "neck", length=3)),
+            fusion_style=string(neck_doc, "fusion_style", "neck", "CspReparamElan"),
+            extra_upsample=boolean(neck_doc, "extra_upsample", "neck", False),
+            extra_downsample=boolean(neck_doc, "extra_downsample", "neck", True),
         )
 
-    head_doc = doc.get("head")
+    head_doc = get(doc, "head", default=None)
     head = None
     if head_doc is not None:
-        if not isinstance(head_doc, dict):
-            raise ValidationError("must be an object or null", path="head")
         head = HeadConfig(
-            head_depth=_as_int(head_doc.get("head_depth", 0), "head.head_depth"),
-            reg_bins=_as_int(head_doc.get("reg_bins", 16), "head.reg_bins"),
+            head_depth=integer(head_doc, "head_depth", "head", 0),
+            reg_bins=integer(head_doc, "reg_bins", "head", 16),
         )
 
-    input_res = doc.get("input_res", [640, 640])
-    if not isinstance(input_res, list) or len(input_res) != 2:
-        raise ValidationError("must be [H, W]", path="input_res")
     genome = DetectorGenome(
         backbone=tuple(blocks),
         neck=neck,
         head=head,
-        num_classes=_as_int(doc.get("num_classes", 80), "num_classes"),
-        input_res=(_as_int(input_res[0], "input_res[0]"), _as_int(input_res[1], "input_res[1]")),
-        csp_hidden_ratio=float(doc.get("csp_hidden_ratio", 0.5)),
+        num_classes=integer(doc, "num_classes", default=80),
+        input_res=tuple(integers(doc, "input_res", length=2, default=[640, 640])),
+        csp_hidden_ratio=number(doc, "csp_hidden_ratio", default=0.5),
     )
     genome.validate()
     return genome

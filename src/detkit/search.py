@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from .cost import CostReport, DeviceProfile, builtin_profile, cost_report
 from .errors import InfeasibleError, ValidationError
+from .fields import boolean, get, integer, number, strings
 from .genome import STACKED_KINDS, DetectorGenome, genome_to_json
 from .graph import OpGraph, build_graph
 
@@ -228,40 +229,26 @@ class SearchConfig:
             raise ValidationError(f"config is not valid JSON: {e}") from e
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
-        for key in ("population", "generations", "mutations_per_child", "latency_budget_ms", "seed"):
-            if key not in doc:
-                raise ValidationError("missing required field", path=key)
-        profile_doc = doc.get("device_profile", "t4-like")
-        if isinstance(profile_doc, str):
-            profile = builtin_profile(profile_doc)
-        else:
-            profile = DeviceProfile.from_json(json.dumps(profile_doc))
-        kwargs = {}
-        if "mutation_ops" in doc:
-            if not isinstance(doc["mutation_ops"], list):
-                raise ValidationError("expected a list of op names", path="mutation_ops")
-            kwargs["mutation_ops"] = tuple(doc["mutation_ops"])
-        for key in ("width_step", "width_min", "width_max", "depth_max",
-                    "scale_rule", "scale_rule_depth", "tournament_size"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        budget = doc["latency_budget_ms"]
+        profile = get(doc, "device_profile", default="t4-like")
         return SearchConfig(
-            population=_number(doc, "population", int),
-            generations=_number(doc, "generations", int),
-            mutations_per_child=_number(doc, "mutations_per_child", int),
-            latency_budget_ms=math.inf if budget in ("inf", None) else _number(doc, "latency_budget_ms", float),
-            seed=_number(doc, "seed", int),
-            device_profile=profile,
-            **kwargs,
+            population=integer(doc, "population"),
+            generations=integer(doc, "generations"),
+            mutations_per_child=integer(doc, "mutations_per_child"),
+            # "inf", null or an infinite float mean no budget
+            latency_budget_ms=(math.inf if get(doc, "latency_budget_ms") in ("inf", None, math.inf)
+                               else number(doc, "latency_budget_ms")),
+            seed=integer(doc, "seed"),
+            device_profile=(builtin_profile(profile) if isinstance(profile, str)
+                            else DeviceProfile.from_doc(profile, "device_profile")),
+            mutation_ops=tuple(strings(doc, "mutation_ops", default=list(MUTATION_OPS))),
+            width_step=integer(doc, "width_step", default=SearchConfig.width_step),
+            width_min=integer(doc, "width_min", default=SearchConfig.width_min),
+            width_max=integer(doc, "width_max", default=SearchConfig.width_max),
+            depth_max=integer(doc, "depth_max", default=SearchConfig.depth_max),
+            scale_rule=boolean(doc, "scale_rule", default=SearchConfig.scale_rule),
+            scale_rule_depth=integer(doc, "scale_rule_depth", default=SearchConfig.scale_rule_depth),
+            tournament_size=integer(doc, "tournament_size", default=SearchConfig.tournament_size),
         )
-
-
-def _number(doc: dict, key: str, kind: type):
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError):
-        raise ValidationError(f"expected a number, got {doc[key]!r}", path=key) from None
 
 
 def _stacked_depth(genome: DetectorGenome) -> int:

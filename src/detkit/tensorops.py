@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, ValidationError
+from .fields import integers
 
 __all__ = [
     "Tensor4",
@@ -222,12 +223,15 @@ def save_raw_tensor(path, x: Tensor4) -> None:
 def load_raw_tensor(path) -> Tensor4:
     """Read a tensor written by save_raw_tensor."""
     import json
+    import math
     from pathlib import Path
 
     path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    shape = tuple(sidecar["shape"])
+    sidecar = Path(str(path) + ".json")
+    shape = tuple(integers(json.loads(sidecar.read_text()), "shape", sidecar.name, length=4))
+    if min(shape) < 1:
+        raise ValidationError(f"dims must be >= 1, got {list(shape)}", path=f"{sidecar.name}.shape")
     data = np.fromfile(path, dtype="<f4")
-    if data.size != int(np.prod(shape)):
-        raise ShapeError(f"raw file holds {data.size} values, sidecar shape {shape} needs {int(np.prod(shape))}")
+    if data.size != math.prod(shape):
+        raise ShapeError(f"raw file holds {data.size} values, sidecar shape {shape} needs {math.prod(shape)}")
     return Tensor4(data.reshape(shape))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from detkit.assign import Box, GroundTruth, Prediction, align_cost, dynamic_k_assign
 from detkit.cli import main
 from detkit.genome import genome_from_json, genome_to_json, preset_genome
+from detkit.search import MUTATION_OPS
 from detkit.tensorops import Tensor4, save_raw_tensor
 
 
@@ -59,7 +62,148 @@ BAD_SEARCH_CONFIGS = [
     ({"width_min": 64, "width_max": 32}, "width_min"),
     ({"depth_max": 0}, "depth_max"),
     ({"population": "many"}, "population"),
+    ({"device_profile": 5}, "device_profile"),
+    ({"generations": float("inf")}, "generations"),
+    ({"population": 4.7}, "population"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.9}, "seed"),
+    ({"scale_rule": "no"}, "scale_rule"),
 ]
+
+_PROFILE_OK = {"name": "p", "flops_per_ms": 1e10, "bytes_per_ms": 1e9}
+
+# (device profile document, field path the error must name)
+BAD_PROFILES = [
+    ({**_PROFILE_OK, "flops_per_ms": "fast"}, "flops_per_ms"),
+    ({**_PROFILE_OK, "flops_per_ms": float("nan")}, "flops_per_ms"),
+    ({**_PROFILE_OK, "per_op_overhead_ms": "nan"}, "per_op_overhead_ms"),
+    ({**_PROFILE_OK, "bytes_per_ms": True}, "bytes_per_ms"),
+]
+_PROFILE_IDS = [f"{where}={profile[where]!r}" for profile, where in BAD_PROFILES]
+
+_MISSING = object()
+
+
+def _with(doc, field: str, value):
+    """A copy of doc with the dotted field set to value, or removed for _MISSING."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = field.split(".")
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+# (dotted field of the tiny genome, value it is set to); the error must name the field
+BAD_GENOME_FIELDS = [
+    ("csp_hidden_ratio", "abc"),
+    ("csp_hidden_ratio", True),
+    ("neck.extra_upsample", "no"),
+    ("neck.extra_downsample", 1),
+]
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} printed as a JSON value")
+
+
+def strict_json(text: str):
+    """Parse JSON output, failing on NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_no_constants)
+
+
+def run_main(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-3, 100) | st.floats()
+                 | st.text(max_size=3))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# integers stay small so that a perturbed population or generation count keeps a search short
+_small_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def perturbed(draw, value, junk=_json_values):
+    """value with any part now and then replaced by arbitrary JSON, or
+    dropped from its object."""
+    if draw(st.integers(0, 29)) == 0:
+        return draw(junk)
+    if isinstance(value, dict):
+        return {k: perturbed(draw, v, junk) for k, v in value.items() if draw(st.integers(0, 39))}
+    if isinstance(value, list):
+        return [perturbed(draw, v, junk) for v in value]
+    return value
+
+
+@st.composite
+def genome_documents(draw):
+    return perturbed(draw, json.loads(genome_to_json(preset_genome("tiny"))))
+
+
+@st.composite
+def search_configs(draw):
+    # positive rates of any size, so modeled latencies can overflow
+    rate = st.floats(1e6, 1e12) | st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    profile = {"name": "p", "flops_per_ms": draw(rate), "bytes_per_ms": draw(rate),
+               "per_op_overhead_ms": draw(st.floats(0, 0.01) | st.floats(min_value=0, allow_infinity=False))}
+    config = {
+        "population": draw(st.integers(2, 4)),
+        "generations": draw(st.integers(0, 2)),
+        "mutations_per_child": draw(st.integers(1, 2)),
+        "latency_budget_ms": draw(st.sampled_from([50.0, 0.5, 1e-3, "inf", None])),
+        "seed": draw(st.integers(0, 2 ** 32)),
+        "device_profile": draw(st.sampled_from(["t4-like", "x86-like", profile])),
+        "mutation_ops": draw(st.lists(st.sampled_from(MUTATION_OPS), min_size=1, max_size=3)),
+        "width_step": draw(st.sampled_from([8, 16])),
+        "width_min": 16,
+        "width_max": draw(st.sampled_from([64, 1024])),
+        "depth_max": draw(st.integers(1, 4)),
+        "scale_rule": draw(st.booleans()),
+        "tournament_size": draw(st.integers(1, 3)),
+    }
+    return perturbed(draw, config, _small_json_values)
+
+
+@st.composite
+def loss_documents(draw):
+    unit = st.floats(0, 1)
+    # finite values of any size, so weighted sums and box areas can overflow
+    huge = st.floats(min_value=0, allow_infinity=False)
+
+    def box():
+        x, y = (draw(st.floats(-10, 10) | st.floats(allow_nan=False, allow_infinity=False)) for _ in "xy")
+        return [x, y, x + draw(st.floats(0, 5) | huge), y + draw(st.floats(0, 5) | huge)]
+
+    probs = draw(st.lists(st.floats(0.01, 1), min_size=1, max_size=4))
+    weight = st.floats(0, 3) | huge
+    doc = {"weights": {"qfl": draw(weight), "dfl": draw(weight), "giou": draw(st.floats(0.1, 3) | huge)},
+           "epoch": draw(st.integers(0, 320)),
+           "schedule": {"stage1_epochs": 284, "stage2_epochs": 16, "w_start": draw(unit),
+                        "w_end": draw(unit), "mode": draw(st.sampled_from(["cosine", "constant"]))}}
+    if draw(st.booleans()):
+        doc["components"] = {"qfl": draw(unit | huge), "dfl": draw(unit), "giou": draw(st.floats(0, 2))}
+    else:
+        doc["pairs"] = [{"qfl": {"pred": draw(unit), "target": draw(unit), "beta": draw(st.floats(0, 4))},
+                         "dfl": {"probs": [p / sum(probs) for p in probs],
+                                 "target": draw(st.floats(0, len(probs) - 1))},
+                         "giou": {"pred_box": box(), "gt_box": box()}}
+                        for _ in range(draw(st.integers(0, 2)))]
+    return perturbed(draw, doc)
 
 
 class TestSearchCommand:
@@ -137,6 +281,30 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: "), err
 
+    @pytest.mark.parametrize("profile, where", BAD_PROFILES, ids=_PROFILE_IDS)
+    def test_bad_inline_profile_exits_2_naming_the_field(self, tmp_path, capsys, search_config_path,
+                                                         tiny_genome_path, profile, where):
+        cfg = tmp_path / "inline.json"
+        cfg.write_text(json.dumps({**json.loads(search_config_path.read_text()), "device_profile": profile}))
+        assert main(["search", "--space", str(tiny_genome_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "x.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: device_profile.{where}: "), err
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=search_configs())
+    def test_fuzzed_configs_exit_0_2_or_3(self, tmp_path_factory, config):
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "tiny.json").write_text(genome_to_json(preset_genome("tiny")))
+        (work / "config.json").write_text(json.dumps(config))
+        out = work / "archive.ndjson"
+        code = main(["search", "--space", str(work / "tiny.json"), "--config", str(work / "config.json"),
+                     "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            for line in out.read_text().splitlines():
+                strict_json(line)
+
 
 class TestCostCommand:
     def test_single_conv_genome_hand_value(self, tmp_path, capsys):
@@ -185,6 +353,35 @@ class TestCostCommand:
         assert main(["cost", "--genome", str(genome), "--profile", str(profile)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["latency_ms"] == pytest.approx(1.0)
+
+
+    @pytest.mark.parametrize("profile, where", BAD_PROFILES, ids=_PROFILE_IDS)
+    def test_bad_profile_file_exits_2_naming_the_field(self, tmp_path, capsys, tiny_genome_path,
+                                                       profile, where):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile))
+        assert main(["cost", "--genome", str(tiny_genome_path), "--profile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: "), err
+
+    @pytest.mark.parametrize("field, value", BAD_GENOME_FIELDS,
+                             ids=[f"{field}={value!r}" for field, value in BAD_GENOME_FIELDS])
+    def test_bad_genome_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
+        path = tmp_path / "genome.json"
+        path.write_text(json.dumps(_with(json.loads(genome_to_json(preset_genome("tiny"))), field, value)))
+        assert main(["cost", "--genome", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: "), err
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=genome_documents(), command=st.sampled_from(["cost", "score"]))
+    def test_fuzzed_genomes_exit_0_or_2(self, tmp_path_factory, doc, command):
+        path = tmp_path_factory.mktemp("fuzz") / "genome.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_main([command, "--genome", str(path)])
+        assert code in (0, 2)
+        if code == 0:
+            strict_json(out)
 
 
 class TestScoreCommand:
@@ -271,13 +468,6 @@ def anchor_grid_image(rng, n_gt, size=640, classes=3):
     }
 
 
-_json_scalars = (st.none() | st.booleans() | st.integers(-3, 100) | st.floats()
-                 | st.text(max_size=3))
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=8,
-)
 _coords = st.floats(-10, 80) | st.integers(-10, 80)
 
 
@@ -404,6 +594,19 @@ BAD_LOSS_INPUTS = [
     ({"components": {}, "schedule": {"w_start": "half"}}, "schedule.w_start"),
     ({"components": {}, "distill": {"teacher": ["t.bin"]}}, "distill.student"),
     ({"components": {}, "distill": {"teacher": "t.bin", "student": []}}, "distill.teacher"),
+    ({"components": {}, "distill": {"teacher": [], "student": [], "kind": ["cwd"]}}, "distill.kind"),
+    ({"components": {}, "schedule": {"stage1_epochs": 284.7}}, "schedule.stage1_epochs"),
+    ({"components": {}, "schedule": {"mode": 5}}, "schedule.mode"),
+]
+
+# (sidecar of the teacher tensor t.bin, field path the error must name); the
+# loss table above cannot take these, its test writes no tensor files
+BAD_SIDECARS = [
+    ({"dtype": "float32"}, "t.bin.json.shape"),
+    ({"shape": 5}, "t.bin.json.shape"),
+    ({"shape": [1, 2, "a", 4]}, "t.bin.json.shape[2]"),
+    ({"shape": [1, -2, -4, 4]}, "t.bin.json.shape"),
+    ([1, 2, 4, 4], "t.bin.json"),
 ]
 
 
@@ -471,6 +674,52 @@ class TestLossCommand:
         assert main(["loss", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: distill: ")
 
+    @pytest.mark.parametrize("sidecar, where", BAD_SIDECARS, ids=[repr(case[0]) for case in BAD_SIDECARS])
+    def test_bad_sidecar_exits_2_naming_the_field(self, tmp_path, capsys, sidecar, where):
+        feats = Tensor4(np.zeros((1, 2, 4, 4), dtype=np.float32))
+        save_raw_tensor(tmp_path / "t.bin", feats)
+        save_raw_tensor(tmp_path / "s.bin", feats)
+        (tmp_path / "t.bin.json").write_text(json.dumps(sidecar))
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"components": {},
+                                    "distill": {"teacher": ["t.bin"], "student": ["s.bin"]}}))
+        assert main(["loss", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: "), err
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=loss_documents())
+    def test_fuzzed_documents_exit_0_or_2(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "pairs.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_main(["loss", "--input", str(path)])
+        assert code in (0, 2)
+        if code == 0:
+            strict_json(out)
+
+
+_FOLD_BN = {"gamma": [1.0, 2.0], "beta": [0.0, 0.5], "mean": [0.1, 0.0], "var": [1.0, 0.5]}
+_FOLD_BLOCK = {
+    "conv3": {"weight": np.full((2, 2, 3, 3), 0.5).tolist(), "bn": _FOLD_BN},
+    "conv1": {"weight": np.full((2, 2, 1, 1), 0.25).tolist(), "bn": _FOLD_BN},
+    "identity_bn": _FOLD_BN,
+}
+_NAN_WEIGHT = np.full((2, 2, 3, 3), 0.5)
+_NAN_WEIGHT[1, 0, 2, 1] = np.nan
+
+# (dotted field of a valid block, value it is set to, field path the error must name)
+BAD_FOLD_FIELDS = [
+    pytest.param("conv3", 5, "conv3", id="conv3=5"),
+    pytest.param("conv3.weight", [1.0, 2.0], "conv3.weight", id="conv3.weight-1d"),
+    pytest.param("conv3.weight", _NAN_WEIGHT.tolist(), "conv3.weight", id="conv3.weight-nan"),
+    pytest.param("conv3.stride", "x", "conv3.stride", id="conv3.stride='x'"),
+    pytest.param("conv1.bn.gamma", ["1", "2"], "conv1.bn.gamma", id="conv1.bn.gamma-strings"),
+    pytest.param("identity_bn.beta", _MISSING, "identity_bn.beta", id="identity_bn.beta-missing"),
+    pytest.param("conv3.bias", [0.0, True], "conv3.bias", id="conv3.bias-bool"),
+    pytest.param("conv1.weight", [[[[1.0]]], [[[1.0], [2.0]]]], "conv1.weight", id="conv1.weight-ragged"),
+    pytest.param("conv3.bias", [0.0], "block", id="conv3.bias-length"),
+]
+
 
 class TestFoldCommand:
     def test_fold_then_numeric_replay(self, tmp_path, capsys):
@@ -534,6 +783,21 @@ class TestFoldCommand:
         path.write_text(json.dumps({"conv3": {}}))
         assert main(["fold", "--block", str(path)]) == 2
 
+    def test_valid_block_folds(self, tmp_path, capsys):
+        path = tmp_path / "branches.json"
+        path.write_text(json.dumps(_FOLD_BLOCK))
+        code, out = run_main(["fold", "--block", str(path)])
+        assert code == 0
+        assert np.asarray(strict_json(out)["weight"]).shape == (2, 2, 3, 3)
+
+    @pytest.mark.parametrize("field, value, where", BAD_FOLD_FIELDS)
+    def test_bad_block_exits_2_naming_the_field(self, tmp_path, capsys, field, value, where):
+        path = tmp_path / "branches.json"
+        path.write_text(json.dumps(_with(_FOLD_BLOCK, field, value)))
+        assert main(["fold", "--block", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: "), err
+
 
 class TestPresetCommand:
     def test_presets_round_trip_through_parser(self, tmp_path, capsys):
@@ -545,3 +809,8 @@ class TestPresetCommand:
 
     def test_missing_input_file_exits_2(self, tmp_path):
         assert main(["cost", "--genome", str(tmp_path / "nope.json")]) == 2
+
+    def test_non_utf8_input_file_exits_2(self, tmp_path):
+        path = tmp_path / "genome.json"
+        path.write_bytes(b'\xff\xfe{"schema_version": 1}')
+        assert main(["cost", "--genome", str(path)]) == 2
