@@ -39,8 +39,8 @@ from .assign import (
 )
 from .cost import DeviceProfile, builtin_profile, cost_report
 from .errors import DetkitError, InfeasibleError, ShapeError, ValidationError
-from .fields import array, get, integer, number, string, strings
-from .genome import genome_from_json, genome_to_json, preset_genome
+from .fields import array, get, integer, load_json, number, string, strings
+from .genome import MAX_INPUT_RES, genome_from_json, genome_to_json, preset_genome
 from .graph import build_graph
 from .losses import (
     DistillSchedule,
@@ -86,21 +86,26 @@ def _read(path) -> str:
     return p.read_text()
 
 
+def _is_profile_file(spec: str) -> bool:
+    """Whether `--profile` names a JSON file rather than a built-in profile."""
+    return Path(spec).exists()
+
+
 def _load_profile(spec: str) -> DeviceProfile:
-    if Path(spec).exists():
+    if _is_profile_file(spec):
         return DeviceProfile.from_json(_read(spec))
     return builtin_profile(spec)
 
 
 def _parse_res(raw: str) -> tuple[int, int]:
     try:
-        if "x" in raw:
-            h, w = raw.lower().split("x")
-            return int(h), int(w)
-        r = int(raw)
-        return r, r
+        h, w = raw.lower().split("x") if "x" in raw else (raw, raw)
+        res = int(h), int(w)
     except ValueError:
         raise ValidationError(f"--res must be an integer or HxW, got {raw!r}") from None
+    if not all(1 <= r <= MAX_INPUT_RES for r in res):
+        raise ValidationError(f"dims must be in [1, {MAX_INPUT_RES}]", path="--res")
+    return res
 
 
 def _emit(out: str | None, command: str, inputs, *, doc: dict | None = None,
@@ -157,10 +162,11 @@ def cmd_cost(args) -> int:
     res = _parse_res(args.res) if args.res else None
     profile = _load_profile(args.profile)
     report = cost_report(build_graph(genome, input_res=res), profile, strict=args.strict)
+    inputs = [args.genome] + ([args.profile] if _is_profile_file(args.profile) else [])
     if args.format == "table":
-        _emit(args.out, "cost", [args.genome], text=report.to_table())
+        _emit(args.out, "cost", inputs, text=report.to_table())
     else:
-        _emit(args.out, "cost", [args.genome], doc=report.to_doc())
+        _emit(args.out, "cost", inputs, doc=report.to_doc())
     return EXIT_OK
 
 
@@ -267,7 +273,7 @@ def _parse_image(image, idx: int) -> tuple[GroundTruthArrays, PredictionArrays]:
 
 
 def cmd_assign(args) -> int:
-    doc = json.loads(_read(args.input))
+    doc = load_json(_read(args.input), "assign input")
     images = doc.get("images") if isinstance(doc, dict) else None
     if not isinstance(images, list):
         raise ValidationError("expected an object holding an 'images' list", path="images")
@@ -304,7 +310,7 @@ def _box(spec, key: str, path: str) -> Box:
 
 def cmd_loss(args) -> int:
     base = Path(args.input).parent
-    doc = json.loads(_read(args.input))
+    doc = load_json(_read(args.input), "loss input")
     if not isinstance(doc, dict):
         raise ValidationError("expected an object", path="input")
     weights_doc = get(doc, "weights", default={})
@@ -393,7 +399,7 @@ def _conv_from_doc(doc, path: str) -> tuple[ConvParams, BnParams]:
 
 
 def cmd_fold(args) -> int:
-    doc = json.loads(_read(args.block))
+    doc = load_json(_read(args.block), "fold block")
     try:
         conv3, bn3 = _conv_from_doc(get(doc, "conv3"), "conv3")
         conv1, bn1 = _conv_from_doc(get(doc, "conv1"), "conv1")
@@ -481,7 +487,7 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as e:
+    except (ValidationError, UnicodeDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except DetkitError as e:

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .fields import number, string
+from .fields import load_json, number, string
 from .graph import OpGraph, OpNode
 
 __all__ = [
@@ -70,11 +70,7 @@ class DeviceProfile:
 
     @staticmethod
     def from_json(text: str) -> "DeviceProfile":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"profile is not valid JSON: {e}") from e
-        return DeviceProfile.from_doc(doc)
+        return DeviceProfile.from_doc(load_json(text, "profile"))
 
     @staticmethod
     def from_doc(doc, path: str = "") -> "DeviceProfile":
@@ -124,6 +120,16 @@ class CostReport:
     params: int
     latency_ms: float | None
     per_node: tuple[NodeCost, ...]
+
+    @staticmethod
+    def from_rows(rows, timed: bool) -> "CostReport":
+        """Totals as in-order sums over `rows`; latency only when `timed`."""
+        return CostReport(
+            flops=sum(r.flops for r in rows),
+            params=sum(r.params for r in rows),
+            latency_ms=sum(r.latency_ms for r in rows) if timed else None,
+            per_node=tuple(rows),
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2) + "\n"
@@ -227,9 +233,4 @@ def cost_report(graph: OpGraph, profile: DeviceProfile | None = None,
         nbytes = _node_bytes(graph, n, params)
         latency = None if profile is None else _node_latency(flops, nbytes, profile)
         rows.append(NodeCost(n.name, n.kind, flops, params, nbytes, latency))
-    return CostReport(
-        flops=sum(r.flops for r in rows),
-        params=sum(r.params for r in rows),
-        latency_ms=None if profile is None else sum(r.latency_ms for r in rows),
-        per_node=tuple(rows),
-    )
+    return CostReport.from_rows(rows, timed=profile is not None)

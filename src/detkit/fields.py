@@ -9,19 +9,29 @@ error names the field path, e.g. `neck.widths[1]`.
 
 Each reader takes the enclosing object, the key and the object's own path
 ("" at the document root); a missing key is an error unless a default is
-given.
+given. Every document is parsed by `load_json`.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["get", "integer", "number", "string", "boolean", "integers", "strings", "array"]
+__all__ = ["load_json", "get", "integer", "number", "string", "boolean", "integers", "strings", "array"]
 
 _REQUIRED = object()
+
+
+def load_json(text: str, what: str):
+    """Parse one input document, `what` naming it in the error. Malformed JSON
+    and integer literals too long to convert (over 4300 digits) are input errors."""
+    try:
+        return json.loads(text)
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        raise ValidationError(f"{what} is not valid JSON: {e}") from None
 
 
 def _join(path: str, key: str) -> str:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .fields import boolean, get, integer, integers, number, string
+from .fields import boolean, get, integer, integers, load_json, number, string
 
 __all__ = [
     "BLOCK_KINDS",
@@ -38,6 +38,18 @@ STACKED_KINDS = ("Mob", "Res", "Csp")
 
 PYRAMID_STRIDES = (8, 16, 32)
 
+# Upper bounds of the integer fields. The largest admissible genome still has
+# FLOPs, byte counts and modeled latency well inside float range.
+MAX_CHANNELS = 65536  # in_ch, out_ch, neck widths, num_classes, reg_bins
+MAX_DEPTH = 1024  # stage, neck and head depths
+MAX_KERNEL = 31
+MAX_INPUT_RES = 16384
+
+
+def _check_range(value: int, low: int, high: int, path: str) -> None:
+    if not low <= value <= high:
+        raise ValidationError(f"must be in [{low}, {high}]", path=path)
+
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -57,14 +69,14 @@ class BlockSpec:
     def validate(self, path: str = "block") -> None:
         if self.kind not in BLOCK_KINDS:
             raise ValidationError(f"unsupported kind {self.kind!r}", path=f"{path}.kind")
-        if self.in_ch < 1 or self.out_ch < 1:
-            raise ValidationError("channels must be positive", path=f"{path}.in_ch/out_ch")
+        _check_range(self.in_ch, 1, MAX_CHANNELS, f"{path}.in_ch")
+        _check_range(self.out_ch, 1, MAX_CHANNELS, f"{path}.out_ch")
         if self.stride not in (1, 2):
             raise ValidationError(f"stride must be 1 or 2, got {self.stride}", path=f"{path}.stride")
-        if self.depth < 1:
-            raise ValidationError("depth must be positive", path=f"{path}.depth")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValidationError(f"kernel must be odd and positive, got {self.kernel}", path=f"{path}.kernel")
+        _check_range(self.depth, 1, MAX_DEPTH, f"{path}.depth")
+        _check_range(self.kernel, 1, MAX_KERNEL, f"{path}.kernel")
+        if self.kernel % 2 == 0:
+            raise ValidationError(f"kernel must be odd, got {self.kernel}", path=f"{path}.kernel")
         if self.kind == "Focus" and self.stride != 2:
             raise ValidationError("Focus rearranges 2x2 patches and must have stride 2", path=f"{path}.stride")
         if self.kind == "Spp" and self.stride != 1:
@@ -85,10 +97,10 @@ class NeckConfig:
     extra_downsample: bool = True
 
     def validate(self, path: str = "neck") -> None:
-        if self.depth < 1:
-            raise ValidationError("depth must be positive", path=f"{path}.depth")
-        if len(self.widths) != 3 or any(w < 1 for w in self.widths):
-            raise ValidationError("widths must be a triple of positive integers", path=f"{path}.widths")
+        _check_range(self.depth, 1, MAX_DEPTH, f"{path}.depth")
+        if len(self.widths) != 3 or not all(1 <= w <= MAX_CHANNELS for w in self.widths):
+            raise ValidationError(f"widths must be a triple of integers in [1, {MAX_CHANNELS}]",
+                                  path=f"{path}.widths")
         if self.fusion_style not in FUSION_STYLES:
             raise ValidationError(f"unsupported fusion_style {self.fusion_style!r}", path=f"{path}.fusion_style")
 
@@ -102,10 +114,8 @@ class HeadConfig:
     reg_bins: int = 16
 
     def validate(self, path: str = "head") -> None:
-        if self.head_depth < 0:
-            raise ValidationError("head_depth must be >= 0", path=f"{path}.head_depth")
-        if self.reg_bins < 1:
-            raise ValidationError("reg_bins must be positive", path=f"{path}.reg_bins")
+        _check_range(self.head_depth, 0, MAX_DEPTH, f"{path}.head_depth")
+        _check_range(self.reg_bins, 1, MAX_CHANNELS, f"{path}.reg_bins")
 
 
 @dataclass(frozen=True)
@@ -136,10 +146,10 @@ class DetectorGenome:
                     path=f"backbone[{i}].in_ch",
                 )
             prev_out = block.out_ch
-        if self.num_classes < 1:
-            raise ValidationError("num_classes must be positive", path="num_classes")
-        if len(self.input_res) != 2 or any(r < 1 for r in self.input_res):
-            raise ValidationError("input_res must be (H, W) with positive dims", path="input_res")
+        _check_range(self.num_classes, 1, MAX_CHANNELS, "num_classes")
+        if len(self.input_res) != 2 or not all(1 <= r <= MAX_INPUT_RES for r in self.input_res):
+            raise ValidationError(f"input_res must be (H, W) with dims in [1, {MAX_INPUT_RES}]",
+                                  path="input_res")
         if not 0.0 < self.csp_hidden_ratio <= 1.0:
             raise ValidationError("csp_hidden_ratio must be in (0, 1]", path="csp_hidden_ratio")
         if self.neck is not None:
@@ -233,10 +243,7 @@ def genome_to_json(genome: DetectorGenome) -> str:
 
 def genome_from_json(text: str) -> DetectorGenome:
     """Parse and validate a genome document; errors name the failing field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"not valid JSON: {e}") from e
+    doc = load_json(text, "genome")
     if not isinstance(doc, dict):
         raise ValidationError("document root must be an object")
     version = integer(doc, "schema_version")

@@ -339,6 +339,16 @@ _STAGE_LOWERING = {
 }
 
 
+def _lower_stage(gb: GraphBuilder, x: int, spec, i: int, csp_hidden_ratio: float) -> int:
+    """Lower backbone stage i reading node x; returns the stage's output node."""
+    if spec.kind == "Csp":
+        return _lower_csp_stage(gb, x, spec, f"backbone.s{i}", csp_hidden_ratio)
+    lower = _STAGE_LOWERING.get(spec.kind)
+    if lower is None:
+        raise ValidationError(f"unsupported block kind {spec.kind!r}", path=f"backbone[{i}].kind")
+    return lower(gb, x, spec, f"backbone.s{i}")
+
+
 # --- neck ---------------------------------------------------------------------
 
 
@@ -426,13 +436,7 @@ def build_graph(genome: DetectorGenome, input_res: tuple[int, int] | None = None
 
     stage_out = []
     for i, spec in enumerate(genome.backbone):
-        if spec.kind == "Csp":
-            x = _lower_csp_stage(gb, x, spec, f"backbone.s{i}", genome.csp_hidden_ratio)
-        else:
-            lower = _STAGE_LOWERING.get(spec.kind)
-            if lower is None:
-                raise ValidationError(f"unsupported block kind {spec.kind!r}", path=f"backbone[{i}].kind")
-            x = lower(gb, x, spec, f"backbone.s{i}")
+        x = _lower_stage(gb, x, spec, i, genome.csp_hidden_ratio)
         stage_out.append(x)
 
     taps = genome.pyramid_taps()

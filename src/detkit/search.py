@@ -28,9 +28,9 @@ from dataclasses import dataclass, field, replace
 
 from .cost import CostReport, DeviceProfile, builtin_profile, cost_report
 from .errors import InfeasibleError, ValidationError
-from .fields import boolean, get, integer, number, strings
+from .fields import boolean, get, integer, load_json, number, strings
 from .genome import STACKED_KINDS, DetectorGenome, genome_to_json
-from .graph import OpGraph, build_graph
+from .graph import GraphBuilder, OpGraph, _lower_head, _lower_neck, _lower_stage, build_graph
 
 __all__ = [
     "ProxyScore",
@@ -99,12 +99,15 @@ def _mean_variance(segs) -> float:
     return sum(ch * v for ch, v in segs) / total
 
 
-def _propagate_variance(graph: OpGraph) -> dict[int, list[tuple[int, float]]]:
+def _propagate_variance(graph: OpGraph, input_segments=None) -> dict[int, list[tuple[int, float]]]:
+    """Variance segments of every node. Input nodes start at unit variance, or
+    at `input_segments` when a segment graph's placeholder stands for a
+    feature computed elsewhere."""
     state: dict[int, list[tuple[int, float]]] = {}
     for nid in graph.topo_order():
         n = graph.node(nid)
         if n.kind == "input":
-            state[nid] = [(n.out_shape[1], 1.0)]
+            state[nid] = input_segments or [(n.out_shape[1], 1.0)]
         elif n.kind == "conv":
             # fan-in-scaled init mixes all input channels into a uniform variance
             state[nid] = [(n.out_shape[1], _mean_variance(state[n.inputs[0]]))]
@@ -145,17 +148,19 @@ def entropy_score(graph: OpGraph, scale_weights=None) -> ProxyScore:
             f"got {len(scale_weights)} scale weights for {len(taps)} pyramid outputs"
         )
     state = _propagate_variance(graph)
-    per_scale = []
-    for w, nid in zip(scale_weights, taps):
-        node = graph.node(nid)
-        b, c, h, wdt = node.out_shape
-        if node.out_elements == 0:
-            raise ValidationError(f"{node.name}: zero-element output cannot be scored")
-        contrib = 0.0
-        for ch, v in state[nid]:
-            contrib += ch * b * h * wdt * 0.5 * math.log(2.0 * math.pi * math.e * v)
-        per_scale.append(w * contrib)
+    per_scale = [w * _scale_entropy(graph.node(nid), state[nid]) for w, nid in zip(scale_weights, taps)]
     return ProxyScore(value=sum(per_scale), per_scale=tuple(per_scale))
+
+
+def _scale_entropy(node, segments) -> float:
+    """Differential entropy of one Gaussian feature map with these variance segments."""
+    b, c, h, wdt = node.out_shape
+    if node.out_elements == 0:
+        raise ValidationError(f"{node.name}: zero-element output cannot be scored")
+    contrib = 0.0
+    for ch, v in segments:
+        contrib += ch * b * h * wdt * 0.5 * math.log(2.0 * math.pi * math.e * v)
+    return contrib
 
 
 # --- mutation ------------------------------------------------------------------
@@ -223,10 +228,7 @@ class SearchConfig:
 
     @staticmethod
     def from_json(text: str) -> "SearchConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"config is not valid JSON: {e}") from e
+        doc = load_json(text, "config")
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
         profile = get(doc, "device_profile", default="t4-like")
@@ -417,11 +419,90 @@ class ParetoArchive:
 
 
 def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEntry:
-    """Pure candidate evaluation: lower, score, cost."""
+    """Pure candidate evaluation: lower the whole genome, score, cost. `search`
+    reaches the same entry segment by segment (`_SegmentCache`)."""
     graph = build_graph(genome)
     score = entropy_score(graph)
     cost = cost_report(graph, profile)
     return ArchiveEntry(genome=genome, score=score, cost=cost)
+
+
+class _SegmentCache:
+    """Candidate evaluation for one search, one segment at a time.
+
+    A candidate's cost rows and proxy come from its segments: each backbone
+    stage, the neck and the head. Each segment depends only on a small key
+    (stage index, spec and input shape, plus the hidden ratio of a Csp stage;
+    neck config and pyramid shapes; head config, neck output shapes and class
+    count), so a segment seen before in the run is reused and a miss lowers
+    only that segment, into a graph whose placeholder inputs stand for the
+    features it reads. The rows are concatenated in `build_graph`'s order and
+    summed in order, so the result equals `evaluate_genome`'s exactly.
+
+    Entries looked up in the current or the previous generation are kept; the
+    rest are dropped at each `next_generation`, which bounds memory.
+    """
+
+    def __init__(self, profile: DeviceProfile):
+        self.profile = profile
+        self.current: dict = {}
+        self.previous: dict = {}
+
+    def next_generation(self) -> None:
+        self.previous, self.current = self.current, {}
+
+    def _lookup(self, key, make):
+        value = self.current.get(key)
+        if value is None:
+            value = self.previous.pop(key, None)
+            if value is None:
+                value = make()
+            self.current[key] = value
+        return value
+
+    def _lower(self, shapes, lower, keep_inputs: bool = False):
+        """Lower one segment on placeholder inputs of these shapes; returns its
+        graph and cost rows, without the placeholders' rows unless kept."""
+        gb = GraphBuilder()
+        graph = gb.finish(outputs=lower(gb, *[gb.input(shape) for shape in shapes]))
+        rows = cost_report(graph, self.profile).per_node
+        return graph, rows if keep_inputs else rows[len(shapes):]
+
+    def evaluate(self, genome: DetectorGenome) -> ArchiveEntry:
+        rows = []
+        shape = (1, genome.backbone[0].in_ch, *genome.input_res)
+        segments = ((shape[1], 1.0),)
+        stage_out = []  # (output node, its variance segments) per stage
+        for i, spec in enumerate(genome.backbone):
+            ratio = genome.csp_hidden_ratio if spec.kind == "Csp" else None
+            key = ("stage", i, spec, shape, ratio)
+            # stage 0's placeholder is the graph's real input node, whose row is kept
+            graph, stage_rows = self._lookup(key, lambda: self._lower(
+                (shape,), lambda gb, x: (_lower_stage(gb, x, spec, i, ratio),), keep_inputs=i == 0))
+            rows.extend(stage_rows)
+            out = graph.node(graph.outputs[0])
+            in_segments = segments
+            segments = self._lookup(("variance", key, in_segments), lambda: tuple(
+                _propagate_variance(graph, in_segments)[out.nid]))
+            stage_out.append((out, segments))
+            shape = out.out_shape
+
+        taps = genome.pyramid_taps() or (len(genome.backbone) - 1,)
+        per_scale = tuple(_scale_entropy(node, segs) for node, segs in (stage_out[i] for i in taps))
+        if genome.neck is not None:
+            neck = genome.neck
+            feats = tuple(stage_out[i][0].out_shape for i in taps)
+            graph, neck_rows = self._lookup(("neck", neck, feats), lambda: self._lower(
+                feats, lambda gb, c3, c4, c5: _lower_neck(gb, c3, c4, c5, neck)))
+            rows.extend(neck_rows)
+            if genome.head is not None:
+                head, classes = genome.head, genome.num_classes
+                outs = tuple(graph.node(n).out_shape for n in graph.outputs)
+                _, head_rows = self._lookup(("head", head, outs, classes), lambda: self._lower(
+                    outs, lambda gb, *p: _lower_head(gb, p, head, classes)))
+                rows.extend(head_rows)
+        return ArchiveEntry(genome=genome, score=ProxyScore(value=sum(per_scale), per_scale=per_scale),
+                            cost=CostReport.from_rows(rows, timed=True))
 
 
 def _rank_key(entry: ArchiveEntry):
@@ -450,13 +531,16 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
 
     The archive's `best` property is the single best-score feasible genome;
     `history` records (score, latency, feasible) per evaluated candidate per
-    generation, generation 0 being the initial population.
+    generation, generation 0 being the initial population. Candidates are
+    evaluated segment by segment: stages, neck and head already lowered in
+    this or the previous generation are reused, so a one-stage mutation
+    re-lowers one stage. Results equal `evaluate_genome`'s exactly.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)
-    profile = cfg.device_profile
+    cache = _SegmentCache(cfg.device_profile)
 
-    seed_entry = evaluate_genome(seed_genome, profile)
+    seed_entry = cache.evaluate(seed_genome)
     if seed_entry.latency_ms > cfg.latency_budget_ms:
         raise InfeasibleError(
             f"seed genome is infeasible: latency {seed_entry.latency_ms:.4f} ms "
@@ -465,11 +549,12 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
 
     archive = ParetoArchive()
     population: list[ArchiveEntry] = []
-    entries = [seed_entry] + [evaluate_genome(_mutated(seed_genome, rng, cfg), profile)
+    entries = [seed_entry] + [cache.evaluate(_mutated(seed_genome, rng, cfg))
                               for _ in range(cfg.population - 1)]
     for gen in range(cfg.generations + 1):
         if gen > 0:
-            entries = [evaluate_genome(g, profile) for g in _offspring(population, rng, cfg)]
+            cache.next_generation()
+            entries = [cache.evaluate(g) for g in _offspring(population, rng, cfg)]
         record = []
         for entry in entries:
             feasible = entry.latency_ms <= cfg.latency_budget_ms

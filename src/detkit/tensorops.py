@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, ValidationError
-from .fields import integers
+from .fields import integers, load_json
 
 __all__ = [
     "Tensor4",
@@ -222,13 +222,12 @@ def save_raw_tensor(path, x: Tensor4) -> None:
 
 def load_raw_tensor(path) -> Tensor4:
     """Read a tensor written by save_raw_tensor."""
-    import json
     import math
     from pathlib import Path
 
     path = Path(path)
     sidecar = Path(str(path) + ".json")
-    shape = tuple(integers(json.loads(sidecar.read_text()), "shape", sidecar.name, length=4))
+    shape = tuple(integers(load_json(sidecar.read_text(), sidecar.name), "shape", sidecar.name, length=4))
     if min(shape) < 1:
         raise ValidationError(f"dims must be >= 1, got {list(shape)}", path=f"{sidecar.name}.shape")
     data = np.fromfile(path, dtype="<f4")

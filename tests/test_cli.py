@@ -89,8 +89,9 @@ def _with(doc, field: str, value):
     doc = json.loads(json.dumps(doc))
     *parents, last = field.split(".")
     target = doc
-    for key in parents:
-        target = target[key]
+    for key in parents:  # "backbone[4]" indexes a list
+        name, _, index = key.partition("[")
+        target = target[name][int(index[:-1])] if index else target[name]
     if value is _MISSING:
         del target[last]
     else:
@@ -104,7 +105,35 @@ BAD_GENOME_FIELDS = [
     ("csp_hidden_ratio", True),
     ("neck.extra_upsample", "no"),
     ("neck.extra_downsample", 1),
+    # upper bounds of the integer fields
+    ("backbone[4].out_ch", 10**320),
+    ("backbone[0].in_ch", 65537),
+    ("backbone[1].depth", 1025),
+    ("backbone[1].kernel", 33),
+    ("neck.depth", 1025),
+    ("neck.widths", [24, 48, 10**320]),
+    ("head.head_depth", 1025),
+    ("head.reg_bins", 65537),
+    ("num_classes", 10**6),
+    ("input_res", [64, 32768]),
 ]
+
+# a JSON integer literal longer than the 4300 digits Python converts
+LONG_INTEGER_DOCUMENT = '{"schema_version": 1%s}' % ("0" * 4300)
+
+# (argv, {doc} being a file holding LONG_INTEGER_DOCUMENT; the document the error names)
+LONG_INTEGER_INPUTS = [
+    (["cost", "--genome", "{doc}"], "genome"),
+    (["score", "--genome", "{doc}"], "genome"),
+    (["cost", "--genome", "{genome}", "--profile", "{doc}"], "profile"),
+    (["search", "--space", "{genome}", "--config", "{doc}", "--out", "{out}"], "config"),
+    (["search", "--space", "{doc}", "--config", "{config}", "--out", "{out}"], "genome"),
+    (["assign", "--input", "{doc}"], "assign input"),
+    (["loss", "--input", "{doc}"], "loss input"),
+    (["fold", "--block", "{doc}"], "fold block"),
+]
+
+BAD_RES = ["0", "-64", "64x0", "32768", "64x32768", "1" * 400]
 
 
 def _no_constants(name):
@@ -382,6 +411,56 @@ class TestCostCommand:
         assert code in (0, 2)
         if code == 0:
             strict_json(out)
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize("argv, what", LONG_INTEGER_INPUTS, ids=[f"{a[0]} {w}" for a, w in LONG_INTEGER_INPUTS])
+    def test_overlong_integer_literal_exits_2(self, tmp_path, capsys, tiny_genome_path,
+                                                search_config_path, argv, what):
+        doc = tmp_path / "doc.json"
+        doc.write_text(LONG_INTEGER_DOCUMENT)
+        paths = {"doc": doc, "genome": tiny_genome_path, "config": search_config_path,
+                 "out": tmp_path / "out.ndjson"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} is not valid JSON: "), err
+
+    def test_overlong_integer_in_sidecar_exits_2(self, tmp_path, capsys):
+        feats = Tensor4(np.zeros((1, 2, 4, 4), dtype=np.float32))
+        save_raw_tensor(tmp_path / "t.bin", feats)
+        save_raw_tensor(tmp_path / "s.bin", feats)
+        (tmp_path / "t.bin.json").write_text(LONG_INTEGER_DOCUMENT)
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"components": {},
+                                    "distill": {"teacher": ["t.bin"], "student": ["s.bin"]}}))
+        assert main(["loss", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: t.bin.json is not valid JSON: ")
+
+    def test_oversized_channels_exit_2_on_score(self, tmp_path, capsys):
+        # `cost` on the same genome is a BAD_GENOME_FIELDS row
+        path = tmp_path / "genome.json"
+        doc = single_conv_genome_doc()
+        doc["backbone"][0]["out_ch"] = 10**320
+        path.write_text(json.dumps(doc))
+        assert main(["score", "--genome", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: backbone[0].out_ch: ")
+
+    @pytest.mark.parametrize("res", BAD_RES, ids=[r[:10] for r in BAD_RES])
+    def test_res_out_of_range_exits_2(self, tmp_path, capsys, res):
+        path = tmp_path / "conv.json"
+        path.write_text(json.dumps(single_conv_genome_doc()))
+        assert main(["cost", "--genome", str(path), "--res", res]) == 2
+        assert capsys.readouterr().err.startswith("error: --res: ")
+
+    def test_profile_file_is_hashed_into_the_manifest(self, tmp_path, tiny_genome_path):
+        profile, out = tmp_path / "profile.json", tmp_path / "cost.json"
+        hashes = []
+        for rate in (1e10, 2e10):
+            profile.write_text(json.dumps({**_PROFILE_OK, "flops_per_ms": rate}))
+            argv = ["cost", "--genome", str(tiny_genome_path), "--profile", str(profile), "--out", str(out)]
+            assert main(argv) == 0
+            hashes.append(json.loads((tmp_path / "cost.json.manifest.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
 
 
 class TestScoreCommand:

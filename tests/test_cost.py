@@ -1,8 +1,10 @@
+import math
 from dataclasses import replace
 
 import pytest
 
 from detkit.cost import (
+    BUILTIN_PROFILES,
     CostReport,
     DeviceProfile,
     builtin_profile,
@@ -12,7 +14,17 @@ from detkit.cost import (
     estimate_latency,
 )
 from detkit.errors import ValidationError
-from detkit.genome import NeckConfig, preset_genome
+from detkit.genome import (
+    MAX_CHANNELS,
+    MAX_DEPTH,
+    MAX_INPUT_RES,
+    MAX_KERNEL,
+    BlockSpec,
+    DetectorGenome,
+    HeadConfig,
+    NeckConfig,
+    preset_genome,
+)
 from detkit.graph import GraphBuilder, build_graph
 
 
@@ -243,3 +255,20 @@ class TestMonotonicity:
 
         assert count_flops(g_fold) <= count_flops(g_branch)
         assert count_params(g_fold) <= count_params(g_branch)
+
+
+def test_largest_admissible_genome_has_finite_cost():
+    # every integer field at its documented maximum (genome.MAX_*)
+    C, D, K, R = MAX_CHANNELS, MAX_DEPTH, MAX_KERNEL, MAX_INPUT_RES
+    genome = DetectorGenome(
+        backbone=tuple(BlockSpec("ConvBnAct", C, C, stride=2, depth=D, kernel=K) for _ in range(5)),
+        neck=NeckConfig(depth=D, widths=(C, C, C)), head=HeadConfig(head_depth=D, reg_bins=C),
+        num_classes=C, input_res=(R, R),
+    )
+    genome.validate()
+    graph = build_graph(genome)
+    for name in BUILTIN_PROFILES:
+        report = cost_report(graph, builtin_profile(name), strict=True)
+        assert math.isfinite(float(report.flops)) and math.isfinite(report.latency_ms)
+    with pytest.raises(ValidationError, match=r"backbone\[0\].kernel"):
+        genome.with_backbone((replace(genome.backbone[0], kernel=K + 2),) + genome.backbone[1:]).validate()

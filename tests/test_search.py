@@ -1,12 +1,14 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from detkit import search as search_module
 from detkit.cost import builtin_profile
 from detkit.errors import InfeasibleError, ValidationError
-from detkit.genome import BlockSpec, DetectorGenome, preset_genome
+from detkit.genome import FUSION_STYLES, BlockSpec, DetectorGenome, HeadConfig, NeckConfig, preset_genome
 from detkit.graph import GraphBuilder, OpGraph, build_graph
 from detkit.search import (
     MUTATION_OPS,
@@ -17,6 +19,8 @@ from detkit.search import (
     mutate,
     search,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -309,3 +313,105 @@ class TestSearchConfig:
     def test_budget_positive(self):
         with pytest.raises(ValidationError):
             make_cfg(latency_budget_ms=0.0)
+
+
+# --- segment-cached evaluation ---------------------------------------------------
+
+
+def random_genome(rng: random.Random) -> DetectorGenome:
+    """A valid genome drawing every stage kind, fusion style and head depth;
+    about one in four is neckless and one in four necked ones is headless."""
+    width = lambda: 8 * rng.randint(1, 8)
+    ratio = rng.choice((0.25, 0.5, 0.75, 1.0))
+    stem = rng.choice(("Focus", "ConvBnAct"))
+    blocks = [BlockSpec(stem, 3, width(), stride=2)]
+    necked = rng.random() < 0.75
+    downsamples = 4 if necked else rng.randint(1, 4)
+    for d in range(downsamples + 1):
+        for _ in range(rng.randint(0, 1)):  # stride-1 stages, some keeping their width
+            kind = rng.choice(("Mob", "Res", "Csp", "ConvBnAct", "Spp"))
+            out_ch = blocks[-1].out_ch if rng.random() < 0.5 else width()
+            blocks.append(BlockSpec(kind, blocks[-1].out_ch, out_ch, stride=1,
+                                    depth=1 if kind == "Spp" else rng.randint(1, 3),
+                                    kernel=rng.choice((1, 3, 5))))
+        if d < downsamples:
+            kind = rng.choice(("Mob", "Res", "Csp", "ConvBnAct", "Focus"))
+            blocks.append(BlockSpec(kind, blocks[-1].out_ch, width(), stride=2,
+                                    depth=1 if kind == "Focus" else rng.randint(1, 3),
+                                    kernel=rng.choice((1, 3))))
+    neck = head = None
+    if necked:
+        neck = NeckConfig(depth=rng.randint(1, 2), widths=(width(), width(), width()),
+                          fusion_style=rng.choice(FUSION_STYLES),
+                          extra_upsample=rng.random() < 0.5, extra_downsample=rng.random() < 0.5)
+        if rng.random() < 0.75:
+            head = HeadConfig(head_depth=rng.randint(0, 2), reg_bins=rng.choice((4, 8, 16)))
+    res = 32 * rng.randint(2, 4)
+    genome = DetectorGenome(backbone=tuple(blocks), neck=neck, head=head,
+                            num_classes=rng.randint(1, 6), input_res=(res, res), csp_hidden_ratio=ratio)
+    genome.validate()
+    return genome
+
+
+def key_neighbours(genome: DetectorGenome) -> list[DetectorGenome]:
+    """Genomes sharing segments with `genome` up to what only part of a segment
+    key tells apart: the Csp hidden ratio, the class count, the stage index."""
+    stem, *rest = genome.backbone
+    spacer = BlockSpec("ConvBnAct", stem.out_ch, stem.out_ch, kernel=1)  # shifts later stages by one
+    return [replace(genome, csp_hidden_ratio=genome.csp_hidden_ratio / 2),
+            replace(genome, num_classes=genome.num_classes + 1),
+            genome.with_backbone([stem, spacer] + rest)]
+
+
+class TestSegmentCache:
+    def test_segment_evaluation_equals_full_lowering(self):
+        # related genomes (mutation chains and key neighbours) so that most
+        # segments are hits reached from other candidates; the cache turns
+        # over every 20
+        rng = random.Random(0)
+        profile = builtin_profile("x86-like")
+        cache = search_module._SegmentCache(profile)
+        cfg = make_cfg(depth_max=3)
+        kinds, styles, head_depths, neckless, headless = set(), set(), set(), 0, 0
+        genomes = []
+        for n in range(240):
+            genome = random_genome(rng) if n % 6 == 0 else mutate(genome, rng, cfg)
+            genomes += [genome] + (key_neighbours(genome) if n % 6 == 0 else [])
+        for n, genome in enumerate(genomes):
+            if n % 20 == 0:
+                cache.next_generation()
+            kinds.update(b.kind for b in genome.backbone)
+            neckless += genome.neck is None
+            if genome.neck is not None:
+                styles.add(genome.neck.fusion_style)
+                headless += genome.head is None
+                if genome.head is not None:
+                    head_depths.add(genome.head.head_depth)
+            assert cache.evaluate(genome) == evaluate_genome(genome, profile), genome
+        assert kinds == {"Mob", "Res", "Csp", "Focus", "Spp", "ConvBnAct"}
+        assert styles == set(FUSION_STYLES) and head_depths == {0, 1, 2}
+        assert neckless and headless
+
+    def test_search_reproduces_golden_archive(self):
+        # tests/golden/search_s_seed0.ndjson was written by the full lowering
+        # of every candidate (tools/make_goldens.py)
+        cfg = make_cfg(population=6, generations=5, latency_budget_ms=4.2, seed=0)
+        got = search(preset_genome("s"), cfg).to_ndjson()
+        assert got == (GOLDEN / "search_s_seed0.ndjson").read_text()
+
+    def test_cache_keeps_two_generations(self, monkeypatch):
+        sizes, keys_per_generation = [], []
+
+        class Recording(search_module._SegmentCache):
+            def next_generation(self):
+                sizes.append(len(self.current) + len(self.previous))
+                keys_per_generation.append(set(self.current))
+                super().next_generation()
+
+        monkeypatch.setattr(search_module, "_SegmentCache", Recording)
+        search(preset_genome("tiny"), make_cfg(population=8, generations=60, seed=5))
+        assert len(sizes) == 60
+        for gen in range(1, 60):
+            assert sizes[gen] <= len(keys_per_generation[gen] | keys_per_generation[gen - 1])
+        all_keys = set().union(*keys_per_generation)
+        assert max(sizes) < len(all_keys) / 4  # entries of older generations are gone

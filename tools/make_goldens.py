@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Regenerate the golden lowering files under tests/golden/.
+"""Regenerate the golden files under tests/golden/.
 
 Run only when a template change is intentional; review the diff before
-committing, since these files freeze the lowering of every block template.
+committing, since these files freeze the lowering of every block template
+and the archive of one seeded search.
 """
 from pathlib import Path
 
+from detkit.cost import builtin_profile
 from detkit.genome import BlockSpec, DetectorGenome, preset_genome
 from detkit.graph import build_graph
+from detkit.search import SearchConfig, search
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -26,6 +29,14 @@ CASES = {
     "tiny_full": lambda: preset_genome("tiny"),
 }
 
+# a small search on the s preset whose budget leaves some children infeasible
+SEARCH_CONFIG = dict(population=6, generations=5, mutations_per_child=1,
+                     latency_budget_ms=4.2, seed=0, device_profile=builtin_profile("t4-like"))
+
+
+def search_golden() -> str:
+    return search(preset_genome("s"), SearchConfig(**SEARCH_CONFIG)).to_ndjson()
+
 
 def main():
     GOLDEN.mkdir(parents=True, exist_ok=True)
@@ -33,6 +44,9 @@ def main():
         path = GOLDEN / f"{name}.ndjson"
         path.write_text(build_graph(make()).to_ndjson())
         print(f"wrote {path}")
+    path = GOLDEN / "search_s_seed0.ndjson"
+    path.write_text(search_golden())
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":
