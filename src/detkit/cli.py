@@ -10,11 +10,14 @@ Subcommands wrap the library modules with machine-readable outputs:
     detkit fold   --block branches.json
     detkit preset --name s
 
-Exit codes: 0 ok, 2 input/config error, 3 infeasible search, 4 internal error.
+Every input document is read through `detkit.fields`, so one rule decides
+what a valid field is and every error names its path. Exit codes: 0 ok, 2
+input/config error, 3 infeasible search, 4 internal error.
 Every output *file* gets a `<file>.manifest.json` sidecar recording the
-command, a hash of its inputs, the seed, the toolkit version, and timestamps;
-JSON and NDJSON outputs name it. Keeping timestamps in the sidecar is what
-lets seeded runs produce byte-identical primary outputs.
+command, a hash of its options (all but the output paths) and input files,
+the seed, the toolkit version, and timestamps; JSON and NDJSON outputs name
+it. Keeping timestamps in the sidecar is what lets seeded runs produce
+byte-identical primary outputs.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .assign import (
 )
 from .cost import DeviceProfile, builtin_profile, cost_report
 from .errors import DetkitError, InfeasibleError, ShapeError, ValidationError
-from .fields import array, get, integer, load_json, number, string, strings
+from .fields import array, column, get, integer, load_json, number, objects, string, strings
 from .genome import MAX_INPUT_RES, genome_from_json, genome_to_json, preset_genome
 from .graph import build_graph
 from .losses import (
@@ -62,14 +65,16 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-def _manifest_json(command: str, input_paths, seed) -> str:
-    digest = hashlib.sha256()
+def _manifest_json(args, input_paths, seed) -> str:
+    # every parsed option but the output paths, then every input file
+    options = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "history")}
+    digest = hashlib.sha256(json.dumps(options, sort_keys=True).encode())
     for path in input_paths:
         digest.update(str(path).encode())
         digest.update(Path(path).read_bytes())
     return json.dumps(
         {
-            "command": command,
+            "command": args.command,
             "config_hash": digest.hexdigest(),
             "seed": seed,
             "version": __version__,
@@ -108,12 +113,13 @@ def _parse_res(raw: str) -> tuple[int, int]:
     return res
 
 
-def _emit(out: str | None, command: str, inputs, *, doc: dict | None = None,
+def _emit(out: str | None, args, inputs, *, doc: dict | None = None,
           records: list | None = None, text: str | None = None, seed: int | None = None) -> None:
     """Write one primary output, given as a JSON `doc`, NDJSON `records` or
     plain `text`, to `out` or to stdout. A file gets a `<file>.manifest.json`
-    sidecar hashing `inputs`; a doc names it in a trailing "manifest" key,
-    records in a leading {"manifest": ...} line."""
+    sidecar hashing the command's options `args` and its input files `inputs`;
+    a doc names it in a trailing "manifest" key, records in a leading
+    {"manifest": ...} line."""
     ref = None if out is None else Path(out).name + ".manifest.json"
     try:
         if doc is not None:
@@ -126,7 +132,7 @@ def _emit(out: str | None, command: str, inputs, *, doc: dict | None = None,
     if out is None:
         sys.stdout.write(text)
         return
-    Path(out + ".manifest.json").write_text(_manifest_json(command, inputs, seed))
+    Path(out + ".manifest.json").write_text(_manifest_json(args, inputs, seed))
     Path(out).write_text(text)
 
 
@@ -138,7 +144,7 @@ def cmd_search(args) -> int:
     genome = genome_from_json(_read(args.space))
     archive = search(genome, cfg)
     inputs = [args.space, args.config]
-    _emit(args.out, "search", inputs, records=[e.to_record() for e in archive.sorted_entries()],
+    _emit(args.out, args, inputs, records=[e.to_record() for e in archive.sorted_entries()],
           seed=cfg.seed)
 
     if args.history:
@@ -152,7 +158,7 @@ def cmd_search(args) -> int:
                 if top[0] > best_score or (top[0] == best_score and top[1] < best_latency):
                     best_score, best_latency = top
             rows.append(f"{gen},{best_score:.6f},{best_latency:.6f}")
-        _emit(args.history, "search", inputs, text="\n".join(rows) + "\n", seed=cfg.seed)
+        _emit(args.history, args, inputs, text="\n".join(rows) + "\n", seed=cfg.seed)
     print(f"wrote {len(archive.entries)} archive entries to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -164,66 +170,17 @@ def cmd_cost(args) -> int:
     report = cost_report(build_graph(genome, input_res=res), profile, strict=args.strict)
     inputs = [args.genome] + ([args.profile] if _is_profile_file(args.profile) else [])
     if args.format == "table":
-        _emit(args.out, "cost", inputs, text=report.to_table())
+        _emit(args.out, args, inputs, text=report.to_table())
     else:
-        _emit(args.out, "cost", inputs, doc=report.to_doc())
+        _emit(args.out, args, inputs, doc=report.to_doc())
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
     genome = genome_from_json(_read(args.genome))
     score = entropy_score(build_graph(genome))
-    _emit(args.out, "score", [args.genome], doc={"value": score.value, "per_scale": list(score.per_scale)})
+    _emit(args.out, args, [args.genome], doc={"value": score.value, "per_scale": list(score.per_scale)})
     return EXIT_OK
-
-
-def _records(image: dict, key: str, path: str) -> list:
-    records = image.get(key, [])
-    if not isinstance(records, list):
-        raise ValidationError("expected a list", path=path)
-    for j, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ValidationError("expected an object", path=f"{path}[{j}]")
-    return records
-
-
-def _field(records: list, key: str, path: str, default=None) -> list:
-    if default is not None:
-        return [rec.get(key, default) for rec in records]
-    try:
-        return [rec[key] for rec in records]
-    except KeyError:
-        j = next(j for j, rec in enumerate(records) if key not in rec)
-        raise ValidationError(f"missing field '{key}'", path=f"{path}[{j}]") from None
-
-
-def _number_rows(values: list, width: int | None, path: str, key: str) -> np.ndarray:
-    """Stack per-record number lists into an (N, width) float64 array in one
-    conversion; width None takes the first record's length. When the bulk
-    conversion fails, the first bad record is found and named."""
-    if not values:
-        return np.empty((0, width or 0), dtype=np.float64)
-    try:
-        rows = np.array(values)
-    except ValueError:  # ragged nesting
-        rows = None
-    if (rows is not None and rows.dtype.kind in "iuf" and rows.ndim == 2
-            and (width is None or rows.shape[1] == width)):
-        return rows.astype(np.float64, copy=False)
-    expected = width
-    for j, value in enumerate(values):
-        try:
-            row = np.array(value)
-        except ValueError:
-            row = None
-        if row is None or row.dtype.kind not in "iuf" or row.ndim != 1:
-            raise ValidationError("expected a list of numbers", path=f"{path}[{j}].{key}")
-        expected = len(row) if expected is None else expected
-        if len(row) != expected:
-            like = f" like {path}[0].{key}" if width is None else ""
-            raise ValidationError(f"expected {expected} numbers{like}, got {len(row)}",
-                                  path=f"{path}[{j}].{key}")
-    raise ValidationError(f"expected lists of {expected} numbers", path=f"{path}[*].{key}")
 
 
 def _first_bad(ok: np.ndarray, message: str, path: str) -> None:
@@ -233,39 +190,30 @@ def _first_bad(ok: np.ndarray, message: str, path: str) -> None:
 
 
 def _corners_ok(boxes: np.ndarray) -> np.ndarray:
-    return (np.isfinite(boxes).all(axis=1)
-            & (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3]))
+    return (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])
 
 
-def _parse_image(image, idx: int) -> tuple[GroundTruthArrays, PredictionArrays]:
-    """One image's JSON lists straight to arrays, validated in bulk; errors name
-    the first bad record's field path."""
-    path = f"images[{idx}]"
-    if not isinstance(image, dict):
-        raise ValidationError("expected an object", path=path)
+def _parse_image(image, path: str) -> tuple[GroundTruthArrays, PredictionArrays]:
+    """One image's records straight to arrays through `fields`, then checked
+    in bulk; errors name the first bad record's field path."""
     pp, gp = f"{path}.predictions", f"{path}.ground_truths"
-    preds, gts = _records(image, "predictions", pp), _records(image, "ground_truths", gp)
+    preds, gts = objects(image, "predictions", path, []), objects(image, "ground_truths", path, [])
 
-    pred_boxes = _number_rows(_field(preds, "box", pp), 4, pp, "box")
-    _first_bad(_corners_ok(pred_boxes), "box corners must be finite with x1 <= x2, y1 <= y2", pp + "[{}].box")
-    scores = _number_rows(_field(preds, "cls_scores", pp), None, pp, "cls_scores")
-    if preds and scores.shape[1] == 0:
-        raise ValidationError("prediction needs at least one class score", path=f"{pp}[0].cls_scores")
+    pred_boxes = column(preds, "box", pp, width=4)
+    _first_bad(_corners_ok(pred_boxes), "box corners must have x1 <= x2, y1 <= y2", pp + "[{}].box")
+    scores = column(preds, "cls_scores", pp)
     _first_bad(((scores >= 0) & (scores <= 1)).all(axis=1), "class scores must lie in [0, 1]",
                pp + "[{}].cls_scores")
-    anchors = _number_rows(_field(preds, "anchor_point", pp, default=(0.0, 0.0)), 2, pp, "anchor_point")
-    _first_bad(np.isfinite(anchors).all(axis=1), "anchor point must be finite", pp + "[{}].anchor_point")
+    anchors = column(preds, "anchor_point", pp, width=2, default=(0.0, 0.0))
 
-    gt_boxes = _number_rows(_field(gts, "box", gp), 4, gp, "box")
+    gt_boxes = column(gts, "box", gp, width=4)
     areas = (gt_boxes[:, 2] - gt_boxes[:, 0]) * (gt_boxes[:, 3] - gt_boxes[:, 1])
-    _first_bad(_corners_ok(gt_boxes) & (areas > 0), "ground-truth box must be finite with positive area",
+    _first_bad(_corners_ok(gt_boxes) & (areas > 0), "ground-truth box must have positive area",
                gp + "[{}].box")
-    class_ids = _field(gts, "class_id", gp)
     # without predictions, any id the int64 array can hold is in range
     n_classes = scores.shape[1] if preds else np.iinfo(np.int64).max
+    class_ids = [integer(gt, "class_id", f"{gp}[{j}]") for j, gt in enumerate(gts)]
     for j, cid in enumerate(class_ids):
-        if not isinstance(cid, int) or isinstance(cid, bool):
-            raise ValidationError("class_id must be an integer", path=f"{gp}[{j}].class_id")
         if not 0 <= cid < n_classes:
             raise ValidationError(f"class_id {cid} out of range [0, {n_classes})", path=f"{gp}[{j}].class_id")
     return (GroundTruthArrays(boxes=gt_boxes, class_ids=np.array(class_ids, dtype=np.int64)),
@@ -274,13 +222,12 @@ def _parse_image(image, idx: int) -> tuple[GroundTruthArrays, PredictionArrays]:
 
 def cmd_assign(args) -> int:
     doc = load_json(_read(args.input), "assign input")
-    images = doc.get("images") if isinstance(doc, dict) else None
-    if not isinstance(images, list):
+    if not isinstance(doc, dict):
         raise ValidationError("expected an object holding an 'images' list", path="images")
     solver = sinkhorn_assign if args.solver == "sinkhorn" else dynamic_k_assign
     records = []
-    for idx, image in enumerate(images):
-        gts, preds = _parse_image(image, idx)
+    for idx, image in enumerate(objects(doc, "images")):
+        gts, preds = _parse_image(image, f"images[{idx}]")
         result = solver(align_cost(gts, preds, center_prior=args.center_prior))
         records.append({
             "image": idx,
@@ -289,7 +236,7 @@ def cmd_assign(args) -> int:
             "soft_labels": [s for s in result.soft_labels],
             "warnings": list(result.warnings),
         })
-    _emit(args.out, "assign", [args.input], records=records)
+    _emit(args.out, args, [args.input], records=records)
     return EXIT_OK
 
 
@@ -322,13 +269,9 @@ def cmd_loss(args) -> int:
     if "components" in doc:
         q, d, g = (number(doc["components"], k, "components", 0.0) for k in ("qfl", "dfl", "giou"))
     elif "pairs" in doc:
-        if not isinstance(doc["pairs"], list):
-            raise ValidationError("expected a list", path="pairs")
         qs, ds, gs = [], [], []
-        for i, pair in enumerate(doc["pairs"]):
+        for i, pair in enumerate(objects(doc, "pairs")):
             path = f"pairs[{i}]"
-            if not isinstance(pair, dict):
-                raise ValidationError("expected an object", path=path)
             if "qfl" in pair:
                 spec, sp = pair["qfl"], f"{path}.qfl"
                 qs.append(qfl(number(spec, "pred", sp), number(spec, "target", sp), number(spec, "beta", sp, 2.0)))
@@ -368,7 +311,7 @@ def cmd_loss(args) -> int:
 
     breakdown = loss_breakdown((q, d, g), weights, distill=distill,
                                epoch=epoch, schedule=schedule)
-    _emit(args.out, "loss", [args.input], doc={
+    _emit(args.out, args, [args.input], doc={
         "qfl": breakdown.qfl,
         "dfl": breakdown.dfl,
         "giou": breakdown.giou,
@@ -409,7 +352,7 @@ def cmd_fold(args) -> int:
                                               identity_bn=identity_bn))
     except ShapeError as e:  # every shape comes from the block document
         raise ValidationError(str(e), path="block") from None
-    _emit(args.out, "fold", [args.block], doc={
+    _emit(args.out, args, [args.block], doc={
         "weight": folded.weights.tolist(),
         "bias": folded.bias.tolist(),
         "kernel": 3,
@@ -420,7 +363,7 @@ def cmd_fold(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    _emit(args.out, "preset", [], text=genome_to_json(preset_genome(args.name)))
+    _emit(args.out, args, [], text=genome_to_json(preset_genome(args.name)))
     return EXIT_OK
 
 

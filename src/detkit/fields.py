@@ -1,28 +1,40 @@
 """Typed field readers for the JSON input documents.
 
-The genome, search config, device profile, loss input, fold block and
-raw-tensor sidecar are read through these functions (the assignment
-interchange alone is parsed in bulk, straight to arrays), so one rule
-decides what a valid field is: integers are JSON integers, numbers are
-finite JSON numbers (not strings or bools), flags are `true`/`false`, and every
+Every input document (genome, search config, device profile, assignment
+interchange, loss input, fold block and raw-tensor sidecar) is read through
+these functions, so one rule decides what a valid field is: integers are JSON
+integers, numbers are finite JSON numbers (not strings or bools), flags are
+`true`/`false`, arrays are regularly nested lists of such numbers, and every
 error names the field path, e.g. `neck.widths[1]`.
 
 Each reader takes the enclosing object, the key and the object's own path
 ("" at the document root); a missing key is an error unless a default is
-given. Every document is parsed by `load_json`.
+given. `column` reads one field of every object in a list into one array and
+names the first bad object, e.g. `images[0].predictions[17].box`. Every
+document is parsed by `load_json`.
 """
 from __future__ import annotations
 
 import json
 import math
+import reprlib
+from itertools import chain
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["load_json", "get", "integer", "number", "string", "boolean", "integers", "strings", "array"]
+__all__ = ["load_json", "get", "integer", "number", "string", "boolean", "integers", "strings", "objects",
+           "array", "column"]
 
 _REQUIRED = object()
+
+# a bad value in an error message is cut short: at most four items of a list
+# or object, nested ones shown as [...], a string or an integer at most 30 or
+# 40 characters
+_brief = reprlib.Repr()
+_brief.maxlevel = 1
+_brief.maxlist = 4
 
 
 def load_json(text: str, what: str):
@@ -67,7 +79,7 @@ def _is_string(value) -> bool:
 def _scalar(doc, key, path, default, check, expected: str):
     value = get(doc, key, path, default)
     if not check(value):
-        raise ValidationError(f"expected {expected}, got {value!r}", path=_join(path, key))
+        raise ValidationError(f"expected {expected}, got {_brief.repr(value)}", path=_join(path, key))
     return value
 
 
@@ -94,7 +106,7 @@ def _items(doc, key, path, length, default, check, expected: str) -> list:
         raise ValidationError(f"expected a list of {length or 'any number of'} {expected}s", path=where)
     for i, item in enumerate(value):
         if not check(item):
-            raise ValidationError(f"expected {expected}, got {item!r}", path=f"{where}[{i}]")
+            raise ValidationError(f"expected {expected}, got {_brief.repr(item)}", path=f"{where}[{i}]")
     return value
 
 
@@ -106,11 +118,81 @@ def strings(doc, key: str, path: str = "", default=_REQUIRED) -> list:
     return _items(doc, key, path, None, default, _is_string, "string")
 
 
-def array(doc, key: str, path: str = "", ndim: int = 1) -> np.ndarray:
-    """A non-empty, regularly nested `ndim`-deep list of finite numbers, as float64."""
+def objects(doc, key: str, path: str = "", default=_REQUIRED) -> list:
+    return _items(doc, key, path, None, default, lambda v: isinstance(v, dict), "object")
+
+
+def _walk(value, ndim: int) -> np.ndarray | None:
+    """The per-cell reader: `value` as float64 if it is a non-empty, regularly
+    nested `ndim`-deep list of finite numbers, else None."""
     # an object array keeps each JSON value as is, so bools and strings are
     # caught below instead of being cast; ragged nesting leaves lists as cells
-    cells = np.array(get(doc, key, path), dtype=object)
+    cells = np.array(value, dtype=object)
     if cells.ndim != ndim or cells.size == 0 or not all(map(_is_finite_number, cells.flat)):
-        raise ValidationError(f"expected a non-empty {ndim}-d array of finite numbers", path=_join(path, key))
+        return None
     return cells.astype(np.float64)
+
+
+def _has_bool(value, ndim: int) -> bool:
+    """Whether a JSON true/false is among the cells of `value`, a regularly
+    nested `ndim`-deep list. One pass over the cells' types at C speed, so the
+    cost depends on the number of cells, not on their values."""
+    for _ in range(ndim - 1):
+        value = chain.from_iterable(value)
+    return bool in set(map(type, value))
+
+
+def _numbers(value, ndim: int) -> np.ndarray | None:
+    """`_walk(value, ndim)`, from one bulk conversion where that is exact: a
+    numeric array of the right depth with no non-finite or bool cell (numpy
+    reads a bool among numbers as 0 or 1, so the cells' types are scanned).
+    Anything else (ragged nesting, strings, None, ints too large for int64) is
+    left to the walk."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        return _walk(value, ndim)
+    if (arr.dtype.kind not in "iuf" or arr.ndim != ndim or arr.size == 0
+            or not np.isfinite(arr).all() or _has_bool(value, ndim)):
+        return _walk(value, ndim)
+    return arr.astype(np.float64, copy=False)
+
+
+def array(doc, key: str, path: str = "", ndim: int = 1) -> np.ndarray:
+    """A non-empty, regularly nested `ndim`-deep list of finite numbers, as float64."""
+    arr = _numbers(get(doc, key, path), ndim)
+    if arr is None:
+        raise ValidationError(f"expected a non-empty {ndim}-d array of finite numbers", path=_join(path, key))
+    return arr
+
+
+def column(records: list, key: str, path: str, width: int | None = None, default=_REQUIRED) -> np.ndarray:
+    """Field `key` of every object in `records` (a list read by `objects` at
+    `path`), each a non-empty list of finite numbers, as one (N, width) float64
+    array; width None takes the first object's length. Errors name the first
+    bad object, e.g. `predictions[17].box`."""
+    if default is _REQUIRED:
+        try:
+            values = [rec[key] for rec in records]
+        except KeyError:
+            j = next(j for j, rec in enumerate(records) if key not in rec)
+            raise ValidationError(f"missing required field '{key}'", path=f"{path}[{j}]") from None
+    else:
+        values = [rec.get(key, default) for rec in records]
+    if not values:
+        return np.empty((0, width or 0), dtype=np.float64)
+    arr = _numbers(values, 2)
+    if arr is not None and (width is None or arr.shape[1] == width):
+        return arr
+    # ragged, or an object's list is bad: name the first bad object
+    expected = width
+    for j, value in enumerate(values):
+        where = f"{path}[{j}].{key}"
+        row = _numbers(value, 1)
+        if row is None:
+            raise ValidationError("expected a non-empty list of finite numbers", path=where)
+        expected = expected or len(row)
+        if len(row) != expected:
+            like = f" like {path}[0].{key}" if width is None else ""
+            raise ValidationError(f"expected {expected} numbers{like}, got {len(row)}", path=where)
+    raise ValidationError(f"expected lists of {expected} numbers", path=f"{path}[*].{key}")

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .fields import boolean, get, integer, integers, load_json, number, string
+from .fields import boolean, get, integer, integers, load_json, number, objects, string
 
 __all__ = [
     "BLOCK_KINDS",
@@ -250,11 +250,8 @@ def genome_from_json(text: str) -> DetectorGenome:
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version}", path="schema_version")
 
-    backbone_doc = get(doc, "backbone")
-    if not isinstance(backbone_doc, list):
-        raise ValidationError("must be a list", path="backbone")
     blocks = []
-    for i, b in enumerate(backbone_doc):
+    for i, b in enumerate(objects(doc, "backbone")):
         path = f"backbone[{i}]"
         blocks.append(
             BlockSpec(

@@ -462,6 +462,21 @@ class TestInputLimits:
             hashes.append(json.loads((tmp_path / "cost.json.manifest.json").read_text())["config_hash"])
         assert hashes[0] != hashes[1]
 
+    def test_options_are_hashed_into_the_manifest(self, tmp_path, tiny_genome_path):
+        def config_hash(*argv):
+            out = tmp_path / "out"
+            assert main([*argv, "--out", str(out)]) == 0
+            return json.loads((tmp_path / "out.manifest.json").read_text())["config_hash"]
+
+        cost = ["cost", "--genome", str(tiny_genome_path)]
+        low = config_hash(*cost, "--res", "64")
+        assert config_hash(*cost, "--res", "128", "--profile", "x86-like") != low
+        assert config_hash(*cost, "--res", "64") == low
+        images = tmp_path / "images.json"
+        images.write_text(json.dumps(_image([_pred()], [_gt()])))
+        assign = ["assign", "--input", str(images)]
+        assert config_hash(*assign, "--solver", "sinkhorn") != config_hash(*assign)
+
 
 class TestScoreCommand:
     def test_score_matches_library(self, tmp_path, capsys, tiny_genome_path):
@@ -517,6 +532,14 @@ BAD_ASSIGN_INPUTS = [
      "images[0].predictions[0].box"),
     ({"images": [_image([_pred()])["images"][0], _image([_pred(box=(1, 1, 0, 0))])["images"][0]]},
      [], "images[1].predictions[0].box"),
+    # JSON true/false are not numbers, here as everywhere
+    (_image([_pred(), _pred(), _pred(box=(0, 0, True, 1))]), [], "images[0].predictions[2].box"),
+    (_image([_pred(), _pred(), _pred(scores=(True,))]), [], "images[0].predictions[2].cls_scores"),
+    (_image([_pred(), _pred(), _pred(anchor_point=[False, 1])]), ["--center-prior"],
+     "images[0].predictions[2].anchor_point"),
+    (_image([_pred()], [_gt(), _gt(), _gt(box=(0, 0, 4, True))]), [], "images[0].ground_truths[2].box"),
+    # a bad value is shown cut short, not as the whole 8400 x 80 block
+    ({"images": [_image([_pred()])["images"][0], [[0.5] * 80] * 8400]}, [], "images[1]"),
 ]
 
 
@@ -623,6 +646,7 @@ class TestAssignCommand:
         assert main(["assign", "--input", str(path), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: "), err
+        assert len(err) < 200, err
 
     def test_8400_anchor_image_matches_object_path(self, tmp_path, capsys):
         doc = anchor_grid_image(np.random.default_rng(3), n_gt=20)

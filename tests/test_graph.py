@@ -214,7 +214,7 @@ def _three_node_graph(edit=None):
 
 class TestOpGraphContract:
     def test_well_formed_graph_is_accepted(self):
-        OpGraph(nodes=_three_node_graph(), outputs=(2,)).validate()
+        OpGraph(nodes=_three_node_graph(), outputs=(2,))
 
     @pytest.mark.parametrize("edit, message", [
         ({2: OpNode(1, "add", "add", (1, 0), (1, 4, 8, 8))}, "repeats node id 1"),
@@ -225,6 +225,11 @@ class TestOpGraphContract:
     def test_bad_edges_raise_naming_the_node(self, edit, message):
         with pytest.raises(ValidationError, match=message):
             OpGraph(nodes=_three_node_graph(edit), outputs=(2,))
+
+    @pytest.mark.parametrize("outputs, pyramid", [((5,), ()), ((2,), (0, 9))], ids=["output", "pyramid"])
+    def test_unknown_designated_id_raises(self, outputs, pyramid):
+        with pytest.raises(ValidationError, match="designated node id"):
+            OpGraph(nodes=_three_node_graph(), outputs=outputs, pyramid=pyramid)
 
     def test_topo_order_of_reversed_storage_is_ascending_ids(self):
         graph = build_graph(preset_genome("tiny"))
