@@ -18,14 +18,18 @@ full transport problem; a Sinkhorn solver is available behind the same
 interface): per GT, k = clamp(round(sum of top-q IoUs), 1, q) with
 q = min(10, candidates), each GT takes its k lowest-cost candidates, and a
 prediction claimed by several GTs goes to the one with the lowest cost.
-Ties break by (GT index, prediction index) on original indices.
+Ties break by (GT index, prediction index) on original indices. Both solvers
+share one per-GT candidate/k pass and build the result from a (P,) array of
+winning GT indices, without a loop over predictions.
 
 Arrays are the core form. Per image, ground truths are (G,4) corners and (G,)
 class ids (`GroundTruthArrays`); predictions are (P,4) corners, (P,C) scores
-and (P,2) anchor points (`PredictionArrays`). `align_cost` also accepts lists
-of `GroundTruth` / `Prediction` and stacks them. The cost is built one GT row
-at a time, vectorised over predictions: only the returned |GT| x |pred|
-matrices grow with the pair count, never the temporaries.
+and (P,2) anchor points (`PredictionArrays`), which check their values in
+bulk; `align_cost` checks the class ids. Errors name the first bad row, e.g.
+`predictions[17].box`. `align_cost` also accepts lists of `GroundTruth` /
+`Prediction` and stacks them. The cost is built one GT row at a time,
+vectorised over predictions: only the returned |GT| x |pred| matrices grow
+with the pair count, never the temporaries.
 """
 from __future__ import annotations
 
@@ -54,6 +58,9 @@ __all__ = [
 ALPHA_EPS = 1e-8
 LOG_EPS = 1e-12
 TOPK_CANDIDATES = 10
+# sinkhorn_assign's entropic regulariser and its fixed number of iterations
+SINKHORN_REG = 0.05
+SINKHORN_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -74,9 +81,6 @@ class Box:
     @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -108,13 +112,22 @@ class GroundTruth:
             raise ValidationError("ground-truth box must have positive area")
 
 
+def _first_bad(ok: np.ndarray, message: str, path: str) -> None:
+    """Raise naming the first row where `ok` is False; `path` holds a {} for its index."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValidationError(message, path=path.format(int(bad[0])))
+
+
+def _corners_ok(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])
+
+
 @dataclass(frozen=True)
 class GroundTruthArrays:
-    """One image's ground truths: (G,4) float64 corners and (G,) integer class ids.
-
-    Values are not re-validated here; GroundTruth objects or the CLI's bulk
-    parse check them before stacking.
-    """
+    """One image's ground truths: (G,4) float64 corners, ordered and with
+    positive area, and (G,) integer class ids, which `align_cost` checks (an
+    object array of Python ints may hold ids too large for int64)."""
 
     boxes: np.ndarray
     class_ids: np.ndarray
@@ -125,12 +138,15 @@ class GroundTruthArrays:
                 f"ground truths need (G,4) boxes and (G,) class ids, got {self.boxes.shape} "
                 f"and {self.class_ids.shape}"
             )
+        areas = (self.boxes[:, 2] - self.boxes[:, 0]) * (self.boxes[:, 3] - self.boxes[:, 1])
+        _first_bad(_corners_ok(self.boxes) & (areas > 0), "ground-truth box must have positive area",
+                   "ground_truths[{}].box")
 
 
 @dataclass(frozen=True)
 class PredictionArrays:
-    """One image's predictions: (P,4) float64 corners, (P,C) class scores in
-    [0, 1] and (P,2) anchor points, checked like GroundTruthArrays' values."""
+    """One image's predictions: (P,4) float64 corners in order, (P,C) class
+    scores in [0, 1] (so not NaN) and (P,2) anchor points."""
 
     boxes: np.ndarray
     scores: np.ndarray
@@ -144,6 +160,9 @@ class PredictionArrays:
                 f"predictions need (P,4) boxes, (P,C) scores and (P,2) anchors, got "
                 f"{self.boxes.shape}, {self.scores.shape} and {self.anchors.shape}"
             )
+        _first_bad(_corners_ok(self.boxes), "box corners must have x1 <= x2, y1 <= y2", "predictions[{}].box")
+        _first_bad(((self.scores >= 0) & (self.scores <= 1)).all(axis=1), "class scores must lie in [0, 1]",
+                   "predictions[{}].cls_scores")
 
 
 @dataclass(frozen=True)
@@ -241,14 +260,13 @@ def align_cost(gts, preds, center_prior: bool = False) -> CostMatrix:
     """
     gts, preds = _stack_gts(gts), _stack_preds(preds)
     n_pred, n_classes = preds.scores.shape
-    if n_pred:
-        bad = np.flatnonzero((gts.class_ids < 0) | (gts.class_ids >= n_classes))
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"gt class_id {gts.class_ids[i]} out of range for {n_classes} classes",
-                path=f"ground_truths[{i}]",
-            )
+    # without predictions, any id an int64 can hold is in range
+    limit = n_classes if n_pred else np.iinfo(np.int64).max
+    bad = np.flatnonzero((gts.class_ids < 0) | (gts.class_ids >= limit))
+    if bad.size:
+        j = int(bad[0])
+        raise ValidationError(f"class_id {gts.class_ids[j]} out of range [0, {limit})",
+                              path=f"ground_truths[{j}].class_id")
     alphas = pairwise_iou(gts.boxes, preds.boxes)
     mask = alphas > ALPHA_EPS
     costs = np.full(alphas.shape, np.inf, dtype=np.float64)
@@ -270,83 +288,72 @@ def _dynamic_k(ious: np.ndarray) -> int:
     return int(min(max(math.floor(top.sum() + 0.5), 1), q))
 
 
+def _candidate_pass(matrix: CostMatrix) -> tuple[list[np.ndarray], tuple[int, ...], tuple[str, ...]]:
+    """Each GT's candidate prediction indices and dynamic k (0 without
+    candidates), and a warning for each GT without candidates."""
+    cands = [np.flatnonzero(row) for row in matrix.candidate_mask]
+    per_gt_k = tuple(_dynamic_k(matrix.alphas[i, c]) if c.size else 0 for i, c in enumerate(cands))
+    warnings = tuple(f"gt {i} has no candidates" for i, c in enumerate(cands) if not c.size)
+    return cands, per_gt_k, warnings
+
+
+def _result(matrix: CostMatrix, winners: np.ndarray, per_gt_k, warnings) -> AssignmentResult:
+    """The result for a (P,) array of winning GT indices, -1 for background."""
+    won = np.flatnonzero(winners >= 0)
+    assigned = np.full(winners.size, None, dtype=object)
+    soft = np.full(winners.size, None, dtype=object)
+    assigned[won] = winners[won]
+    soft[won] = matrix.alphas[winners[won], won]
+    return AssignmentResult(tuple(assigned), per_gt_k, tuple(soft), warnings)
+
+
 def dynamic_k_assign(matrix: CostMatrix) -> AssignmentResult:
     """Deterministic per-GT top-k selection with lowest-cost conflict resolution."""
-    n_gt, n_pred = matrix.costs.shape
-    per_gt_k = []
-    warnings = []
-    claimed: dict[int, list[int]] = {}
-    for i in range(n_gt):
-        cand = np.flatnonzero(matrix.candidate_mask[i])
-        if cand.size == 0:
-            per_gt_k.append(0)
-            warnings.append(f"gt {i} has no candidates")
-            continue
-        k = _dynamic_k(matrix.alphas[i, cand])
-        per_gt_k.append(k)
-        # stable sort keeps the documented (cost, prediction index) tie-break
-        order = cand[np.argsort(matrix.costs[i, cand], kind="stable")]
-        for j in order[:k]:
-            claimed.setdefault(int(j), []).append(i)
-
-    assigned: list[int | None] = [None] * n_pred
-    soft: list[float | None] = [None] * n_pred
-    for j, gt_indices in claimed.items():
-        best = min(gt_indices, key=lambda i: (matrix.costs[i, j], i))
-        assigned[j] = best
-        soft[j] = float(matrix.alphas[best, j])
-    return AssignmentResult(
-        assigned_gt=tuple(assigned),
-        per_gt_k=tuple(per_gt_k),
-        soft_labels=tuple(soft),
-        warnings=tuple(warnings),
-    )
+    cands, per_gt_k, warnings = _candidate_pass(matrix)
+    # stable sort keeps the documented (cost, prediction index) tie-break
+    claims = [c[np.argsort(matrix.costs[i, c], kind="stable")[:k]]
+              for i, (c, k) in enumerate(zip(cands, per_gt_k))]
+    gt = np.repeat(np.arange(len(per_gt_k)), per_gt_k)
+    pred = np.concatenate([np.empty(0, dtype=np.intp), *claims])
+    # a prediction claimed by several GTs goes to the lowest (cost, GT index)
+    order = np.lexsort((gt, matrix.costs[gt, pred], pred))
+    claimed, first = np.unique(pred[order], return_index=True)
+    winners = np.full(matrix.costs.shape[1], -1)
+    winners[claimed] = gt[order][first]
+    return _result(matrix, winners, per_gt_k, warnings)
 
 
-def sinkhorn_assign(matrix: CostMatrix, reg: float = 0.05, iterations: int = 200) -> AssignmentResult:
+def sinkhorn_assign(matrix: CostMatrix) -> AssignmentResult:
     """Entropic optimal-transport alternative behind the same interface.
 
     Supplies are the dynamic k of each GT; a background column absorbs the
-    rest. After convergence each prediction goes to its highest-transport GT.
-    Dynamic-k selection remains the default solver; this exists for
-    experimentation and satisfies the same result contract.
+    rest. After SINKHORN_ITERATIONS iterations at regulariser SINKHORN_REG
+    each prediction goes to its highest-transport GT if it is one of that
+    GT's candidates. Dynamic-k selection remains the default solver; this
+    exists for experimentation and satisfies the same result contract.
     """
+    _, per_gt_k, warnings = _candidate_pass(matrix)
     n_gt, n_pred = matrix.costs.shape
-    per_gt_k = []
-    warnings = []
-    for i in range(n_gt):
-        cand = np.flatnonzero(matrix.candidate_mask[i])
-        if cand.size == 0:
-            per_gt_k.append(0)
-            warnings.append(f"gt {i} has no candidates")
-        else:
-            per_gt_k.append(_dynamic_k(matrix.alphas[i, cand]))
     if n_pred == 0 or sum(per_gt_k) == 0:
-        return AssignmentResult((None,) * n_pred, tuple(per_gt_k), (None,) * n_pred,
-                                tuple(warnings))
+        return _result(matrix, np.full(n_pred, -1), per_gt_k, warnings)
 
     big = 1e6
     cost = np.where(matrix.candidate_mask, matrix.costs, big)
     cost = np.vstack([cost, np.full((1, n_pred), 2.0)])  # background row
-    supply = np.array(per_gt_k + [max(n_pred - sum(per_gt_k), 0)], dtype=np.float64)
+    supply = np.array(per_gt_k + (max(n_pred - sum(per_gt_k), 0),), dtype=np.float64)
     supply = np.maximum(supply, 1e-9)
     supply = supply / supply.sum()
     demand = np.full(n_pred, 1.0 / n_pred)
 
-    kernel = np.exp(-cost / reg)
+    kernel = np.exp(-cost / SINKHORN_REG)
     u = np.ones(n_gt + 1)
     v = np.ones(n_pred)
-    for _ in range(iterations):
+    for _ in range(SINKHORN_ITERATIONS):
         u = supply / np.maximum(kernel @ v, 1e-30)
         v = demand / np.maximum(kernel.T @ u, 1e-30)
     plan = u[:, None] * kernel * v[None, :]
 
-    assigned: list[int | None] = [None] * n_pred
-    soft: list[float | None] = [None] * n_pred
-    winners = plan.argmax(axis=0)
-    for j in range(n_pred):
-        i = int(winners[j])
-        if i < n_gt and matrix.candidate_mask[i, j]:
-            assigned[j] = i
-            soft[j] = float(matrix.alphas[i, j])
-    return AssignmentResult(tuple(assigned), tuple(per_gt_k), tuple(soft), tuple(warnings))
+    # the background row is never a candidate
+    best = plan.argmax(axis=0)
+    candidate = np.vstack([matrix.candidate_mask, np.zeros((1, n_pred), dtype=bool)])
+    return _result(matrix, np.where(candidate[best, np.arange(n_pred)], best, -1), per_gt_k, warnings)

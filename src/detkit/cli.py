@@ -183,41 +183,21 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _first_bad(ok: np.ndarray, message: str, path: str) -> None:
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValidationError(message, path=path.format(int(bad[0])))
-
-
-def _corners_ok(boxes: np.ndarray) -> np.ndarray:
-    return (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])
-
-
-def _parse_image(image, path: str) -> tuple[GroundTruthArrays, PredictionArrays]:
-    """One image's records straight to arrays through `fields`, then checked
-    in bulk; errors name the first bad record's field path."""
-    pp, gp = f"{path}.predictions", f"{path}.ground_truths"
-    preds, gts = objects(image, "predictions", path, []), objects(image, "ground_truths", path, [])
-
-    pred_boxes = column(preds, "box", pp, width=4)
-    _first_bad(_corners_ok(pred_boxes), "box corners must have x1 <= x2, y1 <= y2", pp + "[{}].box")
-    scores = column(preds, "cls_scores", pp)
-    _first_bad(((scores >= 0) & (scores <= 1)).all(axis=1), "class scores must lie in [0, 1]",
-               pp + "[{}].cls_scores")
-    anchors = column(preds, "anchor_point", pp, width=2, default=(0.0, 0.0))
-
-    gt_boxes = column(gts, "box", gp, width=4)
-    areas = (gt_boxes[:, 2] - gt_boxes[:, 0]) * (gt_boxes[:, 3] - gt_boxes[:, 1])
-    _first_bad(_corners_ok(gt_boxes) & (areas > 0), "ground-truth box must have positive area",
-               gp + "[{}].box")
-    # without predictions, any id the int64 array can hold is in range
-    n_classes = scores.shape[1] if preds else np.iinfo(np.int64).max
-    class_ids = [integer(gt, "class_id", f"{gp}[{j}]") for j, gt in enumerate(gts)]
-    for j, cid in enumerate(class_ids):
-        if not 0 <= cid < n_classes:
-            raise ValidationError(f"class_id {cid} out of range [0, {n_classes})", path=f"{gp}[{j}].class_id")
-    return (GroundTruthArrays(boxes=gt_boxes, class_ids=np.array(class_ids, dtype=np.int64)),
-            PredictionArrays(boxes=pred_boxes, scores=scores, anchors=anchors))
+def _parse_image(image) -> tuple[GroundTruthArrays, PredictionArrays]:
+    """One image's records straight to arrays through `fields`; the array
+    types check the values. Error paths are relative to the image."""
+    preds = objects(image, "predictions", default=[])
+    pred_arrays = PredictionArrays(
+        boxes=column(preds, "box", "predictions", width=4),
+        scores=column(preds, "cls_scores", "predictions"),
+        anchors=column(preds, "anchor_point", "predictions", width=2, default=(0.0, 0.0)),
+    )
+    gts = objects(image, "ground_truths", default=[])
+    # Python ints, so that an id too large for int64 reaches align_cost's range check
+    class_ids = np.array([integer(gt, "class_id", f"ground_truths[{j}]") for j, gt in enumerate(gts)],
+                         dtype=object)
+    gt_arrays = GroundTruthArrays(boxes=column(gts, "box", "ground_truths", width=4), class_ids=class_ids)
+    return gt_arrays, pred_arrays
 
 
 def cmd_assign(args) -> int:
@@ -227,8 +207,11 @@ def cmd_assign(args) -> int:
     solver = sinkhorn_assign if args.solver == "sinkhorn" else dynamic_k_assign
     records = []
     for idx, image in enumerate(objects(doc, "images")):
-        gts, preds = _parse_image(image, f"images[{idx}]")
-        result = solver(align_cost(gts, preds, center_prior=args.center_prior))
+        try:
+            result = solver(align_cost(*_parse_image(image), center_prior=args.center_prior))
+        except ValidationError as e:
+            where = f"images[{idx}]"
+            raise ValidationError(e.message, path=f"{where}.{e.path}" if e.path else where) from None
         records.append({
             "image": idx,
             "assigned_gt": [a if a is not None else -1 for a in result.assigned_gt],

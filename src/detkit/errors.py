@@ -13,10 +13,11 @@ class ShapeError(DetkitError):
 
 
 class ValidationError(DetkitError):
-    """A genome, config, or document violates its schema or an invariant."""
+    """A genome, config, or document violates its schema or an invariant;
+    `message` is the text that str() prefixes with the field `path`."""
 
     def __init__(self, message: str, path: str | None = None):
-        self.path = path
+        self.message, self.path = message, path
         if path:
             message = f"{path}: {message}"
         super().__init__(message)

@@ -22,6 +22,7 @@ __all__ = [
     "NeckConfig",
     "HeadConfig",
     "DetectorGenome",
+    "genome_to_doc",
     "genome_to_json",
     "genome_from_json",
     "preset_genome",
@@ -206,10 +207,10 @@ class DetectorGenome:
 
 # --- JSON schema -----------------------------------------------------------
 
-def genome_to_json(genome: DetectorGenome) -> str:
-    """Serialize a genome to its versioned JSON document."""
+def genome_to_doc(genome: DetectorGenome) -> dict:
+    """A genome as its versioned document: plain dicts, lists and scalars."""
     genome.validate()
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "num_classes": genome.num_classes,
         "input_res": list(genome.input_res),
@@ -238,7 +239,11 @@ def genome_to_json(genome: DetectorGenome) -> str:
         if genome.head is None
         else {"head_depth": genome.head.head_depth, "reg_bins": genome.head.reg_bins},
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def genome_to_json(genome: DetectorGenome) -> str:
+    """Serialize a genome to its versioned JSON document."""
+    return json.dumps(genome_to_doc(genome), indent=2) + "\n"
 
 
 def genome_from_json(text: str) -> DetectorGenome:

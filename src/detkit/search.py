@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from .cost import CostReport, DeviceProfile, builtin_profile, cost_report
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
-from .genome import STACKED_KINDS, DetectorGenome, genome_to_json
+from .genome import STACKED_KINDS, DetectorGenome, genome_to_doc, genome_to_json
 from .graph import GraphBuilder, OpGraph, _lower_head, _lower_neck, _lower_stage, build_graph
 
 __all__ = [
@@ -370,7 +370,7 @@ class ArchiveEntry:
 
     def to_record(self) -> dict:
         return {
-            "genome": json.loads(genome_to_json(self.genome)),
+            "genome": genome_to_doc(self.genome),
             "score": self.score.value,
             "per_scale": list(self.score.per_scale),
             "flops": self.cost.flops,

@@ -1,7 +1,9 @@
 """Assignment tests. naive_assign is the independent oracle: pure-Python loops
 re-deriving the documented rules from scratch, no shared helpers.
 scalar_align_cost is the per-pair loop the array core replaced, kept as the
-reference its row-at-a-time numpy form is checked against."""
+reference its row-at-a-time numpy form is checked against, and
+loop_sinkhorn_assign the per-GT, per-prediction Sinkhorn solver that the
+shared candidate pass and result builder replaced."""
 import math
 
 import numpy as np
@@ -114,6 +116,52 @@ def scalar_align_cost(gts, preds, center_prior=False):
             p = float(pred.cls_scores[gt.class_id])
             costs[i, j] = -math.log(max(alpha, 1e-8)) + (alpha - p) ** 2 * _scalar_bce(p, alpha)
     return costs, alphas, mask
+
+
+def loop_sinkhorn_assign(matrix, reg=0.05, iterations=200):
+    """The library's former Sinkhorn solver, with its own per-GT k loop and
+    per-prediction winner loop."""
+    n_gt, n_pred = matrix.costs.shape
+    per_gt_k = []
+    warnings = []
+    for i in range(n_gt):
+        cand = np.flatnonzero(matrix.candidate_mask[i])
+        if cand.size == 0:
+            per_gt_k.append(0)
+            warnings.append(f"gt {i} has no candidates")
+        else:
+            q = min(10, cand.size)
+            top = np.sort(matrix.alphas[i, cand])[::-1][:q]
+            per_gt_k.append(int(min(max(math.floor(top.sum() + 0.5), 1), q)))
+    if n_pred == 0 or sum(per_gt_k) == 0:
+        return AssignmentResult((None,) * n_pred, tuple(per_gt_k), (None,) * n_pred,
+                                tuple(warnings))
+
+    big = 1e6
+    cost = np.where(matrix.candidate_mask, matrix.costs, big)
+    cost = np.vstack([cost, np.full((1, n_pred), 2.0)])  # background row
+    supply = np.array(per_gt_k + [max(n_pred - sum(per_gt_k), 0)], dtype=np.float64)
+    supply = np.maximum(supply, 1e-9)
+    supply = supply / supply.sum()
+    demand = np.full(n_pred, 1.0 / n_pred)
+
+    kernel = np.exp(-cost / reg)
+    u = np.ones(n_gt + 1)
+    v = np.ones(n_pred)
+    for _ in range(iterations):
+        u = supply / np.maximum(kernel @ v, 1e-30)
+        v = demand / np.maximum(kernel.T @ u, 1e-30)
+    plan = u[:, None] * kernel * v[None, :]
+
+    assigned = [None] * n_pred
+    soft = [None] * n_pred
+    winners = plan.argmax(axis=0)
+    for j in range(n_pred):
+        i = int(winners[j])
+        if i < n_gt and matrix.candidate_mask[i, j]:
+            assigned[j] = i
+            soft[j] = float(matrix.alphas[i, j])
+    return AssignmentResult(tuple(assigned), tuple(per_gt_k), tuple(soft), tuple(warnings))
 
 
 # --- helpers -------------------------------------------------------------------
@@ -319,6 +367,29 @@ class TestArrayCore:
         with pytest.raises(ValidationError, match=r"ground_truths\[0\]"):
             align_cost(gts, preds)
 
+    @pytest.mark.parametrize("boxes, where", [
+        ([[0, 0, 4, 4], [0, 0, 4, 4], [4, 0, 0, 4]], r"ground_truths\[2\]\.box"),
+        ([[0, 0, 4, 4], [0, 4, 4, 0]], r"ground_truths\[1\]\.box"),
+        ([[0, 0, 4, 4], [1, 1, 1, 4]], r"ground_truths\[1\]\.box"),
+        ([[0, 0, 4, 0], [1, 1, 1, 4]], r"ground_truths\[0\]\.box"),
+    ])
+    def test_gt_arrays_reject_reversed_or_empty_boxes(self, boxes, where):
+        with pytest.raises(ValidationError, match=where + ": ground-truth box must have positive area"):
+            GroundTruthArrays(boxes=np.array(boxes, dtype=np.float64),
+                              class_ids=np.zeros(len(boxes), dtype=np.int64))
+
+    @pytest.mark.parametrize("box, score, where", [
+        ((4, 0, 0, 4), 0.5, r"predictions\[1\]\.box: box corners"),
+        ((0, 4, 4, 0), 0.5, r"predictions\[1\]\.box: box corners"),
+        ((0, 0, 4, 4), 1.5, r"predictions\[1\]\.cls_scores: class scores"),
+        ((0, 0, 4, 4), math.nan, r"predictions\[1\]\.cls_scores: class scores"),
+    ])
+    def test_prediction_arrays_reject_bad_rows(self, box, score, where):
+        with pytest.raises(ValidationError, match=where):
+            PredictionArrays(boxes=np.array([[0, 0, 4, 4], box, (0, 0, 1, 1)], dtype=np.float64),
+                             scores=np.array([[0.5, 0.5], [0.5, score], [1.0, 0.0]]),
+                             anchors=np.zeros((3, 2)))
+
     def test_bundle_shapes_checked(self):
         with pytest.raises(ShapeError):
             GroundTruthArrays(boxes=np.zeros((2, 4)), class_ids=np.zeros(3, dtype=np.int64))
@@ -405,6 +476,21 @@ class TestDynamicK:
 
 
 class TestSinkhorn:
+    @pytest.mark.parametrize("center_prior", [False, True])
+    def test_matches_loop_reference_1000_scenes(self, center_prior):
+        rng = np.random.default_rng(31 + center_prior)
+        no_candidates = no_predictions = 0
+        for n in range(1000):
+            gts, preds = random_scene(rng) if n % 2 else random_instance(rng)[:2]
+            if n % 50 == 0:
+                preds = []
+            m = align_cost(gts, preds, center_prior=center_prior)
+            got = sinkhorn_assign(m)
+            assert got == loop_sinkhorn_assign(m)
+            no_candidates += 0 in got.per_gt_k
+            no_predictions += not preds
+        assert no_candidates > 100 and no_predictions == 20
+
     def test_perfect_pair_assigned(self):
         gts = [make_gt([0, 0, 4, 4], cls=0)]
         preds = [make_pred([0, 0, 4, 4], [1.0]), make_pred([50, 50, 54, 54], [0.2])]

@@ -526,6 +526,9 @@ BAD_ASSIGN_INPUTS = [
     (_image([_pred()], [_gt(class_id=-1)]), [], "images[0].ground_truths[0].class_id"),
     (_image([_pred()], [_gt(class_id="abc")]), [], "images[0].ground_truths[0].class_id"),
     (_image([_pred()], [_gt(class_id=1.5)]), [], "images[0].ground_truths[0].class_id"),
+    # an id too large for int64 is out of range, with or without predictions
+    (_image([_pred()], [_gt(), _gt(class_id=2 ** 70)]), [], "images[0].ground_truths[1].class_id"),
+    (_image([], [_gt(class_id=2 ** 70)]), [], "images[0].ground_truths[0].class_id"),
     ('{"images": [{"predictions": [{"box": [0, 0, 1, 1], "cls_scores": [NaN]}]}]}', [],
      "images[0].predictions[0].cls_scores"),
     ('{"images": [{"predictions": [{"box": [0, 0, Infinity, 1], "cls_scores": [0.5]}]}]}', [],

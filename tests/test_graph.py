@@ -1,4 +1,8 @@
 """Lowering tests: hand-drawn template expectations plus golden-file freezes."""
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +187,18 @@ class TestGoldenLowerings:
         path = GOLDEN / f"{case}.ndjson"
         assert path.exists(), f"golden file {path} missing; regenerate with tools/make_goldens.py"
         assert got == path.read_text(), f"lowering of {case} drifted from its golden file"
+
+    def test_make_goldens_help_writes_nothing(self, tmp_path):
+        # a copy of the tool writes under tmp_path/tests/golden, never into the repo
+        root = Path(__file__).resolve().parent.parent
+        (tmp_path / "tools").mkdir()
+        tool = shutil.copy(root / "tools" / "make_goldens.py", tmp_path / "tools")
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        run = subprocess.run([sys.executable, tool, "--help"], capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage:")
+        assert not (tmp_path / "tests").exists()
 
 
 def test_builder_rejects_channel_mismatch_add():

@@ -4,7 +4,10 @@
 Run only when a template change is intentional; review the diff before
 committing, since these files freeze the lowering of every block template
 and the archive of one seeded search.
+
+    PYTHONPATH=src python tools/make_goldens.py
 """
+import argparse
 from pathlib import Path
 
 from detkit.cost import builtin_profile
@@ -39,6 +42,8 @@ def search_golden() -> str:
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.parse_args()
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, make in CASES.items():
         path = GOLDEN / f"{name}.ndjson"
