@@ -120,14 +120,14 @@ def _first_bad(ok: np.ndarray, message: str, path: str) -> None:
 
 
 def _corners_ok(boxes: np.ndarray) -> np.ndarray:
-    return (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])
+    return np.isfinite(boxes).all(axis=1) & (boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])
 
 
 @dataclass(frozen=True)
 class GroundTruthArrays:
-    """One image's ground truths: (G,4) float64 corners, ordered and with
-    positive area, and (G,) integer class ids, which `align_cost` checks (an
-    object array of Python ints may hold ids too large for int64)."""
+    """One image's ground truths: (G,4) float64 corners, finite, ordered and
+    with positive area, and (G,) integer class ids, which `align_cost` checks
+    (an object array of Python ints may hold ids too large for int64)."""
 
     boxes: np.ndarray
     class_ids: np.ndarray
@@ -139,14 +139,14 @@ class GroundTruthArrays:
                 f"and {self.class_ids.shape}"
             )
         areas = (self.boxes[:, 2] - self.boxes[:, 0]) * (self.boxes[:, 3] - self.boxes[:, 1])
-        _first_bad(_corners_ok(self.boxes) & (areas > 0), "ground-truth box must have positive area",
-                   "ground_truths[{}].box")
+        _first_bad(_corners_ok(self.boxes) & (areas > 0),
+                   "ground-truth box must have positive area and finite corners", "ground_truths[{}].box")
 
 
 @dataclass(frozen=True)
 class PredictionArrays:
-    """One image's predictions: (P,4) float64 corners in order, (P,C) class
-    scores in [0, 1] (so not NaN) and (P,2) anchor points."""
+    """One image's predictions: (P,4) float64 corners, finite and in order,
+    (P,C) class scores in [0, 1] (so not NaN) and (P,2) finite anchor points."""
 
     boxes: np.ndarray
     scores: np.ndarray
@@ -160,7 +160,10 @@ class PredictionArrays:
                 f"predictions need (P,4) boxes, (P,C) scores and (P,2) anchors, got "
                 f"{self.boxes.shape}, {self.scores.shape} and {self.anchors.shape}"
             )
-        _first_bad(_corners_ok(self.boxes), "box corners must have x1 <= x2, y1 <= y2", "predictions[{}].box")
+        _first_bad(_corners_ok(self.boxes), "box corners must be finite, with x1 <= x2, y1 <= y2",
+                   "predictions[{}].box")
+        _first_bad(np.isfinite(self.anchors).all(axis=1), "anchor point must be finite",
+                   "predictions[{}].anchor_point")
         _first_bad(((self.scores >= 0) & (self.scores <= 1)).all(axis=1), "class scores must lie in [0, 1]",
                    "predictions[{}].cls_scores")
 

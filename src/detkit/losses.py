@@ -289,15 +289,18 @@ def align_project(student: Tensor4, teacher_shape, proj: ConvParams) -> Tensor4:
     return out
 
 
-def _channel_distributions(feat: np.ndarray, temps: np.ndarray) -> np.ndarray:
-    """Per-channel softmax over all batch x spatial positions of (x - mean)/T."""
+def _channel_distributions(feat: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel softmax over all batch x spatial positions of (x - mean)/T,
+    and its clamped log; both are (C, N*H*W), computed in place."""
     c = feat.shape[1]
-    flat = feat.transpose(1, 0, 2, 3).reshape(c, -1).astype(np.float64)
-    flat = flat - flat.mean(axis=1, keepdims=True)
-    z = flat / temps[:, None]
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    p = feat.transpose(1, 0, 2, 3).astype(np.float64, order="C").reshape(c, -1)
+    p -= p.mean(axis=1, keepdims=True)
+    p /= temps[:, None]
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    log_p = np.maximum(p, LOG_EPS)
+    return p, np.log(log_p, out=log_p)
 
 
 def cwd_loss(teacher: Tensor4, student: Tensor4) -> float:
@@ -312,9 +315,11 @@ def cwd_loss(teacher: Tensor4, student: Tensor4) -> float:
         raise ShapeError(f"teacher {teacher.dims} != student {student.dims}")
     _, t_std = channel_stats(teacher)
     temps = np.maximum(t_std, STD_FLOOR)
-    p = _channel_distributions(teacher.data, temps)
-    q = _channel_distributions(student.data, temps)
-    kl = np.sum(p * (_safe_log(p) - _safe_log(q)), axis=1)
+    p, log_p = _channel_distributions(teacher.data, temps)
+    log_q = _channel_distributions(student.data, temps)[1]
+    log_p -= log_q
+    log_p *= p
+    kl = log_p.sum(axis=1)
     return float(np.mean(temps**2 * kl))
 
 

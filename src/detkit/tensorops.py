@@ -4,14 +4,14 @@ These back the numeric equivalence checks (branch folding, feature projection)
 and the distillation losses. Values are stored as float32 and accumulated in
 float64; the toolkit's tolerance budgets assume exactly that. Convolution uses
 the cross-correlation convention (no kernel flip) and supports only odd kernels
-with symmetric padding.
+with symmetric padding; it runs as one float64 GEMM per kernel tap, batched
+over groups.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, ValidationError
 from .fields import integers, load_json
@@ -112,7 +112,8 @@ class BnParams:
             if arr.shape != (n,):
                 raise ShapeError(f"bn {name} dim {arr.shape} != channels ({n},)")
             object.__setattr__(self, name, arr)
-        if np.any(fields_["running_var"] + self.epsilon <= 0):
+        # written so that a NaN variance fails too
+        if np.any(~(fields_["running_var"] + self.epsilon > 0)):
             raise ValidationError("running_var + epsilon must be > 0 per channel")
 
     @property
@@ -150,23 +151,24 @@ def conv2d_forward(x: Tensor4, p: ConvParams) -> Tensor4:
             f"kernel {kh}x{kw}, pad {p.padding}, stride {p.stride}"
         )
 
-    xp = x.data.astype(np.float64)
-    if p.padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (p.padding,) * 2, (p.padding,) * 2))
-    # (n, c, h_out, w_out, kh, kw) windows, strided view only
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, :: p.stride, :: p.stride]
-
-    wt = p.weights.astype(np.float64)
-    out = np.empty((n, p.out_ch, h_out, w_out), dtype=np.float64)
-    cg = c // p.groups
-    og = p.out_ch // p.groups
-    for g in range(p.groups):
-        out[:, g * og:(g + 1) * og] = np.einsum(
-            "nchwij,ocij->nohw",
-            win[:, g * cg:(g + 1) * cg],
-            wt[g * og:(g + 1) * og],
-            optimize=True,
-        )
+    g, s, pad = p.groups, p.stride, p.padding
+    xg = np.zeros((n, g, c // g, h + 2 * pad, w + 2 * pad))
+    xg[..., pad:pad + h, pad:pad + w] = x.data.reshape(n, g, c // g, h, w)
+    # one (groups, out/groups, in/groups) weight matrix per kernel tap
+    taps = np.ascontiguousarray(
+        p.weights.astype(np.float64).reshape(g, p.out_ch // g, c // g, kh, kw).transpose(3, 4, 0, 1, 2))
+    out = prod = None
+    for i in range(kh):
+        for j in range(kw):
+            # the input pixels tap (i, j) reads for every output pixel
+            cols = xg[..., i:i + s * (h_out - 1) + 1:s, j:j + s * (w_out - 1) + 1:s]
+            cols = cols.reshape(n, g, c // g, h_out * w_out)
+            if out is None:
+                out = np.matmul(taps[i, j], cols)
+            else:
+                prod = np.matmul(taps[i, j], cols, out=prod)
+                out += prod
+    out = out.reshape(n, p.out_ch, h_out, w_out)
     out += p.bias.astype(np.float64)[None, :, None, None]
     return Tensor4(out.astype(np.float32))
 
@@ -180,10 +182,7 @@ def fold_batchnorm(conv: ConvParams, bn: BnParams) -> ConvParams:
     """
     if bn.channels != conv.out_ch:
         raise ShapeError(f"bn channels {bn.channels} != conv out_ch {conv.out_ch}")
-    var = bn.running_var.astype(np.float64) + bn.epsilon
-    if np.any(var <= 0):
-        raise ValidationError("running_var + epsilon must be > 0 per channel")
-    scale = bn.gamma.astype(np.float64) / np.sqrt(var)
+    scale = bn.gamma.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + bn.epsilon)
     w = conv.weights.astype(np.float64) * scale[:, None, None, None]
     b = (conv.bias.astype(np.float64) - bn.running_mean.astype(np.float64)) * scale \
         + bn.beta.astype(np.float64)
@@ -205,7 +204,8 @@ def channel_stats(feat: Tensor4) -> tuple[np.ndarray, np.ndarray]:
     """
     x = feat.data.astype(np.float64)
     mean = x.mean(axis=(0, 2, 3))
-    std = np.sqrt(((x - mean[None, :, None, None]) ** 2).mean(axis=(0, 2, 3)))
+    x -= mean[None, :, None, None]
+    std = np.sqrt(np.square(x, out=x).mean(axis=(0, 2, 3)))
     return mean, std
 
 

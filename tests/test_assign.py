@@ -390,6 +390,24 @@ class TestArrayCore:
                              scores=np.array([[0.5, 0.5], [0.5, score], [1.0, 0.0]]),
                              anchors=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("box", [(0, 0, math.inf, 4), (math.nan, 0, 4, 4), (-math.inf, 0, 4, 4)])
+    def test_gt_arrays_reject_non_finite_corners(self, box):
+        with pytest.raises(ValidationError, match=r"ground_truths\[1\]\.box: .*finite corners"):
+            GroundTruthArrays(boxes=np.array([[0, 0, 4, 4], box], dtype=np.float64),
+                              class_ids=np.zeros(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("box", [(0, 0, math.inf, 4), (0, math.nan, 4, 4)])
+    def test_prediction_arrays_reject_non_finite_corners(self, box):
+        with pytest.raises(ValidationError, match=r"predictions\[1\]\.box: box corners must be finite"):
+            PredictionArrays(boxes=np.array([[0, 0, 4, 4], box], dtype=np.float64),
+                             scores=np.full((2, 1), 0.5), anchors=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("anchor", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_prediction_arrays_reject_non_finite_anchor(self, anchor):
+        with pytest.raises(ValidationError, match=r"predictions\[1\]\.anchor_point: anchor point must be finite"):
+            PredictionArrays(boxes=np.array([[0, 0, 4, 4], [0, 0, 4, 4]], dtype=np.float64),
+                             scores=np.full((2, 1), 0.5), anchors=np.array([(1.0, 1.0), anchor]))
+
     def test_bundle_shapes_checked(self):
         with pytest.raises(ShapeError):
             GroundTruthArrays(boxes=np.zeros((2, 4)), class_ids=np.zeros(3, dtype=np.int64))

@@ -6,6 +6,8 @@ import pytest
 from detkit.assign import Box
 from detkit.errors import ShapeError, ValidationError
 from detkit.losses import (
+    LOG_EPS,
+    STD_FLOOR,
     DistillSchedule,
     LossWeights,
     align_project,
@@ -219,7 +221,38 @@ class TestAlignProject:
             align_project(x, (4, 4, 4), proj)
 
 
+def two_pass_cwd(teacher, student):
+    """The former cwd_loss, kept as the reference: out-of-place channel
+    statistics and softmax, each step on a fresh array."""
+    x = teacher.astype(np.float64)
+    mean = x.mean(axis=(0, 2, 3))
+    temps = np.maximum(np.sqrt(((x - mean[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))), STD_FLOOR)
+
+    def distributions(feat):
+        c = feat.shape[1]
+        flat = feat.transpose(1, 0, 2, 3).reshape(c, -1).astype(np.float64)
+        flat = flat - flat.mean(axis=1, keepdims=True)
+        z = flat / temps[:, None]
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=1, keepdims=True)
+
+    p, q = distributions(teacher), distributions(student)
+    kl = np.sum(p * (np.log(np.maximum(p, LOG_EPS)) - np.log(np.maximum(q, LOG_EPS))), axis=1)
+    return float(np.mean(temps**2 * kl))
+
+
 class TestCwd:
+    def test_equals_two_pass_reference(self):
+        # same operations in the same order on in-place buffers: equal, not close
+        rng = np.random.default_rng(17)
+        for shape in [(1, 3, 5, 7), (2, 4, 6, 6), (3, 2, 1, 9), (2, 16, 9, 11), (1, 1, 1, 1)]:
+            t = (rng.standard_normal(shape) * rng.uniform(0.1, 5)).astype(np.float32)
+            s = (rng.standard_normal(shape) * rng.uniform(0.1, 5)).astype(np.float32)
+            t[:, 0] = 2.5  # a constant teacher channel takes the temperature floor
+            s[:, -1] = -1.0
+            assert cwd_loss(Tensor4(t), Tensor4(s)) == two_pass_cwd(t, s)
+
     def test_identical_features_zero(self):
         rng = np.random.default_rng(4)
         t = Tensor4(rng.standard_normal((2, 3, 4, 4)).astype(np.float32))

@@ -2,6 +2,9 @@
 it was written first and stays loop-based on purpose."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from detkit.errors import ShapeError, ValidationError
 from detkit.tensorops import (
@@ -41,6 +44,21 @@ def naive_conv2d(x, w, b, stride=1, padding=0, groups=1):
                                 )
                     out[ni, o, yo, xo] = acc + b[o]
     return out
+
+
+def einsum_conv2d(x, p):
+    """The former conv2d_forward, kept as a reference at shapes too large for
+    the loop oracle: one einsum per group over a strided window view."""
+    n, c, _, _ = x.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p.padding,) * 2, (p.padding,) * 2))
+    win = sliding_window_view(xp, p.kernel, axis=(2, 3))[:, :, :: p.stride, :: p.stride]
+    wt = p.weights.astype(np.float64)
+    cg, og = c // p.groups, p.out_ch // p.groups
+    out = np.concatenate([
+        np.einsum("nchwij,ocij->nohw", win[:, g * cg:(g + 1) * cg], wt[g * og:(g + 1) * og], optimize=True)
+        for g in range(p.groups)
+    ], axis=1)
+    return (out + p.bias.astype(np.float64)[None, :, None, None]).astype(np.float32)
 
 
 def rand_conv(rng, in_ch, out_ch, k, stride=1, padding=None, groups=1):
@@ -85,16 +103,54 @@ class TestConv2d:
         got = conv2d_forward(Tensor4(x), p)
         np.testing.assert_allclose(got.data, expected, atol=1e-6)
 
-    @pytest.mark.parametrize("stride,padding,k,groups", [(1, 0, 1, 1), (2, 1, 3, 1), (1, 2, 5, 1), (2, 1, 3, 2)])
-    def test_matches_naive_oracle_geometries(self, stride, padding, k, groups):
+    @pytest.mark.parametrize("shape,out_ch,k,stride,padding,groups", [
+        ((2, 4, 9, 7), 6, 1, 1, 0, 1),
+        ((2, 4, 9, 7), 6, 3, 2, 1, 1),
+        ((2, 4, 9, 7), 6, 5, 1, 2, 1),
+        ((2, 4, 9, 7), 6, 3, 2, 1, 2),
+        ((2, 4, 9, 7), 6, 1, 2, 0, 1),   # 1x1, stride 2
+        ((2, 4, 9, 7), 6, 1, 1, 1, 1),   # 1x1, padded
+        ((2, 4, 9, 7), 4, 3, 1, 1, 4),   # depthwise
+        ((2, 4, 9, 7), 6, 5, 3, 1, 1),   # 5x5, stride 3
+        ((3, 4, 5, 12), 6, 3, 1, 1, 1),  # batch 3, non-square
+    ])
+    def test_matches_naive_oracle_geometries(self, shape, out_ch, k, stride, padding, groups):
         rng = np.random.default_rng(stride * 100 + padding * 10 + k + groups)
-        x = rng.standard_normal((2, 4, 9, 7)).astype(np.float32)
-        p = rand_conv(rng, 4, 6, k, stride=stride, padding=padding, groups=groups)
+        x = rng.standard_normal(shape).astype(np.float32)
+        p = rand_conv(rng, shape[1], out_ch, k, stride=stride, padding=padding, groups=groups)
         expected = naive_conv2d(x.astype(np.float64), p.weights.astype(np.float64),
                                 p.bias.astype(np.float64), stride, padding, groups)
         got = conv2d_forward(Tensor4(x), p)
         assert got.dims == expected.shape
         np.testing.assert_allclose(got.data, expected, atol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_naive_oracle_random_geometry(self, data):
+        k = data.draw(st.sampled_from([1, 3, 5]), "k")
+        padding = data.draw(st.integers(0, 2), "padding")
+        stride = data.draw(st.integers(1, 3), "stride")
+        groups = data.draw(st.integers(1, 3), "groups")
+        in_ch = groups * data.draw(st.integers(1, 3), "in_ch / groups")
+        out_ch = groups * data.draw(st.integers(1, 3), "out_ch / groups")
+        side = st.integers(max(1, k - 2 * padding), 8)
+        shape = (data.draw(st.integers(1, 2), "n"), in_ch, data.draw(side, "h"), data.draw(side, "w"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        x = rng.standard_normal(shape).astype(np.float32)
+        p = rand_conv(rng, in_ch, out_ch, k, stride=stride, padding=padding, groups=groups)
+        expected = naive_conv2d(x.astype(np.float64), p.weights.astype(np.float64),
+                                p.bias.astype(np.float64), stride, padding, groups)
+        got = conv2d_forward(Tensor4(x), p)
+        assert got.dims == expected.shape
+        np.testing.assert_allclose(got.data, expected, atol=1e-5)
+
+    @pytest.mark.parametrize("in_ch,out_ch,k", [(96, 128, 1), (76, 76, 3)])
+    def test_matches_einsum_reference_at_distill_shapes(self, in_ch, out_ch, k):
+        # BLAS builds may order the float64 sums differently, so close, not equal
+        rng = np.random.default_rng(in_ch + k)
+        x = rng.standard_normal((1, in_ch, 80, 80)).astype(np.float32)
+        p = rand_conv(rng, in_ch, out_ch, k)
+        np.testing.assert_allclose(conv2d_forward(Tensor4(x), p).data, einsum_conv2d(x, p), rtol=1e-6)
 
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(3)
@@ -165,6 +221,10 @@ class TestFoldBatchnorm:
     def test_nonpositive_var_rejected(self):
         with pytest.raises(ValidationError):
             BnParams(np.ones(1), np.zeros(1), np.zeros(1), np.array([-1.0]), epsilon=0.5)
+
+    def test_nan_var_rejected(self):
+        with pytest.raises(ValidationError, match="running_var"):
+            BnParams([1.0], [0.0], [0.0], [np.nan])
 
 
 class TestChannelStats:
