@@ -25,6 +25,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -63,6 +64,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+
+_NOT_FINITE = "the result is not finite: an input value is out of range"
 
 
 def _manifest_json(args, input_paths, seed) -> str:
@@ -128,7 +131,7 @@ def _emit(out: str | None, args, inputs, *, doc: dict | None = None,
             head = [] if ref is None else [{"manifest": ref}]
             text = "\n".join(json.dumps(r, sort_keys=True, allow_nan=False) for r in head + records) + "\n"
     except ValueError:  # NaN or infinity, which JSON cannot hold; finite inputs overflowed
-        raise ValidationError("the result is not finite: an input value is out of range") from None
+        raise ValidationError(_NOT_FINITE) from None
     if out is None:
         sys.stdout.write(text)
         return
@@ -168,6 +171,9 @@ def cmd_cost(args) -> int:
     res = _parse_res(args.res) if args.res else None
     profile = _load_profile(args.profile)
     report = cost_report(build_graph(genome, input_res=res), profile, strict=args.strict)
+    # rows are non-negative, so a finite total means finite rows, in either format
+    if report.latency_ms is not None and not math.isfinite(report.latency_ms):
+        raise ValidationError(_NOT_FINITE)
     inputs = [args.genome] + ([args.profile] if _is_profile_file(args.profile) else [])
     if args.format == "table":
         _emit(args.out, args, inputs, text=report.to_table())

@@ -20,7 +20,10 @@ not a benchmark.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .fields import load_json, number, string
@@ -102,14 +105,25 @@ def builtin_profile(name: str) -> DeviceProfile:
         ) from None
 
 
-@dataclass(frozen=True)
-class NodeCost:
+class NodeCost(NamedTuple):
     name: str
     kind: str
     flops: int
     params: int
     bytes: int
     latency_ms: float | None = None
+
+
+def _json_number(x: float | None) -> str:
+    """A latency as `json.dumps` writes it: NaN and the infinities as the
+    literals it allows, and an int (the sum of no rows) as an int."""
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    return "null" if x is None else int.__repr__(x)
 
 
 @dataclass(frozen=True)
@@ -132,7 +146,18 @@ class CostReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2) + "\n"
+        """`to_doc` exactly as `json.dumps(indent=2)` writes it, each row from
+        one template: strings through json's own escaper, ints and floats by
+        their `__repr__`."""
+        enc, irepr = encode_basestring_ascii, int.__repr__
+        rows = ",\n".join([
+            f'    {{\n      "name": {enc(name)},\n      "kind": {enc(kind)},\n'
+            f'      "flops": {irepr(flops)},\n      "params": {irepr(params)},\n'
+            f'      "bytes": {irepr(nbytes)},\n      "latency_ms": {_json_number(latency)}\n    }}'
+            for name, kind, flops, params, nbytes, latency in self.per_node])
+        per_node = f"\n{rows}\n  " if rows else ""  # json.dumps writes an empty list as []
+        return (f'{{\n  "flops": {irepr(self.flops)},\n  "params": {irepr(self.params)},\n'
+                f'  "latency_ms": {_json_number(self.latency_ms)},\n  "per_node": [{per_node}]\n}}\n')
 
     def to_doc(self) -> dict:
         return {

@@ -28,6 +28,7 @@ identical to the plain style, which is the point of folding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .genome import DetectorGenome, NeckConfig
@@ -46,8 +47,7 @@ def neck_hidden_width(w: int) -> int:
     return w // 4 + 52
 
 
-@dataclass(frozen=True)
-class OpNode:
+class OpNode(NamedTuple):
     """One primitive operator with resolved shapes.
 
     kind is one of: input, conv, add, concat, upsample, maxpool,

@@ -383,6 +383,31 @@ class TestCostCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["latency_ms"] == pytest.approx(1.0)
 
+    # rates so slow that the s genome's rows overflow, and rows that are finite but sum to inf
+    @pytest.mark.parametrize("profile", [
+        {"name": "slow", "flops_per_ms": 1e-300, "bytes_per_ms": 1e9},
+        {"name": "busy", "flops_per_ms": 1e9, "bytes_per_ms": 1e9, "per_op_overhead_ms": 1e307},
+    ], ids=["rows-overflow", "sum-overflows"])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_overflowing_latency_exits_2_in_either_format(self, tmp_path, capsys, profile, fmt):
+        genome = tmp_path / "s.json"
+        genome.write_text(genome_to_json(preset_genome("s")))
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile))
+        code, out = run_main(["cost", "--genome", str(genome), "--profile", str(path), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: the result is not finite: an input value is out of range\n"
+
+    @pytest.mark.parametrize("preset", ["s", "tiny"])
+    def test_stdout_is_the_library_report_json(self, tmp_path, preset):
+        from detkit.cost import builtin_profile, cost_report
+        from detkit.graph import build_graph
+        genome = tmp_path / f"{preset}.json"
+        genome.write_text(genome_to_json(preset_genome(preset)))
+        code, out = run_main(["cost", "--genome", str(genome)])
+        assert code == 0
+        assert out == cost_report(build_graph(preset_genome(preset)), builtin_profile("t4-like")).to_json()
+
 
     @pytest.mark.parametrize("profile, where", BAD_PROFILES, ids=_PROFILE_IDS)
     def test_bad_profile_file_exits_2_naming_the_field(self, tmp_path, capsys, tiny_genome_path,

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,6 +9,7 @@ from detkit.cost import (
     BUILTIN_PROFILES,
     CostReport,
     DeviceProfile,
+    NodeCost,
     builtin_profile,
     cost_report,
     count_flops,
@@ -26,6 +29,7 @@ from detkit.genome import (
     preset_genome,
 )
 from detkit.graph import GraphBuilder, build_graph
+from detkit.search import mutate
 
 
 def conv_graph(in_ch=64, out_ch=64, k=3, res=32, stride=1, bias=True):
@@ -272,3 +276,82 @@ def test_largest_admissible_genome_has_finite_cost():
         assert math.isfinite(float(report.flops)) and math.isfinite(report.latency_ms)
     with pytest.raises(ValidationError, match=r"backbone\[0\].kernel"):
         genome.with_backbone((replace(genome.backbone[0], kernel=K + 2),) + genome.backbone[1:]).validate()
+
+
+def reference_to_json(report: CostReport) -> str:
+    """The encoder `CostReport.to_json` must match byte for byte."""
+    return json.dumps(report.to_doc(), indent=2) + "\n"
+
+
+def _mutated_genomes(count, seed=0):
+    """`count` genomes from seeded mutation chains off both presets."""
+    rng = random.Random(seed)
+    bases = [preset_genome("s"), preset_genome("tiny")]
+    for i in range(count):
+        g = bases[i % 2]
+        for _ in range(rng.randint(1, 8)):
+            g = mutate(g, rng)
+        yield g
+
+
+class TestToJsonMatchesReferenceEncoder:
+    @pytest.mark.parametrize("preset", ["s", "tiny"])
+    @pytest.mark.parametrize("profile", [None, "t4-like", "x86-like"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_presets(self, preset, profile, strict):
+        report = cost_report(build_graph(preset_genome(preset)),
+                             None if profile is None else builtin_profile(profile), strict=strict)
+        assert report.to_json() == reference_to_json(report)
+
+    def test_no_profile_writes_null_latency(self):
+        report = cost_report(build_graph(preset_genome("s")))
+        text = report.to_json()
+        assert text == reference_to_json(report)
+        assert json.loads(text)["latency_ms"] is None
+
+    @pytest.mark.parametrize("report", [
+        CostReport(0, 0, None, ()),
+        CostReport.from_rows([], timed=True),  # the sum of no latencies is the int 0
+    ], ids=["untimed", "timed"])
+    def test_empty_report(self, report):
+        assert report.to_json() == reference_to_json(report)
+        assert '"per_node": []' in report.to_json()
+
+    @pytest.mark.parametrize("name", ['quote"d', "back\\slash", "new\nline", "bell\x07",
+                                      "caf\u00e9 \u2603 \U0001f600"])
+    def test_names_that_need_escaping(self, name):
+        rows = [NodeCost(name, name[::-1], 1, 2, 3, 0.5), NodeCost("plain", "conv", 4, 5, 6)]
+        for timed in (False, True):
+            report = CostReport.from_rows(rows[:1] if timed else rows, timed=timed)
+            assert report.to_json() == reference_to_json(report)
+
+    @pytest.mark.parametrize("latency", [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 1e300,
+                                         0.1 + 0.2, None, 7])
+    def test_row_and_total_latency_values(self, latency):
+        rows = (NodeCost("a", "conv", 10**30, 0, 8, latency), NodeCost("b", "add", 1, 0, 8, 2.5))
+        report = CostReport(10**30 + 1, 0, latency, rows)
+        assert report.to_json() == reference_to_json(report)
+
+    def test_mutated_genomes(self):
+        profile = builtin_profile("t4-like")
+        for g in _mutated_genomes(300):
+            report = cost_report(build_graph(g), profile)
+            assert report.to_json() == reference_to_json(report), g
+
+
+class TestNodeCostRecord:
+    def test_fields_cannot_be_assigned(self):
+        row = NodeCost("n", "conv", 1, 2, 3)
+        with pytest.raises(AttributeError):
+            row.flops = 5
+
+    def test_positional_and_keyword_construction_agree(self):
+        row = NodeCost("n", "conv", 1, 2, 3)
+        assert row == NodeCost(name="n", kind="conv", flops=1, params=2, bytes=3, latency_ms=None)
+        assert row.latency_ms is None
+        assert NodeCost("n", "conv", 1, 2, 3, 0.5) == NodeCost("n", "conv", 1, 2, 3, latency_ms=0.5)
+
+    def test_rows_are_hashable(self):
+        report = cost_report(build_graph(preset_genome("tiny")), builtin_profile("t4-like"))
+        assert len({hash(n) for n in report.per_node}) > 1
+        assert hash(report.per_node[0]) == hash(NodeCost(*report.per_node[0]))

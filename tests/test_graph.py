@@ -228,6 +228,28 @@ def _three_node_graph(edit=None):
     return tuple(nodes.values())
 
 
+class TestOpNodeRecord:
+    def test_fields_cannot_be_assigned(self):
+        node = OpNode(0, "in", "input", (), (1, 4, 8, 8))
+        with pytest.raises(AttributeError):
+            node.kernel = 3
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = OpNode(1, "conv", "conv", (0,), (1, 4, 8, 8), 3)
+        keyword = OpNode(nid=1, name="conv", kind="conv", inputs=(0,), out_shape=(1, 4, 8, 8), kernel=3,
+                         stride=1, groups=1, bias=False, norm=False, act=None, rep=False)
+        assert positional == keyword
+        assert (positional.stride, positional.groups, positional.bias, positional.norm,
+                positional.act, positional.rep) == (1, 1, False, False, None, False)
+
+    def test_nodes_are_hashable(self):
+        nodes = build_graph(preset_genome("tiny")).nodes
+        assert len(set(nodes)) == len(nodes)
+
+    def test_out_elements(self):
+        assert OpNode(0, "in", "input", (), (2, 3, 5, 7)).out_elements == 2 * 3 * 5 * 7
+
+
 class TestOpGraphContract:
     def test_well_formed_graph_is_accepted(self):
         OpGraph(nodes=_three_node_graph(), outputs=(2,))
