@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 from .fields import load_json, number, string
-from .graph import OpGraph, OpNode
+from .graph import OpGraph
 
 __all__ = [
     "DeviceProfile",
@@ -126,6 +126,19 @@ def _json_number(x: float | None) -> str:
     return "null" if x is None else int.__repr__(x)
 
 
+def _latency_cell(x: float | None) -> str:
+    """A latency for the table's 10-character column: `.4f` where that fits,
+    else scientific with at most four digits, as many as fit in 9 characters
+    and so leave a space before the column."""
+    if x is None:
+        return "-"
+    text = f"{x:.4f}"
+    if len(text) <= 10:
+        return text
+    digits = 4 - (len(f"{x:.4e}") - 9)  # a three-digit exponent or a minus sign costs one each
+    return f"{x:.{max(0, digits)}e}"
+
+
 @dataclass(frozen=True)
 class CostReport:
     """Totals plus the per-node breakdown they are summed from."""
@@ -138,12 +151,10 @@ class CostReport:
     @staticmethod
     def from_rows(rows, timed: bool) -> "CostReport":
         """Totals as in-order sums over `rows`; latency only when `timed`."""
-        return CostReport(
-            flops=sum(r.flops for r in rows),
-            params=sum(r.params for r in rows),
-            latency_ms=sum(r.latency_ms for r in rows) if timed else None,
-            per_node=tuple(rows),
-        )
+        if not rows:
+            return CostReport(0, 0, 0 if timed else None, ())
+        _, _, flops, params, _, latencies = zip(*rows)
+        return CostReport(sum(flops), sum(params), sum(latencies) if timed else None, tuple(rows))
 
     def to_json(self) -> str:
         """`to_doc` exactly as `json.dumps(indent=2)` writes it, each row from
@@ -181,50 +192,12 @@ class CostReport:
         header = f"{'node':<40}{'kind':<16}{'flops':>16}{'params':>12}{'bytes':>14}{'lat_ms':>10}"
         lines = [header, "-" * len(header)]
         for n in self.per_node:
-            lat = f"{n.latency_ms:.4f}" if n.latency_ms is not None else "-"
-            lines.append(f"{n.name:<40}{n.kind:<16}{n.flops:>16}{n.params:>12}{n.bytes:>14}{lat:>10}")
-        total_lat = f"{self.latency_ms:.4f}" if self.latency_ms is not None else "-"
+            lines.append(f"{n.name:<40}{n.kind:<16}{n.flops:>16}{n.params:>12}{n.bytes:>14}"
+                         f"{_latency_cell(n.latency_ms):>10}")
         lines.append("-" * len(header))
-        lines.append(f"{'TOTAL':<40}{'':<16}{self.flops:>16}{self.params:>12}{'':>14}{total_lat:>10}")
+        lines.append(f"{'TOTAL':<40}{'':<16}{self.flops:>16}{self.params:>12}{'':>14}"
+                     f"{_latency_cell(self.latency_ms):>10}")
         return "\n".join(lines) + "\n"
-
-
-def _node_flops(graph: OpGraph, n: OpNode, strict: bool) -> int:
-    if n.kind == "conv":
-        in_ch = graph.node(n.inputs[0]).out_shape[1]
-        _, out_ch, h, w = n.out_shape
-        flops = 2 * n.kernel * n.kernel * (in_ch // n.groups) * out_ch * h * w
-        if strict:
-            if n.norm:
-                flops += 2 * n.out_elements
-            if n.act is not None:
-                flops += n.out_elements
-        return flops
-    if n.kind in ("add", "concat"):
-        flops = n.out_elements
-        if strict and n.act is not None:
-            flops += n.out_elements
-        return flops
-    # input / identity / upsample / maxpool / space_to_depth move data only
-    return 0
-
-
-def _node_params(graph: OpGraph, n: OpNode) -> int:
-    if n.kind != "conv":
-        return 0
-    in_ch = graph.node(n.inputs[0]).out_shape[1]
-    out_ch = n.out_shape[1]
-    params = n.kernel * n.kernel * (in_ch // n.groups) * out_ch
-    if n.bias:
-        params += out_ch
-    if n.norm:
-        params += 2 * out_ch
-    return params
-
-
-def _node_bytes(graph: OpGraph, n: OpNode, params: int) -> int:
-    moved = n.out_elements + sum(graph.node(s).out_elements for s in n.inputs)
-    return BYTES_PER_VALUE * (moved + params)
 
 
 def _node_latency(flops: int, nbytes: int, profile: DeviceProfile) -> float:
@@ -233,12 +206,12 @@ def _node_latency(flops: int, nbytes: int, profile: DeviceProfile) -> float:
 
 def count_flops(graph: OpGraph, strict: bool = False) -> int:
     """Total FLOPs of a shape-resolved graph; exact integer arithmetic."""
-    return sum(_node_flops(graph, n, strict) for n in graph.nodes)
+    return cost_report(graph, strict=strict).flops
 
 
 def count_params(graph: OpGraph) -> int:
     """Total trainable parameter count of a graph."""
-    return sum(_node_params(graph, n) for n in graph.nodes)
+    return cost_report(graph).params
 
 
 def estimate_latency(report: CostReport, profile: DeviceProfile) -> float:
@@ -250,12 +223,42 @@ def estimate_latency(report: CostReport, profile: DeviceProfile) -> float:
 
 def cost_report(graph: OpGraph, profile: DeviceProfile | None = None,
                 strict: bool = False) -> CostReport:
-    """Full per-node breakdown; attaches modeled latency when a profile is given."""
+    """Full per-node breakdown; attaches modeled latency when a profile is given.
+
+    One pass over the nodes, after one element count and one channel count
+    per node id, so a node's inputs cost a dict lookup each."""
+    elements, channels = {}, {}
+    for nid, _, _, _, (batch, ch, h, w), _, _, _, _, _, _, _ in graph.nodes:
+        elements[nid] = batch * ch * h * w
+        channels[nid] = ch
     rows = []
-    for n in graph.nodes:
-        flops = _node_flops(graph, n, strict)
-        params = _node_params(graph, n)
-        nbytes = _node_bytes(graph, n, params)
+    # tuple.__new__ builds the same NodeCost as its constructor, without the
+    # Python-level __new__ that a NamedTuple's constructor calls
+    append, new_row = rows.append, tuple.__new__
+    for nid, name, kind, inputs, (_, out_ch, h, w), kernel, _, groups, bias, norm, act, _ in graph.nodes:
+        out = elements[nid]
+        moved = out
+        for src in inputs:
+            moved += elements[src]
+        if kind == "conv":
+            params = kernel * kernel * (channels[inputs[0]] // groups) * out_ch
+            flops = 2 * params * h * w  # the weights alone, before bias and norm
+            if strict:
+                if norm:
+                    flops += 2 * out
+                if act is not None:
+                    flops += out
+            if bias:
+                params += out_ch
+            if norm:
+                params += 2 * out_ch
+        elif kind in ("add", "concat"):
+            flops, params = out, 0
+            if strict and act is not None:
+                flops += out
+        else:  # input / identity / upsample / maxpool / space_to_depth move data only
+            flops = params = 0
+        nbytes = BYTES_PER_VALUE * (moved + params)
         latency = None if profile is None else _node_latency(flops, nbytes, profile)
-        rows.append(NodeCost(n.name, n.kind, flops, params, nbytes, latency))
+        append(new_row(NodeCost, (name, kind, flops, params, nbytes, latency)))
     return CostReport.from_rows(rows, timed=profile is not None)

@@ -133,27 +133,32 @@ def _walk(value, ndim: int) -> np.ndarray | None:
     return cells.astype(np.float64)
 
 
-def _has_bool(value, ndim: int) -> bool:
+def _has_bool(value, arr: np.ndarray) -> bool:
     """Whether a JSON true/false is among the cells of `value`, a regularly
-    nested `ndim`-deep list. One pass over the cells' types at C speed, so the
-    cost depends on the number of cells, not on their values."""
-    for _ in range(ndim - 1):
-        value = chain.from_iterable(value)
-    return bool in set(map(type, value))
+    nested list whose bulk conversion is `arr`. A bool converts to exactly 0
+    or 1, so only the innermost lists holding a 0 or a 1 have their cells'
+    types scanned, in one pass at C speed; at worst that is every cell, as
+    in a full scan, after one elementwise comparison."""
+    rows = [value]
+    for _ in range(arr.ndim - 1):
+        rows = list(chain.from_iterable(rows))
+    hits = ((arr == 0) | (arr == 1)).reshape(len(rows), -1).any(axis=1)
+    cells = chain.from_iterable(map(rows.__getitem__, np.flatnonzero(hits).tolist()))
+    return bool in set(map(type, cells))
 
 
 def _numbers(value, ndim: int) -> np.ndarray | None:
     """`_walk(value, ndim)`, from one bulk conversion where that is exact: a
     numeric array of the right depth with no non-finite or bool cell (numpy
-    reads a bool among numbers as 0 or 1, so the cells' types are scanned).
-    Anything else (ragged nesting, strings, None, ints too large for int64) is
-    left to the walk."""
+    reads a bool among numbers as 0 or 1, so the cells' types are scanned
+    where it holds one). Anything else (ragged nesting, strings, None, ints
+    too large for int64) is left to the walk."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         return _walk(value, ndim)
     if (arr.dtype.kind not in "iuf" or arr.ndim != ndim or arr.size == 0
-            or not np.isfinite(arr).all() or _has_bool(value, ndim)):
+            or not np.isfinite(arr).all() or _has_bool(value, arr)):
         return _walk(value, ndim)
     return arr.astype(np.float64, copy=False)
 

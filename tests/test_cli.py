@@ -398,6 +398,23 @@ class TestCostCommand:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: the result is not finite: an input value is out of range\n"
 
+    def test_huge_finite_latencies_keep_the_table_aligned(self, tmp_path):
+        genome = tmp_path / "tiny.json"
+        genome.write_text(genome_to_json(preset_genome("tiny")))
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({"name": "slow", "flops_per_ms": 1e-300, "bytes_per_ms": 1e9}))
+        code, out = run_main(["cost", "--genome", str(genome), "--profile", str(path), "--format", "table"])
+        assert code == 0
+        lines = out.splitlines()
+        assert {len(line) for line in lines} == {len(lines[0])}
+        # a space still parts the bytes and latency columns
+        assert all(line[-10] == " " for line in lines if not line.startswith("-"))
+        assert "e+306" in out
+        total = lines[-1].split()[-1]
+        assert total == "2.30e+307"
+        doc = json.loads(run_main(["cost", "--genome", str(genome), "--profile", str(path)])[1])
+        assert float(total) == pytest.approx(doc["latency_ms"], rel=1e-3)
+
     @pytest.mark.parametrize("preset", ["s", "tiny"])
     def test_stdout_is_the_library_report_json(self, tmp_path, preset):
         from detkit.cost import builtin_profile, cost_report

@@ -7,9 +7,11 @@ import pytest
 
 from detkit.cost import (
     BUILTIN_PROFILES,
+    BYTES_PER_VALUE,
     CostReport,
     DeviceProfile,
     NodeCost,
+    _node_latency,
     builtin_profile,
     cost_report,
     count_flops,
@@ -28,7 +30,7 @@ from detkit.genome import (
     NeckConfig,
     preset_genome,
 )
-from detkit.graph import GraphBuilder, build_graph
+from detkit.graph import GraphBuilder, OpGraph, build_graph
 from detkit.search import mutate
 
 
@@ -283,6 +285,42 @@ def reference_to_json(report: CostReport) -> str:
     return json.dumps(report.to_doc(), indent=2) + "\n"
 
 
+def reference_to_table(report: CostReport) -> str:
+    """The table with every latency at `.4f`, which `to_table` must match
+    whenever each latency fits its column that way."""
+    header = f"{'node':<40}{'kind':<16}{'flops':>16}{'params':>12}{'bytes':>14}{'lat_ms':>10}"
+    lines = [header, "-" * len(header)]
+    for n in report.per_node:
+        lat = f"{n.latency_ms:.4f}" if n.latency_ms is not None else "-"
+        lines.append(f"{n.name:<40}{n.kind:<16}{n.flops:>16}{n.params:>12}{n.bytes:>14}{lat:>10}")
+    total_lat = f"{report.latency_ms:.4f}" if report.latency_ms is not None else "-"
+    lines.append("-" * len(header))
+    lines.append(f"{'TOTAL':<40}{'':<16}{report.flops:>16}{report.params:>12}{'':>14}{total_lat:>10}")
+    return "\n".join(lines) + "\n"
+
+
+class TestToTable:
+    @pytest.mark.parametrize("preset", ["s", "tiny"])
+    @pytest.mark.parametrize("profile", [None, "t4-like", "x86-like"])
+    def test_presets_print_every_latency_at_4f(self, preset, profile):
+        report = cost_report(build_graph(preset_genome(preset)),
+                             None if profile is None else builtin_profile(profile))
+        assert report.to_table() == reference_to_table(report)
+
+    @pytest.mark.parametrize("latency, cell", [
+        (99999.99994, "99999.9999"),  # the widest that fits at .4f
+        (123456.7, " 1.235e+05"),
+        (2.298e303, " 2.30e+303"),
+        (-1e300, " -1.0e+300"),
+        (math.inf, "       inf"),
+    ])
+    def test_latencies_too_wide_for_4f_turn_scientific(self, latency, cell):
+        report = CostReport(1, 0, latency, (NodeCost("n", "conv", 1, 0, 8, latency),))
+        lines = report.to_table().splitlines()
+        assert {len(line) for line in lines} == {len(lines[0])}
+        assert lines[2].endswith(cell) and lines[-1].endswith(cell)
+
+
 def _mutated_genomes(count, seed=0):
     """`count` genomes from seeded mutation chains off both presets."""
     rng = random.Random(seed)
@@ -355,3 +393,100 @@ class TestNodeCostRecord:
         report = cost_report(build_graph(preset_genome("tiny")), builtin_profile("t4-like"))
         assert len({hash(n) for n in report.per_node}) > 1
         assert hash(report.per_node[0]) == hash(NodeCost(*report.per_node[0]))
+
+
+def _node_flops(graph, n, strict):
+    if n.kind == "conv":
+        in_ch = graph.node(n.inputs[0]).out_shape[1]
+        _, out_ch, h, w = n.out_shape
+        flops = 2 * n.kernel * n.kernel * (in_ch // n.groups) * out_ch * h * w
+        if strict:
+            if n.norm:
+                flops += 2 * n.out_elements
+            if n.act is not None:
+                flops += n.out_elements
+        return flops
+    if n.kind in ("add", "concat"):
+        flops = n.out_elements
+        if strict and n.act is not None:
+            flops += n.out_elements
+        return flops
+    return 0
+
+
+def _node_params(graph, n):
+    if n.kind != "conv":
+        return 0
+    in_ch = graph.node(n.inputs[0]).out_shape[1]
+    out_ch = n.out_shape[1]
+    params = n.kernel * n.kernel * (in_ch // n.groups) * out_ch
+    if n.bias:
+        params += out_ch
+    if n.norm:
+        params += 2 * out_ch
+    return params
+
+
+def _node_bytes(graph, n, params):
+    moved = n.out_elements + sum(graph.node(s).out_elements for s in n.inputs)
+    return BYTES_PER_VALUE * (moved + params)
+
+
+def reference_cost_report(graph, profile=None, strict=False) -> CostReport:
+    """The per-node cost model `cost_report` must equal, rows and totals alike:
+    each formula a helper of its own, inputs looked up through `graph.node`,
+    totals as in-order generator sums."""
+    rows = []
+    for n in graph.nodes:
+        flops = _node_flops(graph, n, strict)
+        params = _node_params(graph, n)
+        nbytes = _node_bytes(graph, n, params)
+        latency = None if profile is None else _node_latency(flops, nbytes, profile)
+        rows.append(NodeCost(n.name, n.kind, flops, params, nbytes, latency))
+    return CostReport(
+        flops=sum(r.flops for r in rows),
+        params=sum(r.params for r in rows),
+        latency_ms=sum(r.latency_ms for r in rows) if profile is not None else None,
+        per_node=tuple(rows),
+    )
+
+
+_PROFILES = [None, "t4-like", "x86-like"]
+
+
+class TestCostReportMatchesReference:
+    @pytest.mark.parametrize("preset", ["s", "tiny"])
+    @pytest.mark.parametrize("profile", _PROFILES)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_presets(self, preset, profile, strict):
+        graph = build_graph(preset_genome(preset))
+        device = None if profile is None else builtin_profile(profile)
+        expected = reference_cost_report(graph, device, strict)
+        assert cost_report(graph, device, strict) == expected
+        assert count_flops(graph, strict) == expected.flops
+        assert count_params(graph) == expected.params
+
+    @pytest.mark.parametrize("profile", _PROFILES)
+    def test_node_permuted_graph(self, profile):
+        graph = build_graph(preset_genome("s"))
+        shuffled = list(graph.nodes)
+        random.Random(3).shuffle(shuffled)
+        permuted = OpGraph(nodes=tuple(shuffled), outputs=graph.outputs, pyramid=graph.pyramid)
+        device = None if profile is None else builtin_profile(profile)
+        for strict in (False, True):
+            assert cost_report(permuted, device, strict) == reference_cost_report(permuted, device, strict)
+
+    def test_mutated_genomes(self):
+        profiles = [None if p is None else builtin_profile(p) for p in _PROFILES]
+        for i, g in enumerate(_mutated_genomes(300, seed=5)):
+            graph = build_graph(g)
+            device, strict = profiles[i % 3], i % 2 == 1
+            expected = reference_cost_report(graph, device, strict)
+            assert cost_report(graph, device, strict) == expected, g
+            assert count_flops(graph, strict) == expected.flops
+            assert count_params(graph) == expected.params
+
+    def test_empty_report_totals(self):
+        assert CostReport.from_rows([], timed=True) == CostReport(0, 0, 0, ())
+        assert type(CostReport.from_rows([], timed=True).latency_ms) is int
+        assert CostReport.from_rows([], timed=False) == CostReport(0, 0, None, ())

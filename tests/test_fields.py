@@ -1,4 +1,6 @@
 """The array readers of `detkit.fields`: the bulk kernel against the per-cell walk."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,21 @@ def test_a_bool_among_numbers_is_rejected_not_read_as_1():
     for value in ([0, 0, True, 1], [[0.5, 1.0], [False, 0.2]]):
         assert fields._numbers(value, np.ndim(value)) is None
     assert _same(fields._numbers([0, 0, 1, 1.0], 1), np.array([0.0, 0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("value", [
+    [[0.5, 0.25], [1, 0], [0.0, 1.0], [1, False]],  # the last row, among other rows of 0s and 1s
+    [0.5, 1, 0.0, True],
+    [[[[0.5, 2.0]], [[3.0, 1]]], [[[0, 4.0]], [[5.0, True]]]],
+], ids=["last-row", "1-d", "4-d"])
+def test_a_bool_among_rows_of_0s_and_1s_is_found(value):
+    ndim = np.ndim(np.array(value, dtype=object))
+    assert fields._walk(value, ndim) is None
+    assert fields._numbers(value, ndim) is None
+    with pytest.raises(ValidationError, match="^v: "):
+        fields.array({"v": value}, "v", ndim=ndim)
+    clean = json.loads(json.dumps(value).replace("false", "0").replace("true", "1"))
+    assert _same(fields._numbers(clean, ndim), fields._walk(clean, ndim))
 
 
 def test_column_names_a_record_missing_the_field():
