@@ -37,6 +37,7 @@ __all__ = [
     "count_params",
     "estimate_latency",
     "cost_report",
+    "cost_rows",
     "builtin_profile",
     "BUILTIN_PROFILES",
 ]
@@ -223,7 +224,14 @@ def estimate_latency(report: CostReport, profile: DeviceProfile) -> float:
 
 def cost_report(graph: OpGraph, profile: DeviceProfile | None = None,
                 strict: bool = False) -> CostReport:
-    """Full per-node breakdown; attaches modeled latency when a profile is given.
+    """Full per-node breakdown; attaches modeled latency when a profile is given."""
+    return CostReport.from_rows(cost_rows(graph, profile, strict), timed=profile is not None)
+
+
+def cost_rows(graph: OpGraph, profile: DeviceProfile | None = None,
+              strict: bool = False) -> list[NodeCost]:
+    """`cost_report`'s per-node rows without its totals; latency only when a
+    profile is given.
 
     One pass over the nodes, after one element count and one channel count
     per node id, so a node's inputs cost a dict lookup each."""
@@ -261,4 +269,4 @@ def cost_report(graph: OpGraph, profile: DeviceProfile | None = None,
         nbytes = BYTES_PER_VALUE * (moved + params)
         latency = None if profile is None else _node_latency(flops, nbytes, profile)
         append(new_row(NodeCost, (name, kind, flops, params, nbytes, latency)))
-    return CostReport.from_rows(rows, timed=profile is not None)
+    return rows

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .genome import DetectorGenome, NeckConfig
 
-__all__ = ["OpNode", "OpGraph", "GraphBuilder", "build_graph"]
+__all__ = ["OpNode", "OpGraph", "GraphBuilder", "build_graph", "segments"]
 
 ACT = "silu"
 
@@ -304,14 +304,14 @@ _STAGE_LOWERING = {
 }
 
 
-def _lower_stage(gb: GraphBuilder, x: int, spec, i: int, csp_hidden_ratio: float) -> int:
+def _lower_stage(gb: GraphBuilder, x: int, spec, i: int, csp_hidden_ratio: float | None) -> tuple[int]:
     """Lower backbone stage i reading node x; returns the stage's output node."""
     if spec.kind == "Csp":
-        return _lower_csp_stage(gb, x, spec, f"backbone.s{i}", csp_hidden_ratio)
+        return (_lower_csp_stage(gb, x, spec, f"backbone.s{i}", csp_hidden_ratio),)
     lower = _STAGE_LOWERING.get(spec.kind)
     if lower is None:
         raise ValidationError(f"unsupported block kind {spec.kind!r}", path=f"backbone[{i}].kind")
-    return lower(gb, x, spec, f"backbone.s{i}")
+    return (lower(gb, x, spec, f"backbone.s{i}"),)
 
 
 # --- neck ---------------------------------------------------------------------
@@ -368,9 +368,9 @@ def _lower_neck(gb: GraphBuilder, c3: int, c4: int, c5: int, neck: NeckConfig):
 # --- head ----------------------------------------------------------------------
 
 
-def _lower_head(gb: GraphBuilder, feats, head, num_classes: int):
+def _lower_head(gb: GraphBuilder, p3: int, p4: int, p5: int, head, num_classes: int):
     outputs = []
-    for level, feat in zip((3, 4, 5), feats):
+    for level, feat in zip((3, 4, 5), (p3, p4, p5)):
         width = gb.shape(feat)[1]
         cls_in = reg_in = feat
         for d in range(head.head_depth):
@@ -381,14 +381,35 @@ def _lower_head(gb: GraphBuilder, feats, head, num_classes: int):
         reg = gb.conv(reg_in, 4 * head.reg_bins, name=f"head.p{level}.reg", kernel=1,
                       bias=True, norm=False, act=None)
         outputs.extend([cls, reg])
-    return outputs
+    return tuple(outputs)
 
 
 # --- entry point ----------------------------------------------------------------
 
 
+def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[tuple]:
+    """A genome's segments in lowering order: each backbone stage, then the
+    neck and the head if present; `taps` is `genome.pyramid_taps()`.
+
+    A segment is `(lower, args, reads)`: `lower(gb, *inputs, *args)` emits it
+    and returns its output ids, and `reads` indexes its input features (0 is
+    the graph input, then every segment's outputs in order). A lowering reads
+    nothing but its arguments and its inputs' shapes, so a segment with its
+    input shapes determines its nodes: `search` caches on that pair. A stage's
+    arguments are spec, index and Csp hidden ratio (None for other kinds).
+    """
+    found = [(_lower_stage, (spec, i, genome.csp_hidden_ratio if spec.kind == "Csp" else None), (i,))
+             for i, spec in enumerate(genome.backbone)]
+    if genome.neck is not None:
+        found.append((_lower_neck, (genome.neck,), tuple(t + 1 for t in taps)))
+        if genome.head is not None:
+            n = len(genome.backbone)
+            found.append((_lower_head, (genome.head, genome.num_classes), (n + 1, n + 2, n + 3)))
+    return found
+
+
 def build_graph(genome: DetectorGenome, input_res: tuple[int, int] | None = None) -> OpGraph:
-    """Lower a genome to a validated operator DAG.
+    """Lower a genome's `segments`, in order, into one validated operator DAG.
 
     Node order is deterministic for identical genomes. Validation failures
     (channel mismatch, odd spatial dims at stride 2, unsupported kinds) raise
@@ -397,23 +418,10 @@ def build_graph(genome: DetectorGenome, input_res: tuple[int, int] | None = None
     genome.validate()
     res = tuple(input_res) if input_res is not None else genome.input_res
     gb = GraphBuilder()
-    x = gb.input((1, genome.backbone[0].in_ch, res[0], res[1]))
-
-    stage_out = []
-    for i, spec in enumerate(genome.backbone):
-        x = _lower_stage(gb, x, spec, i, genome.csp_hidden_ratio)
-        stage_out.append(x)
-
+    features = [gb.input((1, genome.backbone[0].in_ch, res[0], res[1]))]
     taps = genome.pyramid_taps()
-    pyramid = tuple(stage_out[i] for i in taps) if taps is not None else ()
-
-    if genome.neck is None:
-        return gb.finish(outputs=(stage_out[-1],), pyramid=pyramid)
-
-    c3, c4, c5 = pyramid
-    p3, p4, p5 = _lower_neck(gb, c3, c4, c5, genome.neck)
-    if genome.head is None:
-        return gb.finish(outputs=(p3, p4, p5), pyramid=pyramid)
-
-    outputs = _lower_head(gb, (p3, p4, p5), genome.head, genome.num_classes)
+    for lower, args, reads in segments(genome, taps):
+        outputs = lower(gb, *[features[i] for i in reads], *args)
+        features += outputs
+    pyramid = tuple(features[i + 1] for i in taps) if taps is not None else ()
     return gb.finish(outputs=outputs, pyramid=pyramid)

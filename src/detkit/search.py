@@ -26,11 +26,11 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .cost import CostReport, DeviceProfile, builtin_profile, cost_report
+from .cost import CostReport, DeviceProfile, builtin_profile, cost_report, cost_rows
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
 from .genome import STACKED_KINDS, DetectorGenome, genome_to_doc, genome_to_json
-from .graph import GraphBuilder, OpGraph, _lower_head, _lower_neck, _lower_stage, build_graph
+from .graph import GraphBuilder, OpGraph, build_graph, segments
 
 __all__ = [
     "ProxyScore",
@@ -430,14 +430,11 @@ def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEn
 class _SegmentCache:
     """Candidate evaluation for one search, one segment at a time.
 
-    A candidate's cost rows and proxy come from its segments: each backbone
-    stage, the neck and the head. Each segment depends only on a small key
-    (stage index, spec and input shape, plus the hidden ratio of a Csp stage;
-    neck config and pyramid shapes; head config, neck output shapes and class
-    count), so a segment seen before in the run is reused and a miss lowers
-    only that segment, into a graph whose placeholder inputs stand for the
-    features it reads. The rows are concatenated in `build_graph`'s order and
-    summed in order, so the result equals `evaluate_genome`'s exactly.
+    A candidate's cost rows and proxy come from its `segments`. Each is looked
+    up by the segment and its input shapes; a miss lowers only that segment,
+    on placeholder inputs of those shapes. A stage's proxy variance is looked
+    up by its segment key and input variance. Rows are concatenated and summed
+    in `build_graph`'s order, so the result equals `evaluate_genome`'s exactly.
 
     Entries looked up in the current or the previous generation are kept; the
     rest are dropped at each `next_generation`, which bounds memory.
@@ -460,47 +457,37 @@ class _SegmentCache:
             self.current[key] = value
         return value
 
-    def _lower(self, shapes, lower, keep_inputs: bool = False):
-        """Lower one segment on placeholder inputs of these shapes; returns its
-        graph and cost rows, without the placeholders' rows unless kept."""
+    def _lower(self, segment, shapes):
+        """Lower one segment on placeholder inputs of these shapes; returns its graph,
+        its cost rows and output shapes. Of the placeholders, only feature 0 (the
+        graph input) keeps its row."""
+        lower, args, reads = segment
         gb = GraphBuilder()
-        graph = gb.finish(outputs=lower(gb, *[gb.input(shape) for shape in shapes]))
-        rows = cost_report(graph, self.profile).per_node
-        return graph, rows if keep_inputs else rows[len(shapes):]
+        graph = gb.finish(outputs=lower(gb, *[gb.input(shape) for shape in shapes], *args))
+        rows = cost_rows(graph, self.profile)
+        return (graph, rows if reads == (0,) else rows[len(shapes):],
+                tuple(graph.node(nid).out_shape for nid in graph.outputs))
 
     def evaluate(self, genome: DetectorGenome) -> ArchiveEntry:
         rows = []
-        shape = (1, genome.backbone[0].in_ch, *genome.input_res)
-        segments = ((shape[1], 1.0),)
+        shapes = [(1, genome.backbone[0].in_ch, *genome.input_res)]  # one per feature
+        variance = ((shapes[0][1], 1.0),)
         stage_out = []  # (output node, its variance segments) per stage
-        for i, spec in enumerate(genome.backbone):
-            ratio = genome.csp_hidden_ratio if spec.kind == "Csp" else None
-            key = ("stage", i, spec, shape, ratio)
-            # stage 0's placeholder is the graph's real input node, whose row is kept
-            graph, stage_rows = self._lookup(key, lambda: self._lower(
-                (shape,), lambda gb, x: (_lower_stage(gb, x, spec, i, ratio),), keep_inputs=i == 0))
-            rows.extend(stage_rows)
-            out = graph.node(graph.outputs[0])
-            in_segments = segments
-            segments = self._lookup(("variance", key, in_segments), lambda: tuple(
-                _propagate_variance(graph, in_segments)[out.nid]))
-            stage_out.append((out, segments))
-            shape = out.out_shape
+        stages, taps = len(genome.backbone), genome.pyramid_taps()
+        for k, segment in enumerate(segments(genome, taps)):
+            key = segment, tuple([shapes[i] for i in segment[2]])
+            graph, segment_rows, out_shapes = self._lookup(key, lambda: self._lower(*key))
+            rows += segment_rows
+            shapes += out_shapes
+            if k < stages:  # the stages come first
+                out = graph.node(graph.outputs[0])
+                in_variance = variance
+                variance = self._lookup(("variance", key, in_variance), lambda: tuple(
+                    _propagate_variance(graph, in_variance)[out.nid]))
+                stage_out.append((out, variance))
 
-        taps = genome.pyramid_taps() or (len(genome.backbone) - 1,)
-        per_scale = tuple(_scale_entropy(node, segs) for node, segs in (stage_out[i] for i in taps))
-        if genome.neck is not None:
-            neck = genome.neck
-            feats = tuple(stage_out[i][0].out_shape for i in taps)
-            graph, neck_rows = self._lookup(("neck", neck, feats), lambda: self._lower(
-                feats, lambda gb, c3, c4, c5: _lower_neck(gb, c3, c4, c5, neck)))
-            rows.extend(neck_rows)
-            if genome.head is not None:
-                head, classes = genome.head, genome.num_classes
-                outs = tuple(graph.node(n).out_shape for n in graph.outputs)
-                _, head_rows = self._lookup(("head", head, outs, classes), lambda: self._lower(
-                    outs, lambda gb, *p: _lower_head(gb, p, head, classes)))
-                rows.extend(head_rows)
+        per_scale = tuple(_scale_entropy(node, segs) for node, segs in
+                          (stage_out[i] for i in taps or (stages - 1,)))
         return ArchiveEntry(genome=genome, score=ProxyScore(value=sum(per_scale), per_scale=per_scale),
                             cost=CostReport.from_rows(rows, timed=True))
 
@@ -532,9 +519,10 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     The archive's `best` property is the single best-score feasible genome;
     `history` records (score, latency, feasible) per evaluated candidate per
     generation, generation 0 being the initial population. Candidates are
-    evaluated segment by segment: stages, neck and head already lowered in
-    this or the previous generation are reused, so a one-stage mutation
-    re-lowers one stage. Results equal `evaluate_genome`'s exactly.
+    evaluated segment by segment, and a segment whose arguments and input
+    shapes were seen in this or the previous generation is reused: `widen`
+    re-lowers its stage and the next, whose input width follows. Results
+    equal `evaluate_genome`'s exactly.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)

@@ -363,6 +363,20 @@ def key_neighbours(genome: DetectorGenome) -> list[DetectorGenome]:
             genome.with_backbone([stem, spacer] + rest)]
 
 
+# (op, rng seed, segments re-lowered when the mutant of `s` follows `s`):
+# a segment is re-lowered when its arguments or its input shapes change
+MISS_PROFILE = [
+    ("deepen", 1, ["backbone.s4"]),
+    ("shallow", 1, ["backbone.s4"]),
+    ("swap_kind", 1, ["backbone.s1"]),
+    ("widen", 2, ["backbone.s0", "backbone.s1"]),  # stage 1 reads the wider stage 0
+    ("narrow", 1, ["backbone.s4", "backbone.s5"]),
+    ("widen", 0, ["backbone.s3", "backbone.s4", "neck"]),  # stage 3 is a pyramid tap
+    ("neck_depth", 0, ["neck"]),
+    ("neck_width", 0, ["head", "neck"]),  # the head reads the neck's widths
+]
+
+
 class TestSegmentCache:
     def test_segment_evaluation_equals_full_lowering(self):
         # related genomes (mutation chains and key neighbours) so that most
@@ -398,6 +412,27 @@ class TestSegmentCache:
         cfg = make_cfg(population=6, generations=5, latency_budget_ms=4.2, seed=0)
         got = search(preset_genome("s"), cfg).to_ndjson()
         assert got == (GOLDEN / "search_s_seed0.ndjson").read_text()
+
+    @pytest.mark.parametrize("op, seed, expected", MISS_PROFILE)
+    def test_mutant_relowers_only_the_segments_it_changes(self, monkeypatch, op, seed, expected):
+        lowered = []
+        lower = search_module._SegmentCache._lower
+
+        def counting(self, *args, **kwargs):
+            result = lower(self, *args, **kwargs)
+            first, second = result[0].nodes[-1].name.split(".")[:2]  # the segment's last node
+            lowered.append(f"{first}.{second}" if first == "backbone" else first)
+            return result
+
+        monkeypatch.setattr(search_module._SegmentCache, "_lower", counting)
+        seed_genome = preset_genome("s")
+        mutant = mutate(seed_genome, random.Random(seed), make_cfg(mutation_ops=(op,)))
+        assert mutant != seed_genome
+        cache = search_module._SegmentCache(builtin_profile("t4-like"))
+        cache.evaluate(seed_genome)
+        lowered.clear()
+        cache.evaluate(mutant)
+        assert sorted(lowered) == expected
 
     def test_cache_keeps_two_generations(self, monkeypatch):
         sizes, keys_per_generation = [], []

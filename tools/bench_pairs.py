@@ -8,9 +8,10 @@
 seed both run `perfbench/run.py --trace 0` from their own root, one after the
 other; which side goes first alternates from seed to seed, so a drift of the
 machine's speed over the session falls on both sides alike. The file records
-every run's end-to-end metrics, per side the median and quartiles of each, the
-share of seeds whose change run has the higher `items_per_s`, the ratio of the
-medians and the median of the per-seed ratios.
+every run's end-to-end metrics (the `end_to_end` list of this repository's
+`BENCHMARK.json`), per side the median and quartiles of each, the share of
+seeds whose change run has the higher `items_per_s`, the ratio of the medians
+and the median of the per-seed ratios.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("items_per_s", "call_ms_p50", "call_ms_tail", "peak_rss_mb")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 THREADS = ("DETKIT_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -48,7 +49,8 @@ def environment(header: str) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # one run (a single seed) is its own median and quartiles
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
@@ -64,6 +66,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change-label", default="change")
     args = parser.parse_args(argv)
 
+    # the end-to-end metrics the benchmark declares, so the file shows each one it is judged by
+    metrics = [m["name"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]]
     roots = {"parent": args.parent, "change": args.change}
     runs, header = [], ""
     for i, seed in enumerate(seeds(args.seeds)):
@@ -73,7 +77,7 @@ def main(argv=None) -> int:
                 print(f"{side} seed {seed}: correct is {result['correct']}", file=sys.stderr)
                 return 1
             row = {"side": side, "seed": seed, "failed": result["failed"], "attempted": result["attempted"]}
-            row.update({m: round(result["metrics"][m]["value"], 4) for m in METRICS})
+            row.update({m: round(result["metrics"][m]["value"], 4) for m in metrics})
             runs.append(row)
             print(json.dumps(row), file=sys.stderr)
 
@@ -81,7 +85,7 @@ def main(argv=None) -> int:
     per_seed = {(r["seed"], r["side"]): r["items_per_s"] for r in runs}
     ratios = [per_seed[s, "change"] / per_seed[s, "parent"] for s in seeds(args.seeds)]
     wins = sum(ratio > 1 for ratio in ratios)
-    summary = {side: {m: quartiles([r[m] for r in rows]) for m in METRICS} for side, rows in by_side.items()}
+    summary = {side: {m: quartiles([r[m] for r in rows]) for m in metrics} for side, rows in by_side.items()}
     doc = {
         "workload": args.workload,
         "sides": {"parent": args.parent_label, "change": args.change_label},
