@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def backbone_only(*blocks, input_res=(64, 64)):
     return DetectorGenome(backbone=tuple(blocks), neck=None, head=None, input_res=input_res)
+
+
+def tiny_neck(fusion_style, extra_upsample, extra_downsample, headless=False):
+    g = preset_genome("tiny")
+    neck = replace(g.neck, depth=2, fusion_style=fusion_style, extra_upsample=extra_upsample,
+                   extra_downsample=extra_downsample)
+    return replace(g, neck=neck, head=None if headless else g.head)
 
 
 class TestBackboneLowering:
@@ -149,6 +157,20 @@ class TestNeckLowering:
         assert by_name["neck.out4.out"].out_shape == (1, 192, 40, 40)
         assert by_name["neck.out5.out"].out_shape == (1, 384, 20, 20)
 
+    def test_headless_and_neckless_outputs(self):
+        # a headless graph ends in the three neck outputs, finest first; a
+        # neckless one in its last stage; the pyramid is the backbone taps
+        tiny = preset_genome("tiny")
+        taps = ["backbone.s2.r0.add", "backbone.s3.r0.add", "backbone.s4.merge"]
+        for genome, outputs, pyramid in (
+            (replace(tiny, head=None), ["neck.out3.out", "neck.out4.out", "neck.out5.out"], taps),
+            (replace(tiny, neck=None, head=None), ["backbone.s4.merge"], taps),
+            (backbone_only(BlockSpec("Res", 16, 32, stride=2)), ["backbone.s0.r0.add"], []),
+        ):
+            graph = build_graph(genome)
+            assert [graph.node(i).name for i in graph.outputs] == outputs
+            assert [graph.node(i).name for i in graph.pyramid] == pyramid
+
     def test_rep_attr_set_only_for_reparam_styles(self):
         base = preset_genome("tiny")
         for style, expected in (("Csp", False), ("CspReparam", True), ("CspReparamElan", True)):
@@ -181,6 +203,9 @@ class TestGoldenLowerings:
         ("csp_d2", lambda: backbone_only(BlockSpec("Csp", 16, 32, stride=2, depth=2))),
         ("spp", lambda: backbone_only(BlockSpec("Spp", 32, 32, stride=1, kernel=5))),
         ("tiny_full", lambda: preset_genome("tiny")),
+        ("tiny_csp_links", lambda: tiny_neck("Csp", extra_upsample=True, extra_downsample=True)),
+        ("tiny_conv_headless", lambda: tiny_neck("Conv", extra_upsample=False, extra_downsample=False,
+                                                 headless=True)),
     ])
     def test_lowering_matches_golden(self, case, genome):
         got = build_graph(genome()).to_ndjson()

@@ -8,6 +8,7 @@ and the archive of one seeded search.
     PYTHONPATH=src python tools/make_goldens.py
 """
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from detkit.cost import builtin_profile
@@ -22,6 +23,14 @@ def backbone_only(*blocks, input_res=(64, 64)):
     return DetectorGenome(backbone=tuple(blocks), neck=None, head=None, input_res=input_res)
 
 
+def tiny_neck(fusion_style, extra_upsample, extra_downsample, headless=False):
+    """The tiny preset with a depth-2 neck of this style and these dense links."""
+    g = preset_genome("tiny")
+    neck = replace(g.neck, depth=2, fusion_style=fusion_style, extra_upsample=extra_upsample,
+                   extra_downsample=extra_downsample)
+    return replace(g, neck=neck, head=None if headless else g.head)
+
+
 CASES = {
     "convbnact": lambda: backbone_only(BlockSpec("ConvBnAct", 3, 8, stride=2, depth=2)),
     "focus": lambda: backbone_only(BlockSpec("Focus", 3, 16, stride=2)),
@@ -30,6 +39,9 @@ CASES = {
     "csp_d2": lambda: backbone_only(BlockSpec("Csp", 16, 32, stride=2, depth=2)),
     "spp": lambda: backbone_only(BlockSpec("Spp", 32, 32, stride=1, kernel=5)),
     "tiny_full": lambda: preset_genome("tiny"),
+    "tiny_csp_links": lambda: tiny_neck("Csp", extra_upsample=True, extra_downsample=True),
+    "tiny_conv_headless": lambda: tiny_neck("Conv", extra_upsample=False, extra_downsample=False,
+                                            headless=True),
 }
 
 # a small search on the s preset whose budget leaves some children infeasible
