@@ -14,7 +14,9 @@ stride-16 output, and the stride-32 output. Resampling is cost-free (nearest
 upsample, 2x2 max-pool downsample); all trainable fusion happens inside the
 blocks. extra_downsample adds the two dense skip links that carry shallow
 features down; extra_upsample adds the dense link that carries the deepest
-feature back up into the stride-16 output node.
+feature back up into the stride-16 output node. One table lists the blocks
+in lowering order with the features each reads, and each block, with the
+resample nodes in front of it, is its own segment (see `segments`).
 
 A fusion block projects its concatenated inputs to a hidden width
 h = w // 4 + 52 (a narrow bottleneck with a floor so shallow wide necks and
@@ -28,10 +30,11 @@ identical to the plain style, which is the point of folding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .genome import DetectorGenome, NeckConfig
+from .genome import DetectorGenome
 
 __all__ = ["OpNode", "OpGraph", "GraphBuilder", "build_graph", "segments"]
 
@@ -142,17 +145,21 @@ class GraphBuilder:
     def __init__(self):
         self._nodes: list[OpNode] = []
 
-    def _emit(self, **kw) -> int:
-        nid = len(self._nodes)
-        node = OpNode(nid=nid, **kw)
-        self._nodes.append(node)
+    def _emit(self, name, kind, inputs, out_shape, kernel=1, stride=1, groups=1, bias=False,
+              norm=False, act=None, rep=False) -> int:
+        # tuple.__new__ builds the same OpNode as its constructor, without the
+        # Python-level __new__ that a NamedTuple's constructor calls
+        nodes = self._nodes
+        nid = len(nodes)
+        nodes.append(tuple.__new__(OpNode, (nid, name, kind, inputs, out_shape, kernel, stride,
+                                            groups, bias, norm, act, rep)))
         return nid
 
     def shape(self, nid: int) -> tuple[int, int, int, int]:
         return self._nodes[nid].out_shape
 
     def input(self, shape, name: str = "input") -> int:
-        return self._emit(name=name, kind="input", inputs=(), out_shape=tuple(shape))
+        return self._emit(name, "input", (), tuple(shape))
 
     def conv(self, src: int, out_ch: int, name: str, kernel: int = 3, stride: int = 1,
              groups: int = 1, bias: bool = False, norm: bool = True,
@@ -166,15 +173,14 @@ class GraphBuilder:
             raise ValidationError(f"{name}: stride-2 conv needs even spatial dims, got {h}x{w}")
         h_out = (h + 2 * (kernel // 2) - kernel) // stride + 1
         w_out = (w + 2 * (kernel // 2) - kernel) // stride + 1
-        return self._emit(name=name, kind="conv", inputs=(src,), out_shape=(b, out_ch, h_out, w_out),
-                          kernel=kernel, stride=stride, groups=groups, bias=bias, norm=norm,
-                          act=act, rep=rep)
+        return self._emit(name, "conv", (src,), (b, out_ch, h_out, w_out),
+                          kernel, stride, groups, bias, norm, act, rep)
 
     def add(self, srcs, name: str, act: str | None = None) -> int:
         shapes = [self.shape(s) for s in srcs]
         if any(s != shapes[0] for s in shapes):
             raise ValidationError(f"{name}: add inputs differ: {shapes}")
-        return self._emit(name=name, kind="add", inputs=tuple(srcs), out_shape=shapes[0], act=act)
+        return self._emit(name, "add", tuple(srcs), shapes[0], act=act)
 
     def concat(self, srcs, name: str) -> int:
         shapes = [self.shape(s) for s in srcs]
@@ -182,11 +188,11 @@ class GraphBuilder:
         if any((s[0], s[2], s[3]) != (b, h, w) for s in shapes):
             raise ValidationError(f"{name}: concat spatial dims differ: {shapes}")
         out = (b, sum(s[1] for s in shapes), h, w)
-        return self._emit(name=name, kind="concat", inputs=tuple(srcs), out_shape=out)
+        return self._emit(name, "concat", tuple(srcs), out)
 
     def upsample(self, src: int, name: str) -> int:
         b, c, h, w = self.shape(src)
-        return self._emit(name=name, kind="upsample", inputs=(src,), out_shape=(b, c, 2 * h, 2 * w), stride=2)
+        return self._emit(name, "upsample", (src,), (b, c, 2 * h, 2 * w), stride=2)
 
     def maxpool(self, src: int, name: str, kernel: int = 2, stride: int = 2) -> int:
         b, c, h, w = self.shape(src)
@@ -196,17 +202,16 @@ class GraphBuilder:
             out = (b, c, h // 2, w // 2)
         else:
             out = (b, c, h, w)  # stride 1 pools pad to keep dims
-        return self._emit(name=name, kind="maxpool", inputs=(src,), out_shape=out, kernel=kernel, stride=stride)
+        return self._emit(name, "maxpool", (src,), out, kernel, stride)
 
     def space_to_depth(self, src: int, name: str) -> int:
         b, c, h, w = self.shape(src)
         if h % 2 or w % 2:
             raise ValidationError(f"{name}: space_to_depth needs even spatial dims, got {h}x{w}")
-        return self._emit(name=name, kind="space_to_depth", inputs=(src,),
-                          out_shape=(b, 4 * c, h // 2, w // 2), kernel=2, stride=2)
+        return self._emit(name, "space_to_depth", (src,), (b, 4 * c, h // 2, w // 2), 2, 2)
 
     def identity(self, src: int, name: str) -> int:
-        return self._emit(name=name, kind="identity", inputs=(src,), out_shape=self.shape(src))
+        return self._emit(name, "identity", (src,), self.shape(src))
 
     def finish(self, outputs, pyramid=()) -> OpGraph:
         return OpGraph(nodes=tuple(self._nodes), outputs=tuple(outputs), pyramid=tuple(pyramid))
@@ -304,8 +309,9 @@ _STAGE_LOWERING = {
 }
 
 
-def _lower_stage(gb: GraphBuilder, x: int, spec, i: int, csp_hidden_ratio: float | None) -> tuple[int]:
-    """Lower backbone stage i reading node x; returns the stage's output node."""
+def _lower_stage(gb: GraphBuilder, inputs, spec, i: int, csp_hidden_ratio: float | None) -> tuple[int]:
+    """Lower backbone stage i reading its one input node; returns the stage's output node."""
+    (x,) = inputs
     if spec.kind == "Csp":
         return (_lower_csp_stage(gb, x, spec, f"backbone.s{i}", csp_hidden_ratio),)
     lower = _STAGE_LOWERING.get(spec.kind)
@@ -316,61 +322,68 @@ def _lower_stage(gb: GraphBuilder, x: int, spec, i: int, csp_hidden_ratio: float
 
 # --- neck ---------------------------------------------------------------------
 
+# The fusion template, one row per block in lowering order: the block's name,
+# the index of its width in NeckConfig.widths, and its inputs in concat order.
+# An input is (feature, resample node, flag): the feature is a backbone tap
+# (c3, c4, c5 at strides 8, 16, 32) or an earlier block; a resample node
+# upsamples ("up_*") or max-pools ("down_*") it first; an input with a flag is
+# a dense link, read only when that NeckConfig flag is on.
+_FUSION_TEMPLATE = (
+    ("mid4", 1, (("c4", None, None), ("c5", "up_c5", None), ("c3", "down_c3", "extra_downsample"))),
+    ("out3", 0, (("c3", None, None), ("mid4", "up_mid4", None))),
+    # the dense up link: the deepest backbone feature re-enters the bottom-up pass
+    ("out4", 1, (("mid4", None, None), ("out3", "down_out3", None),
+                 ("c5", "up_c5_dense", "extra_upsample"))),
+    ("out5", 2, (("c5", None, None), ("out4", "down_out4", None),
+                 ("mid4", "down_mid4", "extra_downsample"))),
+)
 
-def _fusion_block(gb: GraphBuilder, inputs, width: int, neck: NeckConfig, prefix: str) -> int:
-    if neck.fusion_style == "Conv":
-        cat = gb.concat(inputs, name=f"{prefix}.concat_in") if len(inputs) > 1 else inputs[0]
-        return gb.conv(cat, width, name=f"{prefix}.merge", kernel=3)
-    rep = neck.fusion_style in ("CspReparam", "CspReparamElan")
-    elan = neck.fusion_style == "CspReparamElan"
-    hid = neck_hidden_width(width)
+
+@lru_cache(maxsize=None)
+def _fusion_rows(extra_upsample: bool, extra_downsample: bool) -> tuple:
+    """The template without the dense links these flags leave off: per block,
+    its name, width index, resample nodes and the features it reads, as
+    indices into (c3, c4, c5, then the blocks in order)."""
+    on = {None: True, "extra_upsample": extra_upsample, "extra_downsample": extra_downsample}
+    features = ["c3", "c4", "c5"] + [name for name, _, _ in _FUSION_TEMPLATE]
+    rows = []
+    for name, w, inputs in _FUSION_TEMPLATE:
+        used = [(features.index(feature), r) for feature, r, flag in inputs if on[flag]]
+        rows.append((name, w, tuple(r for _, r in used), tuple(i for i, _ in used)))
+    return tuple(rows)
+
+
+def _fusion_block(gb: GraphBuilder, inputs, name: str, resamples, width: int, style: str,
+                  depth: int) -> tuple[int]:
+    """Lower neck block `name`: resample its inputs, then fuse them to `width`."""
+    prefix = f"neck.{name}"
+    inputs = [x if r is None else (gb.upsample if r.startswith("up") else gb.maxpool)(x, name=f"neck.{r}")
+              for x, r in zip(inputs, resamples)]
     cat = gb.concat(inputs, name=f"{prefix}.concat_in") if len(inputs) > 1 else inputs[0]
+    if style == "Conv":
+        return (gb.conv(cat, width, name=f"{prefix}.merge", kernel=3),)
+    rep = style in ("CspReparam", "CspReparamElan")
+    hid = neck_hidden_width(width)
     stem = gb.conv(cat, hid, name=f"{prefix}.stem", kernel=1)
     parts = [stem]
     y = stem
-    for r in range(neck.depth):
+    for r in range(depth):
         p = f"{prefix}.b{r}"
         z = gb.conv(y, hid, name=f"{p}.conv1", kernel=3, rep=rep)
         z = gb.conv(z, hid, name=f"{p}.conv2", kernel=3, rep=rep)
         y = gb.add([z, y], name=f"{p}.add")
         parts.append(y)
-    agg = parts if elan else [stem, y]
+    agg = parts if style == "CspReparamElan" else [stem, y]
     cat_out = gb.concat(agg, name=f"{prefix}.concat_agg")
-    return gb.conv(cat_out, width, name=f"{prefix}.out", kernel=1)
-
-
-def _lower_neck(gb: GraphBuilder, c3: int, c4: int, c5: int, neck: NeckConfig):
-    w3, w4, w5 = neck.widths
-    up_c5 = gb.upsample(c5, name="neck.up_c5")
-    mid4_inputs = [c4, up_c5]
-    if neck.extra_downsample:
-        mid4_inputs.append(gb.maxpool(c3, name="neck.down_c3"))
-    mid4 = _fusion_block(gb, mid4_inputs, w4, neck, "neck.mid4")
-
-    up_mid4 = gb.upsample(mid4, name="neck.up_mid4")
-    p3 = _fusion_block(gb, [c3, up_mid4], w3, neck, "neck.out3")
-
-    down_p3 = gb.maxpool(p3, name="neck.down_out3")
-    out4_inputs = [mid4, down_p3]
-    if neck.extra_upsample:
-        # dense up link: the deepest backbone feature re-enters the
-        # bottom-up pass (upsampled once more than up_c5)
-        out4_inputs.append(gb.upsample(c5, name="neck.up_c5_dense"))
-    p4 = _fusion_block(gb, out4_inputs, w4, neck, "neck.out4")
-
-    out5_inputs = [c5, gb.maxpool(p4, name="neck.down_out4")]
-    if neck.extra_downsample:
-        out5_inputs.append(gb.maxpool(mid4, name="neck.down_mid4"))
-    p5 = _fusion_block(gb, out5_inputs, w5, neck, "neck.out5")
-    return p3, p4, p5
+    return (gb.conv(cat_out, width, name=f"{prefix}.out", kernel=1),)
 
 
 # --- head ----------------------------------------------------------------------
 
 
-def _lower_head(gb: GraphBuilder, p3: int, p4: int, p5: int, head, num_classes: int):
+def _lower_head(gb: GraphBuilder, inputs, head, num_classes: int):
     outputs = []
-    for level, feat in zip((3, 4, 5), (p3, p4, p5)):
+    for level, feat in zip((3, 4, 5), inputs):
         width = gb.shape(feat)[1]
         cls_in = reg_in = feat
         for d in range(head.head_depth):
@@ -389,22 +402,33 @@ def _lower_head(gb: GraphBuilder, p3: int, p4: int, p5: int, head, num_classes: 
 
 def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[tuple]:
     """A genome's segments in lowering order: each backbone stage, then the
-    neck and the head if present; `taps` is `genome.pyramid_taps()`.
+    neck's four fusion blocks (mid4, out3, out4, out5) and the head, if
+    present; `taps` is `genome.pyramid_taps()`.
 
-    A segment is `(lower, args, reads)`: `lower(gb, *inputs, *args)` emits it
-    and returns its output ids, and `reads` indexes its input features (0 is
-    the graph input, then every segment's outputs in order). A lowering reads
-    nothing but its arguments and its inputs' shapes, so a segment with its
-    input shapes determines its nodes: `search` caches on that pair. A stage's
-    arguments are spec, index and Csp hidden ratio (None for other kinds).
+    A segment is `(lower, args, reads)`: `lower(gb, inputs, *args)` emits it
+    on the input ids `inputs` and returns its output ids, and `reads` indexes
+    its input features (0 is the graph input, then every segment's outputs in
+    order). A lowering reads nothing but its arguments and its inputs' shapes,
+    so a segment with its input shapes determines its nodes: `search` caches
+    on that pair. A stage's arguments are spec, index and Csp hidden ratio
+    (None for other kinds). A fusion block's are its name, its resample nodes,
+    its width, and the neck's style and depth; it reads the features its block
+    fuses, a dense link only when its flag is on, and owns the upsample and
+    max-pool nodes in front of it. So a change to the stride-32 width w5
+    re-lowers out5 and the head, and no other block.
     """
     found = [(_lower_stage, (spec, i, genome.csp_hidden_ratio if spec.kind == "Csp" else None), (i,))
              for i, spec in enumerate(genome.backbone)]
-    if genome.neck is not None:
-        found.append((_lower_neck, (genome.neck,), tuple(t + 1 for t in taps)))
+    neck = genome.neck
+    if neck is not None:
+        n = len(genome.backbone)
+        feature = [t + 1 for t in taps] + list(range(n + 1, n + 1 + len(_FUSION_TEMPLATE)))
+        style_depth = neck.fusion_style, neck.depth
+        found += [(_fusion_block, (name, resamples, neck.widths[w], *style_depth),
+                   tuple([feature[f] for f in reads]))
+                  for name, w, resamples, reads in _fusion_rows(neck.extra_upsample, neck.extra_downsample)]
         if genome.head is not None:
-            n = len(genome.backbone)
-            found.append((_lower_head, (genome.head, genome.num_classes), (n + 1, n + 2, n + 3)))
+            found.append((_lower_head, (genome.head, genome.num_classes), (n + 2, n + 3, n + 4)))
     return found
 
 
@@ -421,7 +445,9 @@ def build_graph(genome: DetectorGenome, input_res: tuple[int, int] | None = None
     features = [gb.input((1, genome.backbone[0].in_ch, res[0], res[1]))]
     taps = genome.pyramid_taps()
     for lower, args, reads in segments(genome, taps):
-        outputs = lower(gb, *[features[i] for i in reads], *args)
+        outputs = lower(gb, [features[i] for i in reads], *args)
         features += outputs
+    if genome.neck is not None and genome.head is None:
+        outputs = features[-3:]  # the neck's out3, out4 and out5
     pyramid = tuple(features[i + 1] for i in taps) if taps is not None else ()
     return gb.finish(outputs=outputs, pyramid=pyramid)

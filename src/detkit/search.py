@@ -463,7 +463,7 @@ class _SegmentCache:
         graph input) keeps its row."""
         lower, args, reads = segment
         gb = GraphBuilder()
-        graph = gb.finish(outputs=lower(gb, *[gb.input(shape) for shape in shapes], *args))
+        graph = gb.finish(outputs=lower(gb, [gb.input(shape) for shape in shapes], *args))
         rows = cost_rows(graph, self.profile)
         return (graph, rows if reads == (0,) else rows[len(shapes):],
                 tuple(graph.node(nid).out_shape for nid in graph.outputs))
@@ -519,10 +519,13 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     The archive's `best` property is the single best-score feasible genome;
     `history` records (score, latency, feasible) per evaluated candidate per
     generation, generation 0 being the initial population. Candidates are
-    evaluated segment by segment, and a segment whose arguments and input
-    shapes were seen in this or the previous generation is reused: `widen`
-    re-lowers its stage and the next, whose input width follows. Results
-    equal `evaluate_genome`'s exactly.
+    evaluated segment by segment (each backbone stage, four neck fusion
+    blocks, the head), and a segment whose arguments and input shapes were
+    seen in this or the previous generation is reused: `widen` re-lowers its
+    stage, the next, whose input width follows, and the fusion blocks that
+    read it if it is a pyramid tap; a step of the stride-32 neck width
+    re-lowers the out5 block and the head. Results equal `evaluate_genome`'s
+    exactly.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)

@@ -364,16 +364,22 @@ def key_neighbours(genome: DetectorGenome) -> list[DetectorGenome]:
 
 
 # (op, rng seed, segments re-lowered when the mutant of `s` follows `s`):
-# a segment is re-lowered when its arguments or its input shapes change
+# a segment is re-lowered when its arguments or its input shapes change; the
+# neck's segments are its four fusion blocks
 MISS_PROFILE = [
     ("deepen", 1, ["backbone.s4"]),
     ("shallow", 1, ["backbone.s4"]),
     ("swap_kind", 1, ["backbone.s1"]),
     ("widen", 2, ["backbone.s0", "backbone.s1"]),  # stage 1 reads the wider stage 0
     ("narrow", 1, ["backbone.s4", "backbone.s5"]),
-    ("widen", 0, ["backbone.s3", "backbone.s4", "neck"]),  # stage 3 is a pyramid tap
-    ("neck_depth", 0, ["neck"]),
-    ("neck_width", 0, ["head", "neck"]),  # the head reads the neck's widths
+    ("widen", 0, ["backbone.s3", "backbone.s4", "neck.mid4"]),  # stage 3 is the stride-16 tap
+    # stage 2 is the stride-8 tap: out3 reads it, and mid4 through its dense link
+    ("widen", 4, ["backbone.s2", "backbone.s3", "neck.mid4", "neck.out3"]),
+    ("neck_depth", 0, ["neck.mid4", "neck.out3", "neck.out4", "neck.out5"]),
+    # w4 is mid4's and out4's width, and every other block reads one of them
+    ("neck_width", 0, ["head", "neck.mid4", "neck.out3", "neck.out4", "neck.out5"]),
+    ("neck_width", 1, ["head", "neck.out5"]),  # w5: only out5 and the head
+    ("neck_width", 2, ["head", "neck.out3", "neck.out4"]),  # w3: out4 reads out3
 ]
 
 
@@ -421,7 +427,7 @@ class TestSegmentCache:
         def counting(self, *args, **kwargs):
             result = lower(self, *args, **kwargs)
             first, second = result[0].nodes[-1].name.split(".")[:2]  # the segment's last node
-            lowered.append(f"{first}.{second}" if first == "backbone" else first)
+            lowered.append(first if first == "head" else f"{first}.{second}")
             return result
 
         monkeypatch.setattr(search_module._SegmentCache, "_lower", counting)
