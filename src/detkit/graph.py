@@ -423,8 +423,7 @@ def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[
     if neck is not None:
         n = len(genome.backbone)
         feature = [t + 1 for t in taps] + list(range(n + 1, n + 1 + len(_FUSION_TEMPLATE)))
-        style_depth = neck.fusion_style, neck.depth
-        found += [(_fusion_block, (name, resamples, neck.widths[w], *style_depth),
+        found += [(_fusion_block, (name, resamples, neck.widths[w], neck.fusion_style, neck.depth),
                    tuple([feature[f] for f in reads]))
                   for name, w, resamples, reads in _fusion_rows(neck.extra_upsample, neck.extra_downsample)]
         if genome.head is not None:
