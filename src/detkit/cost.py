@@ -35,7 +35,6 @@ __all__ = [
     "CostReport",
     "count_flops",
     "count_params",
-    "estimate_latency",
     "cost_report",
     "cost_rows",
     "builtin_profile",
@@ -215,13 +214,6 @@ def count_params(graph: OpGraph) -> int:
     return cost_report(graph).params
 
 
-def estimate_latency(report: CostReport, profile: DeviceProfile) -> float:
-    """Roofline latency: in-order sum over the report's rows of the per-node max
-    of compute and memory time plus a fixed dispatch overhead. Equals
-    `cost_report(graph, profile).latency_ms` for the same profile."""
-    return sum(_node_latency(n.flops, n.bytes, profile) for n in report.per_node)
-
-
 def cost_report(graph: OpGraph, profile: DeviceProfile | None = None,
                 strict: bool = False) -> CostReport:
     """Full per-node breakdown; attaches modeled latency when a profile is given."""
@@ -233,23 +225,22 @@ def cost_rows(graph: OpGraph, profile: DeviceProfile | None = None,
     """`cost_report`'s per-node rows without its totals; latency only when a
     profile is given.
 
-    One pass over the nodes, after one element count and one channel count
-    per node id, so a node's inputs cost a dict lookup each."""
-    elements, channels = {}, {}
-    for nid, _, _, _, (batch, ch, h, w), _, _, _, _, _, _, _ in graph.nodes:
-        elements[nid] = batch * ch * h * w
-        channels[nid] = ch
+    One pass over the nodes, which reads each input's element and channel
+    counts by position: a node's id is its index in `graph.nodes`."""
+    nodes = graph.nodes
+    elements = []
     rows = []
     # tuple.__new__ builds the same NodeCost as its constructor, without the
     # Python-level __new__ that a NamedTuple's constructor calls
     append, new_row = rows.append, tuple.__new__
-    for nid, name, kind, inputs, (_, out_ch, h, w), kernel, _, groups, bias, norm, act, _ in graph.nodes:
-        out = elements[nid]
+    for name, kind, inputs, (batch, out_ch, h, w), kernel, _, groups, bias, norm, act, _ in nodes:
+        out = batch * out_ch * h * w
+        elements.append(out)
         moved = out
         for src in inputs:
             moved += elements[src]
         if kind == "conv":
-            params = kernel * kernel * (channels[inputs[0]] // groups) * out_ch
+            params = kernel * kernel * (nodes[inputs[0]].out_shape[1] // groups) * out_ch
             flops = 2 * params * h * w  # the weights alone, before bias and norm
             if strict:
                 if norm:

@@ -55,9 +55,9 @@ class OpNode(NamedTuple):
 
     kind is one of: input, conv, add, concat, upsample, maxpool,
     space_to_depth, identity. Conv nodes use symmetric padding kernel // 2.
+    A node has no id field: its id is its index in `OpGraph.nodes`.
     """
 
-    nid: int
     name: str
     kind: str
     inputs: tuple[int, ...]
@@ -80,11 +80,11 @@ class OpNode(NamedTuple):
 class OpGraph:
     """An acyclic operator graph with designated output and pyramid nodes.
 
-    Node ids are unique, every input id is smaller than the id of the node
-    reading it (the order `GraphBuilder` emits), which makes the graph acyclic
-    and ascending ids a dependency order, whatever the storage order of
-    `nodes`, and every output and pyramid id names a node. Shapes are checked
-    by `GraphBuilder` as it emits each node, not here.
+    A node's id is its index in `nodes`, and storage order is dependency
+    order: every input id of node i lies in [0, i) (the order `GraphBuilder`
+    emits), which makes the graph acyclic, and every output and pyramid id
+    names a node. Shapes are checked by `GraphBuilder` as it emits each node,
+    not here.
     """
 
     nodes: tuple[OpNode, ...]
@@ -92,29 +92,21 @@ class OpGraph:
     pyramid: tuple[int, ...] = ()
 
     def __post_init__(self):
-        by_id: dict[int, OpNode] = {}
-        for n in self.nodes:
-            if n.nid in by_id:
-                raise ValidationError(f"node {n.name} repeats node id {n.nid}")
-            by_id[n.nid] = n
-        for n in self.nodes:
+        for i, n in enumerate(self.nodes):
             for src in n.inputs:
-                if src not in by_id:
-                    raise ValidationError(f"node {n.name} reads unknown node id {src}")
-                if src >= n.nid:
+                if not 0 <= src < i:
                     raise ValidationError(
-                        f"node {n.name} (id {n.nid}) reads node id {src}; inputs need smaller ids")
+                        f"node {n.name} (id {i}) reads node id {src}; inputs need ids in [0, {i})")
         for nid in self.outputs + self.pyramid:
-            if nid not in by_id:
+            if not 0 <= nid < len(self.nodes):
                 raise ValidationError(f"designated node id {nid} not in graph")
-        object.__setattr__(self, "_by_id", by_id)
 
     def node(self, nid: int) -> OpNode:
-        return self._by_id[nid]
+        return self.nodes[nid]
 
-    def topo_order(self) -> tuple[int, ...]:
-        """Dependency order: ascending node ids."""
-        return tuple(sorted(self._by_id))
+    def topo_order(self) -> range:
+        """Dependency order: the node ids, which are storage positions."""
+        return range(len(self.nodes))
 
     def to_ndjson(self) -> str:
         """One node per line; used as the golden-file format."""
@@ -150,10 +142,9 @@ class GraphBuilder:
         # tuple.__new__ builds the same OpNode as its constructor, without the
         # Python-level __new__ that a NamedTuple's constructor calls
         nodes = self._nodes
-        nid = len(nodes)
-        nodes.append(tuple.__new__(OpNode, (nid, name, kind, inputs, out_shape, kernel, stride,
+        nodes.append(tuple.__new__(OpNode, (name, kind, inputs, out_shape, kernel, stride,
                                             groups, bias, norm, act, rep)))
-        return nid
+        return len(nodes) - 1
 
     def shape(self, nid: int) -> tuple[int, int, int, int]:
         return self._nodes[nid].out_shape

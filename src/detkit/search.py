@@ -99,33 +99,33 @@ def _mean_variance(segs) -> float:
     return sum(ch * v for ch, v in segs) / total
 
 
-def _propagate_variance(graph: OpGraph, input_segments=None) -> dict[int, list[tuple[int, float]]]:
-    """Variance segments of every node. Input nodes start at unit variance, or
-    at `input_segments` when a segment graph's placeholder stands for a
-    feature computed elsewhere."""
-    state: dict[int, list[tuple[int, float]]] = {}
+def _propagate_variance(graph: OpGraph, input_segments=None) -> list[list[tuple[int, float]]]:
+    """Variance segments of every node, indexed by node id. Input nodes start
+    at unit variance, or at `input_segments` when a segment graph's
+    placeholder stands for a feature computed elsewhere."""
+    state: list[list[tuple[int, float]]] = []
     for nid in graph.topo_order():
         n = graph.node(nid)
         if n.kind == "input":
-            state[nid] = input_segments or [(n.out_shape[1], 1.0)]
+            state.append(input_segments or [(n.out_shape[1], 1.0)])
         elif n.kind == "conv":
             # fan-in-scaled init mixes all input channels into a uniform variance
-            state[nid] = [(n.out_shape[1], _mean_variance(state[n.inputs[0]]))]
+            state.append([(n.out_shape[1], _mean_variance(state[n.inputs[0]]))])
         elif n.kind == "add":
             acc = state[n.inputs[0]]
             for src in n.inputs[1:]:
                 acc, other = _refine_pair(acc, state[src])
                 acc = [(ch, va + vb) for (ch, va), (_, vb) in zip(acc, other)]
-            state[nid] = _merge_segments(acc)
+            state.append(_merge_segments(acc))
         elif n.kind == "concat":
             segs = []
             for src in n.inputs:
                 segs.extend(state[src])
-            state[nid] = _merge_segments(segs)
+            state.append(_merge_segments(segs))
         elif n.kind == "space_to_depth":
-            state[nid] = _merge_segments(list(state[n.inputs[0]]) * 4)
+            state.append(_merge_segments(list(state[n.inputs[0]]) * 4))
         elif n.kind in ("upsample", "maxpool", "identity"):
-            state[nid] = state[n.inputs[0]]
+            state.append(state[n.inputs[0]])
         else:
             raise ValidationError(f"no variance rule for node kind {n.kind!r}")
     return state
@@ -199,8 +199,8 @@ class SearchConfig:
     tournament_size: int = 2
 
     def __post_init__(self):
-        for name in ("width_step", "width_min", "width_max", "depth_max",
-                     "scale_rule_depth", "tournament_size"):
+        for name in ("population", "generations", "mutations_per_child", "seed", "width_step",
+                     "width_min", "width_max", "depth_max", "scale_rule_depth", "tournament_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValidationError(f"expected an integer, got {value!r}", path=name)
@@ -480,11 +480,11 @@ class _SegmentCache:
             rows += segment_rows
             shapes += out_shapes
             if k < stages:  # the stages come first
-                out = graph.node(graph.outputs[0])
+                out = graph.outputs[0]
                 in_variance = variance
                 variance = self._lookup(("variance", key, in_variance), lambda: tuple(
-                    _propagate_variance(graph, in_variance)[out.nid]))
-                stage_out.append((out, variance))
+                    _propagate_variance(graph, in_variance)[out]))
+                stage_out.append((graph.node(out), variance))
 
         per_scale = tuple(_scale_entropy(node, segs) for node, segs in
                           (stage_out[i] for i in taps or (stages - 1,)))

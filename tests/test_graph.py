@@ -1,5 +1,6 @@
 """Lowering tests: hand-drawn template expectations plus golden-file freezes."""
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -245,9 +246,9 @@ def test_builder_rejects_mixed_spatial_concat():
 def _three_node_graph(edit=None):
     """input -> conv -> add(conv, input); `edit` replaces nodes by position."""
     nodes = {
-        0: OpNode(0, "in", "input", (), (1, 4, 8, 8)),
-        1: OpNode(1, "conv", "conv", (0,), (1, 4, 8, 8), kernel=3),
-        2: OpNode(2, "add", "add", (1, 0), (1, 4, 8, 8)),
+        0: OpNode("in", "input", (), (1, 4, 8, 8)),
+        1: OpNode("conv", "conv", (0,), (1, 4, 8, 8), kernel=3),
+        2: OpNode("add", "add", (1, 0), (1, 4, 8, 8)),
     }
     nodes.update(edit or {})
     return tuple(nodes.values())
@@ -255,13 +256,13 @@ def _three_node_graph(edit=None):
 
 class TestOpNodeRecord:
     def test_fields_cannot_be_assigned(self):
-        node = OpNode(0, "in", "input", (), (1, 4, 8, 8))
+        node = OpNode("in", "input", (), (1, 4, 8, 8))
         with pytest.raises(AttributeError):
             node.kernel = 3
 
     def test_positional_and_keyword_construction_agree(self):
-        positional = OpNode(1, "conv", "conv", (0,), (1, 4, 8, 8), 3)
-        keyword = OpNode(nid=1, name="conv", kind="conv", inputs=(0,), out_shape=(1, 4, 8, 8), kernel=3,
+        positional = OpNode("conv", "conv", (0,), (1, 4, 8, 8), 3)
+        keyword = OpNode(name="conv", kind="conv", inputs=(0,), out_shape=(1, 4, 8, 8), kernel=3,
                          stride=1, groups=1, bias=False, norm=False, act=None, rep=False)
         assert positional == keyword
         assert (positional.stride, positional.groups, positional.bias, positional.norm,
@@ -272,7 +273,7 @@ class TestOpNodeRecord:
         assert len(set(nodes)) == len(nodes)
 
     def test_out_elements(self):
-        assert OpNode(0, "in", "input", (), (2, 3, 5, 7)).out_elements == 2 * 3 * 5 * 7
+        assert OpNode("in", "input", (), (2, 3, 5, 7)).out_elements == 2 * 3 * 5 * 7
 
 
 class TestOpGraphContract:
@@ -280,24 +281,28 @@ class TestOpGraphContract:
         OpGraph(nodes=_three_node_graph(), outputs=(2,))
 
     @pytest.mark.parametrize("edit, message", [
-        ({2: OpNode(1, "add", "add", (1, 0), (1, 4, 8, 8))}, "repeats node id 1"),
-        ({2: OpNode(2, "add", "add", (1, 7), (1, 4, 8, 8))}, "unknown node id 7"),
-        ({1: OpNode(1, "conv", "conv", (2,), (1, 4, 8, 8), kernel=3)}, "reads node id 2"),
-        ({1: OpNode(1, "conv", "conv", (1,), (1, 4, 8, 8), kernel=3)}, "reads node id 1"),
-    ], ids=["duplicate-nid", "unknown-input", "forward-edge-cycle", "self-loop"])
+        ({2: OpNode("add", "add", (1, 7), (1, 4, 8, 8))}, r"node add \(id 2\) reads node id 7;"),
+        ({2: OpNode("add", "add", (1, -1), (1, 4, 8, 8))}, r"node add \(id 2\) reads node id -1;"),
+        ({1: OpNode("conv", "conv", (2,), (1, 4, 8, 8), kernel=3)}, r"node conv \(id 1\) reads node id 2;"),
+        ({1: OpNode("conv", "conv", (1,), (1, 4, 8, 8), kernel=3)}, r"node conv \(id 1\) reads node id 1;"),
+    ], ids=["unknown-input", "negative-input", "forward-edge-cycle", "self-loop"])
     def test_bad_edges_raise_naming_the_node(self, edit, message):
         with pytest.raises(ValidationError, match=message):
             OpGraph(nodes=_three_node_graph(edit), outputs=(2,))
 
-    @pytest.mark.parametrize("outputs, pyramid", [((5,), ()), ((2,), (0, 9))], ids=["output", "pyramid"])
+    @pytest.mark.parametrize("outputs, pyramid", [
+        ((5,), ()), ((-1,), ()), ((2,), (0, 9)), ((2,), (0, -3)),
+    ], ids=["output", "negative-output", "pyramid", "negative-pyramid"])
     def test_unknown_designated_id_raises(self, outputs, pyramid):
         with pytest.raises(ValidationError, match="designated node id"):
             OpGraph(nodes=_three_node_graph(), outputs=outputs, pyramid=pyramid)
 
-    def test_topo_order_of_reversed_storage_is_ascending_ids(self):
+    def test_reversed_storage_raises_naming_its_first_node(self):
         graph = build_graph(preset_genome("tiny"))
-        reversed_graph = OpGraph(nodes=tuple(reversed(graph.nodes)), outputs=graph.outputs,
-                                 pyramid=graph.pyramid)
-        ids = tuple(range(len(graph.nodes)))
-        assert graph.topo_order() == ids
-        assert reversed_graph.topo_order() == ids
+        first = graph.nodes[-1]
+        with pytest.raises(ValidationError, match=rf"node {re.escape(first.name)} \(id 0\) reads"):
+            OpGraph(nodes=tuple(reversed(graph.nodes)), outputs=graph.outputs, pyramid=graph.pyramid)
+
+    def test_topo_order_is_storage_order(self):
+        graph = build_graph(preset_genome("tiny"))
+        assert graph.topo_order() == range(len(graph.nodes))

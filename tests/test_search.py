@@ -9,7 +9,7 @@ from detkit import search as search_module
 from detkit.cost import builtin_profile
 from detkit.errors import InfeasibleError, ValidationError
 from detkit.genome import FUSION_STYLES, BlockSpec, DetectorGenome, HeadConfig, NeckConfig, preset_genome
-from detkit.graph import GraphBuilder, OpGraph, build_graph
+from detkit.graph import GraphBuilder, build_graph
 from detkit.search import (
     MUTATION_OPS,
     ParetoArchive,
@@ -104,14 +104,9 @@ class TestEntropyScore:
             assert value > prev
             prev = value
 
-    def test_deterministic_and_reorder_invariant(self):
+    def test_deterministic(self):
         graph = build_graph(preset_genome("tiny"))
-        permuted = OpGraph(nodes=tuple(reversed(graph.nodes)), outputs=graph.outputs,
-                           pyramid=graph.pyramid)
-        s1 = entropy_score(graph)
-        s2 = entropy_score(graph)
-        s3 = entropy_score(permuted)
-        assert s1 == s2 == s3
+        assert entropy_score(graph) == entropy_score(graph)
 
     def test_value_is_sum_of_per_scale(self):
         score = entropy_score(build_graph(preset_genome("tiny")))
@@ -309,6 +304,15 @@ class TestSearchConfig:
     def test_population_floor(self):
         with pytest.raises(ValidationError):
             make_cfg(population=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("population", 4.5), ("generations", 1.5), ("mutations_per_child", 1.5), ("seed", 0.5),
+        ("seed", "0"),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match="expected an integer") as err:
+            make_cfg(**{field: value})
+        assert err.value.path == field
 
     def test_budget_positive(self):
         with pytest.raises(ValidationError):
