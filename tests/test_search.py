@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import math
 import random
 from dataclasses import replace
@@ -21,6 +23,23 @@ from detkit.search import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _load_make_goldens():
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the genomes whose proxy scores tests/golden/scores.ndjson pins, by case name
+SCORE_CASES = _load_make_goldens().SCORE_CASES
+
+
+def golden_scores() -> dict:
+    lines = (GOLDEN / "scores.ndjson").read_text().splitlines()
+    return {rec["case"]: rec for rec in map(json.loads, lines)}
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -112,6 +131,15 @@ class TestEntropyScore:
         score = entropy_score(build_graph(preset_genome("tiny")))
         assert len(score.per_scale) == 3
         assert score.value == pytest.approx(sum(score.per_scale), rel=1e-12)
+
+    def test_golden_scores_cover_every_case(self):
+        assert list(golden_scores()) == list(SCORE_CASES)
+
+    @pytest.mark.parametrize("case", list(SCORE_CASES))
+    def test_score_matches_golden(self, case):
+        score = entropy_score(build_graph(SCORE_CASES[case]()))
+        got = {"case": case, "value": score.value, "per_scale": list(score.per_scale)}
+        assert got == golden_scores()[case], f"proxy score of {case} drifted from tests/golden/scores.ndjson"
 
     def test_scale_weights(self):
         graph = build_graph(preset_genome("tiny"))

@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Regenerate the golden files under tests/golden/.
 
-Run only when a template change is intentional; review the diff before
-committing, since these files freeze the lowering of every block template
-and the archive of one seeded search.
+Run only when a template or proxy change is intentional; review the diff
+before committing, since these files freeze the lowering of every block
+template, the proxy score of each of those genomes and of the s preset, and
+the archive of one seeded search.
 
     PYTHONPATH=src python tools/make_goldens.py
 """
 import argparse
+import json
 from dataclasses import replace
 from pathlib import Path
 
 from detkit.cost import builtin_profile
 from detkit.genome import BlockSpec, DetectorGenome, preset_genome
 from detkit.graph import build_graph
-from detkit.search import SearchConfig, search
+from detkit.search import SearchConfig, entropy_score, search
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -44,9 +46,22 @@ CASES = {
                                             headless=True),
 }
 
+# the proxy is pinned on every lowering case and on the s preset
+SCORE_CASES = dict(CASES, s=lambda: preset_genome("s"))
+
 # a small search on the s preset whose budget leaves some children infeasible
 SEARCH_CONFIG = dict(population=6, generations=5, mutations_per_child=1,
                      latency_budget_ms=4.2, seed=0, device_profile=builtin_profile("t4-like"))
+
+
+def scores_golden() -> str:
+    """One line per score case: its proxy value and per-scale terms."""
+    lines = []
+    for name, make in SCORE_CASES.items():
+        score = entropy_score(build_graph(make()))
+        lines.append(json.dumps({"case": name, "value": score.value,
+                                 "per_scale": list(score.per_scale)}, sort_keys=True))
+    return "\n".join(lines) + "\n"
 
 
 def search_golden() -> str:
@@ -61,6 +76,9 @@ def main():
         path = GOLDEN / f"{name}.ndjson"
         path.write_text(build_graph(make()).to_ndjson())
         print(f"wrote {path}")
+    path = GOLDEN / "scores.ndjson"
+    path.write_text(scores_golden())
+    print(f"wrote {path}")
     path = GOLDEN / "search_s_seed0.ndjson"
     path.write_text(search_golden())
     print(f"wrote {path}")
