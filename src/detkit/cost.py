@@ -255,7 +255,7 @@ def cost_rows(graph: OpGraph, profile: DeviceProfile | None = None,
             flops, params = out, 0
             if strict and act is not None:
                 flops += out
-        else:  # input / identity / upsample / maxpool / space_to_depth move data only
+        else:  # input / upsample / maxpool / space_to_depth move data only
             flops = params = 0
         nbytes = BYTES_PER_VALUE * (moved + params)
         latency = None if profile is None else _node_latency(flops, nbytes, profile)

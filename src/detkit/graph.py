@@ -54,7 +54,7 @@ class OpNode(NamedTuple):
     """One primitive operator with resolved shapes.
 
     kind is one of: input, conv, add, concat, upsample, maxpool,
-    space_to_depth, identity. Conv nodes use symmetric padding kernel // 2.
+    space_to_depth. Conv nodes use symmetric padding kernel // 2.
     A node has no id field: its id is its index in `OpGraph.nodes`.
     """
 
@@ -101,9 +101,6 @@ class OpGraph:
             if not 0 <= nid < len(self.nodes):
                 raise ValidationError(f"designated node id {nid} not in graph")
 
-    def node(self, nid: int) -> OpNode:
-        return self.nodes[nid]
-
     def topo_order(self) -> range:
         """Dependency order: the node ids, which are storage positions."""
         return range(len(self.nodes))
@@ -117,7 +114,7 @@ class OpGraph:
             rec = {
                 "name": n.name,
                 "kind": n.kind,
-                "inputs": [self.node(s).name for s in n.inputs],
+                "inputs": [self.nodes[s].name for s in n.inputs],
                 "out_shape": list(n.out_shape),
             }
             if n.kind == "conv":
@@ -200,9 +197,6 @@ class GraphBuilder:
         if h % 2 or w % 2:
             raise ValidationError(f"{name}: space_to_depth needs even spatial dims, got {h}x{w}")
         return self._emit(name, "space_to_depth", (src,), (b, 4 * c, h // 2, w // 2), 2, 2)
-
-    def identity(self, src: int, name: str) -> int:
-        return self._emit(name, "identity", (src,), self.shape(src))
 
     def finish(self, outputs, pyramid=()) -> OpGraph:
         return OpGraph(nodes=tuple(self._nodes), outputs=tuple(outputs), pyramid=tuple(pyramid))

@@ -45,8 +45,6 @@ __all__ = [
 
 log = logging.getLogger("detkit.search")
 
-LOG_2PI_E = math.log(2.0 * math.pi * math.e)
-
 
 @dataclass(frozen=True)
 class ProxyScore:
@@ -100,12 +98,14 @@ def _mean_variance(segs) -> float:
 
 
 def _propagate_variance(graph: OpGraph, input_segments=None) -> list[list[tuple[int, float]]]:
-    """Variance segments of every node, indexed by node id. Input nodes start
-    at unit variance, or at `input_segments` when a segment graph's
-    placeholder stands for a feature computed elsewhere."""
+    """Variance segments of every node up to the last scored one, indexed by
+    node id. Input nodes start at unit variance, or at `input_segments` when a
+    segment graph's placeholder stands for a feature computed elsewhere."""
+    # ids are dependency order, so no node after the last tap reaches a tap
+    stop = max(graph.pyramid or graph.outputs) + 1
     state: list[list[tuple[int, float]]] = []
-    for nid in graph.topo_order():
-        n = graph.node(nid)
+    for nid in graph.topo_order()[:stop]:
+        n = graph.nodes[nid]
         if n.kind == "input":
             state.append(input_segments or [(n.out_shape[1], 1.0)])
         elif n.kind == "conv":
@@ -124,32 +124,31 @@ def _propagate_variance(graph: OpGraph, input_segments=None) -> list[list[tuple[
             state.append(_merge_segments(segs))
         elif n.kind == "space_to_depth":
             state.append(_merge_segments(list(state[n.inputs[0]]) * 4))
-        elif n.kind in ("upsample", "maxpool", "identity"):
+        elif n.kind in ("upsample", "maxpool"):
             state.append(state[n.inputs[0]])
         else:
             raise ValidationError(f"no variance rule for node kind {n.kind!r}")
     return state
 
 
-def entropy_score(graph: OpGraph, scale_weights=None) -> ProxyScore:
+def entropy_score(graph: OpGraph) -> ProxyScore:
     """Score an initialized graph without training.
 
     Contributions are taken at the graph's pyramid nodes (the designated
-    multi-scale features), falling back to the outputs for headless graphs.
-    scale_weights defaults to 1 per scale.
+    multi-scale features), falling back to the outputs for graphs with no
+    pyramid.
     """
     taps = graph.pyramid or graph.outputs
     if not taps:
         raise ValidationError("graph has no designated outputs to score")
-    if scale_weights is None:
-        scale_weights = (1.0,) * len(taps)
-    if len(scale_weights) != len(taps):
-        raise ValidationError(
-            f"got {len(scale_weights)} scale weights for {len(taps)} pyramid outputs"
-        )
     state = _propagate_variance(graph)
-    per_scale = [w * _scale_entropy(graph.node(nid), state[nid]) for w, nid in zip(scale_weights, taps)]
-    return ProxyScore(value=sum(per_scale), per_scale=tuple(per_scale))
+    return _proxy((graph.nodes[nid], state[nid]) for nid in taps)
+
+
+def _proxy(pairs) -> ProxyScore:
+    """The proxy over (scored node, its variance segments) pairs, one per scale."""
+    per_scale = tuple(_scale_entropy(node, segments) for node, segments in pairs)
+    return ProxyScore(value=sum(per_scale), per_scale=per_scale)
 
 
 def _scale_entropy(node, segments) -> float:
@@ -176,6 +175,8 @@ MUTATION_OPS = (
 )
 
 _DEPTH_KINDS = STACKED_KINDS + ("ConvBnAct",)
+
+_MUTATION_DRAWS = 16  # per `mutate` call, before it returns the genome unchanged
 
 
 @dataclass(frozen=True)
@@ -325,17 +326,17 @@ def _try_mutation(genome: DetectorGenome, op: str, rng: random.Random,
 
 
 def mutate(genome: DetectorGenome, rng: random.Random,
-           cfg: SearchConfig | None = None, retries: int = 16) -> DetectorGenome:
+           cfg: SearchConfig | None = None) -> DetectorGenome:
     """Apply one random structural edit and re-validate.
 
     Infeasible draws (out-of-bounds widths or depths, no legal kind swap) are
-    resampled up to `retries` times; if everything fails the genome is
+    resampled up to `_MUTATION_DRAWS` times; if everything fails the genome is
     returned unchanged.
     """
     if cfg is None:
         cfg = _DEFAULT_MUTATION_CFG
     ops = cfg.mutation_ops
-    for _ in range(retries):
+    for _ in range(_MUTATION_DRAWS):
         op = ops[rng.randrange(len(ops))]
         mutated = _try_mutation(genome, op, rng, cfg)
         if mutated is None:
@@ -466,7 +467,7 @@ class _SegmentCache:
         graph = gb.finish(outputs=lower(gb, [gb.input(shape) for shape in shapes], *args))
         rows = cost_rows(graph, self.profile)
         return (graph, rows if reads == (0,) else rows[len(shapes):],
-                tuple(graph.node(nid).out_shape for nid in graph.outputs))
+                tuple(graph.nodes[nid].out_shape for nid in graph.outputs))
 
     def evaluate(self, genome: DetectorGenome) -> ArchiveEntry:
         rows = []
@@ -484,11 +485,9 @@ class _SegmentCache:
                 in_variance = variance
                 variance = self._lookup(("variance", key, in_variance), lambda: tuple(
                     _propagate_variance(graph, in_variance)[out]))
-                stage_out.append((graph.node(out), variance))
+                stage_out.append((graph.nodes[out], variance))
 
-        per_scale = tuple(_scale_entropy(node, segs) for node, segs in
-                          (stage_out[i] for i in taps or (stages - 1,)))
-        return ArchiveEntry(genome=genome, score=ProxyScore(value=sum(per_scale), per_scale=per_scale),
+        return ArchiveEntry(genome=genome, score=_proxy(stage_out[i] for i in taps or (stages - 1,)),
                             cost=CostReport.from_rows(rows, timed=True))
 
 

@@ -85,11 +85,10 @@ class TestParams:
         g = conv_graph(64, 64, 3, 32, bias=True)
         assert count_params(g) == 36_928  # 9 * 64 * 64 + 64
 
-    def test_identity_concat_add_have_zero_params(self):
+    def test_concat_add_have_zero_params(self):
         gb = GraphBuilder()
         x = gb.input((1, 4, 8, 8))
-        i = gb.identity(x, name="id")
-        c = gb.concat([i, x], name="cat")
+        c = gb.concat([x, x], name="cat")
         s = gb.add([x, x], name="sum")
         g = gb.finish(outputs=(c, s))
         assert count_params(g) == 0
@@ -261,8 +260,7 @@ class TestMonotonicity:
         x = gb.input((1, ch, res, res))
         b3 = gb.conv(x, ch, name="b3", kernel=3, norm=True, act=None)
         b1 = gb.conv(x, ch, name="b1", kernel=1, norm=True, act=None)
-        i = gb.identity(x, name="id")
-        y = gb.add([b3, b1, i], name="sum")
+        y = gb.add([b3, b1, x], name="sum")
         g_branch = gb.finish(outputs=(y,))
 
         assert count_flops(g_fold) <= count_flops(g_branch)
@@ -403,7 +401,7 @@ class TestNodeCostRecord:
 
 def _node_flops(graph, n, strict):
     if n.kind == "conv":
-        in_ch = graph.node(n.inputs[0]).out_shape[1]
+        in_ch = graph.nodes[n.inputs[0]].out_shape[1]
         _, out_ch, h, w = n.out_shape
         flops = 2 * n.kernel * n.kernel * (in_ch // n.groups) * out_ch * h * w
         if strict:
@@ -423,7 +421,7 @@ def _node_flops(graph, n, strict):
 def _node_params(graph, n):
     if n.kind != "conv":
         return 0
-    in_ch = graph.node(n.inputs[0]).out_shape[1]
+    in_ch = graph.nodes[n.inputs[0]].out_shape[1]
     out_ch = n.out_shape[1]
     params = n.kernel * n.kernel * (in_ch // n.groups) * out_ch
     if n.bias:
@@ -434,7 +432,7 @@ def _node_params(graph, n):
 
 
 def _node_bytes(graph, n, params):
-    moved = n.out_elements + sum(graph.node(s).out_elements for s in n.inputs)
+    moved = n.out_elements + sum(graph.nodes[s].out_elements for s in n.inputs)
     return BYTES_PER_VALUE * (moved + params)
 
 

@@ -50,7 +50,7 @@ class TestBackboneLowering:
         assert "backbone.s0.r1.proj" not in names
         adds = [n for n in graph.nodes if n.kind == "add"]
         assert len(adds) == 2
-        out = graph.node(graph.outputs[0])
+        out = graph.nodes[graph.outputs[0]]
         assert out.out_shape == (1, 32, 32, 32)
 
     def test_res_stage_stride1_same_width_has_no_projection(self):
@@ -71,7 +71,7 @@ class TestBackboneLowering:
         graph = build_graph(g)
         s2d = next(n for n in graph.nodes if n.kind == "space_to_depth")
         assert s2d.out_shape == (1, 12, 32, 32)
-        out = graph.node(graph.outputs[0])
+        out = graph.nodes[graph.outputs[0]]
         assert out.out_shape == (1, 16, 32, 32)
 
     def test_spp_lowering(self):
@@ -82,7 +82,7 @@ class TestBackboneLowering:
         assert all(p.kernel == 5 and p.stride == 1 for p in pools)
         cat = next(n for n in graph.nodes if n.kind == "concat")
         assert cat.out_shape[1] == 4 * 16  # 4 parts of the reduced width
-        assert graph.node(graph.outputs[0]).out_shape == (1, 48, 64, 64)
+        assert graph.nodes[graph.outputs[0]].out_shape == (1, 48, 64, 64)
 
     def test_odd_spatial_dim_at_stride2_is_an_error(self):
         g = backbone_only(BlockSpec("ConvBnAct", 3, 8, stride=2), input_res=(33, 64))
@@ -146,8 +146,8 @@ class TestNeckLowering:
             g_up = build_graph(up)
             g_down = build_graph(down)
             assert len(g_down.nodes) < len(g_up.nodes)
-            shapes_up = [g_up.node(i).out_shape for i in g_up.outputs]
-            shapes_down = [g_down.node(i).out_shape for i in g_down.outputs]
+            shapes_up = [g_up.nodes[i].out_shape for i in g_up.outputs]
+            shapes_down = [g_down.nodes[i].out_shape for i in g_down.outputs]
             assert shapes_up == shapes_down
 
     def test_neck_output_shapes_follow_widths_and_strides(self):
@@ -169,8 +169,8 @@ class TestNeckLowering:
             (backbone_only(BlockSpec("Res", 16, 32, stride=2)), ["backbone.s0.r0.add"], []),
         ):
             graph = build_graph(genome)
-            assert [graph.node(i).name for i in graph.outputs] == outputs
-            assert [graph.node(i).name for i in graph.pyramid] == pyramid
+            assert [graph.nodes[i].name for i in graph.outputs] == outputs
+            assert [graph.nodes[i].name for i in graph.pyramid] == pyramid
 
     def test_rep_attr_set_only_for_reparam_styles(self):
         base = preset_genome("tiny")

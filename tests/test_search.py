@@ -11,10 +11,11 @@ from detkit import search as search_module
 from detkit.cost import builtin_profile
 from detkit.errors import InfeasibleError, ValidationError
 from detkit.genome import FUSION_STYLES, BlockSpec, DetectorGenome, HeadConfig, NeckConfig, preset_genome
-from detkit.graph import GraphBuilder, build_graph
+from detkit.graph import GraphBuilder, OpGraph, build_graph
 from detkit.search import (
     MUTATION_OPS,
     ParetoArchive,
+    ProxyScore,
     SearchConfig,
     entropy_score,
     evaluate_genome,
@@ -41,7 +42,7 @@ def golden_scores() -> dict:
     lines = (GOLDEN / "scores.ndjson").read_text().splitlines()
     return {rec["case"]: rec for rec in map(json.loads, lines)}
 
-LOG_2PI_E = math.log(2.0 * math.pi * math.e)
+LN_2PI_E = math.log(2.0 * math.pi * math.e)
 
 
 def make_cfg(**kw):
@@ -58,13 +59,12 @@ def make_cfg(**kw):
 
 
 class TestEntropyScore:
-    def test_identity_graph_closed_form(self):
+    def test_input_only_graph_closed_form(self):
         gb = GraphBuilder()
         x = gb.input((1, 64, 20, 20))
-        y = gb.identity(x, name="id")
-        g = gb.finish(outputs=(y,))
+        g = gb.finish(outputs=(x,))
         score = entropy_score(g)
-        assert score.value == pytest.approx(64 * 400 * 0.5 * LOG_2PI_E, rel=1e-12)
+        assert score.value == pytest.approx(64 * 400 * 0.5 * LN_2PI_E, rel=1e-12)
         assert score.per_scale == (score.value,)
 
     def test_variance_preserving_conv_keeps_score_residual_add_raises_by_log2(self):
@@ -97,7 +97,7 @@ class TestEntropyScore:
         cat = gb.concat([x, a], name="cat")  # parts at v=1 and v=2
         g = gb.finish(outputs=(cat,))
         el = 4 * 4
-        expected = el * 0.5 * LOG_2PI_E + el * 0.5 * (LOG_2PI_E + math.log(2.0))
+        expected = el * 0.5 * LN_2PI_E + el * 0.5 * (LN_2PI_E + math.log(2.0))
         assert entropy_score(g).value == pytest.approx(expected, rel=1e-12)
 
     def test_widening_every_stage_strictly_increases_score(self):
@@ -141,14 +141,50 @@ class TestEntropyScore:
         got = {"case": case, "value": score.value, "per_scale": list(score.per_scale)}
         assert got == golden_scores()[case], f"proxy score of {case} drifted from tests/golden/scores.ndjson"
 
-    def test_scale_weights(self):
-        graph = build_graph(preset_genome("tiny"))
-        base = entropy_score(graph)
-        weighted = entropy_score(graph, scale_weights=(2.0, 1.0, 0.0))
-        assert weighted.per_scale[0] == pytest.approx(2 * base.per_scale[0])
-        assert weighted.per_scale[2] == 0.0
-        with pytest.raises(ValidationError):
-            entropy_score(graph, scale_weights=(1.0,))
+
+
+def reference_entropy_score(graph: OpGraph) -> ProxyScore:
+    """The proxy with every node propagated: variance runs over a copy of the
+    graph whose only output is its last node, and the original taps are read."""
+    everything = OpGraph(nodes=graph.nodes, outputs=(len(graph.nodes) - 1,))
+    state = search_module._propagate_variance(everything)
+    per_scale = tuple(search_module._scale_entropy(graph.nodes[nid], state[nid])
+                      for nid in graph.pyramid or graph.outputs)
+    return ProxyScore(value=sum(per_scale), per_scale=per_scale)
+
+
+class TestEarlyStop:
+    """Variance propagation stops at the last scored node; scores equal the
+    full propagation's exactly."""
+
+    @pytest.mark.parametrize("case", list(SCORE_CASES))  # both presets are among them
+    def test_golden_cases_and_presets(self, case):
+        graph = build_graph(SCORE_CASES[case]())
+        assert entropy_score(graph) == reference_entropy_score(graph)
+
+    def test_random_genomes_and_mutation_chains(self):
+        rng = random.Random(1)
+        cfg = make_cfg(depth_max=3)
+        for n in range(300):
+            genome = random_genome(rng) if n % 6 == 0 else mutate(genome, rng, cfg)
+            graph = build_graph(genome)
+            assert entropy_score(graph) == reference_entropy_score(graph), genome
+
+    def test_nodes_after_the_last_tap_are_not_visited(self):
+        gb = GraphBuilder()
+        x = gb.input((1, 8, 16, 16))
+        a = gb.conv(x, 16, name="a", stride=2)
+        b = gb.add([gb.conv(a, 16, name="b"), a], name="res")
+        up = gb.upsample(gb.conv(b, 32, name="c"), name="up")
+        graph = gb.finish(outputs=(gb.conv(up, 8, name="d"),), pyramid=(a, b))
+        assert len(search_module._propagate_variance(graph)) == b + 1 < len(graph.nodes)
+        assert entropy_score(graph) == reference_entropy_score(graph)
+        truncated = OpGraph(nodes=graph.nodes[:b + 1], outputs=(b,), pyramid=(a, b))
+        assert entropy_score(graph) == entropy_score(truncated)
+
+    def test_necked_preset_stops_at_the_last_pyramid_node(self):
+        graph = build_graph(preset_genome("s"))
+        assert len(search_module._propagate_variance(graph)) == max(graph.pyramid) + 1 < len(graph.nodes)
 
 
 class TestMutate:
