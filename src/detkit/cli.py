@@ -285,6 +285,8 @@ def cmd_loss(args) -> int:
             mode=string(s, "mode", "schedule", "cosine"),
         )
     epoch = integer(doc, "epoch", default=0)
+    if epoch < 0:
+        raise ValidationError(f"epoch must be >= 0, got {epoch}", path="epoch")
 
     distill = 0.0
     if "distill" in doc:

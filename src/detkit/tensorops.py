@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .fields import integers, load_json
+from .fields import integers, load_json, string
 
 __all__ = [
     "Tensor4",
@@ -209,6 +209,10 @@ def channel_stats(feat: Tensor4) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+# the one layout raw tensor files have; a sidecar may restate it, not change it
+_RAW_LAYOUT = {"dtype": "float32", "byte_order": "little", "order": "C"}
+
+
 def save_raw_tensor(path, x: Tensor4) -> None:
     """Write little-endian float32 raw data plus a `<path>.json` shape sidecar."""
     import json
@@ -216,7 +220,7 @@ def save_raw_tensor(path, x: Tensor4) -> None:
 
     path = Path(path)
     x.data.astype("<f4").tofile(path)
-    sidecar = {"shape": list(x.dims), "dtype": "float32", "byte_order": "little", "order": "C"}
+    sidecar = {"shape": list(x.dims), **_RAW_LAYOUT}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
@@ -227,9 +231,15 @@ def load_raw_tensor(path) -> Tensor4:
 
     path = Path(path)
     sidecar = Path(str(path) + ".json")
-    shape = tuple(integers(load_json(sidecar.read_text(), sidecar.name), "shape", sidecar.name, length=4))
+    doc = load_json(sidecar.read_text(), sidecar.name)
+    shape = tuple(integers(doc, "shape", sidecar.name, length=4))
     if min(shape) < 1:
         raise ValidationError(f"dims must be >= 1, got {list(shape)}", path=f"{sidecar.name}.shape")
+    for key, expected in _RAW_LAYOUT.items():
+        value = string(doc, key, sidecar.name, default=expected)
+        if value != expected:
+            raise ValidationError(f"only {expected!r} is supported, got {value!r}",
+                                  path=f"{sidecar.name}.{key}")
     data = np.fromfile(path, dtype="<f4")
     if data.size != math.prod(shape):
         raise ShapeError(f"raw file holds {data.size} values, sidecar shape {shape} needs {math.prod(shape)}")

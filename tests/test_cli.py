@@ -739,6 +739,8 @@ BAD_LOSS_INPUTS = [
     ({"weights": [], "components": {}}, "weights"),
     ({"components": {"giou": None}}, "components.giou"),
     ({"components": {}, "epoch": "x"}, "epoch"),
+    ({"components": {}, "epoch": -7}, "epoch"),
+    ({"components": {}, "epoch": -1, "schedule": {"stage1_epochs": 10}}, "epoch"),
     ({"components": {}, "schedule": {"w_start": "half"}}, "schedule.w_start"),
     ({"components": {}, "distill": {"teacher": ["t.bin"]}}, "distill.student"),
     ({"components": {}, "distill": {"teacher": "t.bin", "student": []}}, "distill.teacher"),
@@ -755,6 +757,10 @@ BAD_SIDECARS = [
     ({"shape": [1, 2, "a", 4]}, "t.bin.json.shape[2]"),
     ({"shape": [1, -2, -4, 4]}, "t.bin.json.shape"),
     ([1, 2, 4, 4], "t.bin.json"),
+    ({"shape": [1, 2, 4, 4], "byte_order": "big"}, "t.bin.json.byte_order"),
+    ({"shape": [1, 2, 4, 4], "dtype": "float16"}, "t.bin.json.dtype"),
+    ({"shape": [1, 2, 4, 4], "order": "F"}, "t.bin.json.order"),
+    ({"shape": [1, 2, 4, 4], "dtype": 32}, "t.bin.json.dtype"),
 ]
 
 

@@ -1,5 +1,7 @@
 """tensorops tests. The quadruple-loop conv below is the independent oracle:
 it was written first and stays loop-based on purpose."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,25 @@ class TestRawTensorIO:
         back = load_raw_tensor(path)
         assert back.dims == x.dims
         np.testing.assert_array_equal(back.data, x.data)
+        assert json.loads((tmp_path / "feat.bin.json").read_text()) == {
+            "shape": [2, 3, 4, 5], "dtype": "float32", "byte_order": "little", "order": "C"}
+
+    def test_sidecar_without_layout_fields_is_read_as_the_default_layout(self, tmp_path):
+        x = Tensor4(np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2))
+        path = tmp_path / "feat.bin"
+        save_raw_tensor(path, x)
+        (tmp_path / "feat.bin.json").write_text(json.dumps({"shape": [1, 2, 2, 2]}))
+        np.testing.assert_array_equal(load_raw_tensor(path).data, x.data)
+
+    @pytest.mark.parametrize("key, value", [("dtype", "float16"), ("byte_order", "big"), ("order", "F")])
+    def test_sidecar_declaring_another_layout_is_rejected(self, tmp_path, key, value):
+        path = tmp_path / "feat.bin"
+        save_raw_tensor(path, Tensor4(np.zeros((1, 2, 2, 2), dtype=np.float32)))
+        sidecar = tmp_path / "feat.bin.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+        with pytest.raises(ValidationError) as err:
+            load_raw_tensor(path)
+        assert err.value.path == f"feat.bin.json.{key}"
 
     def test_size_mismatch_detected(self, tmp_path):
         x = Tensor4(np.zeros((1, 1, 2, 2), dtype=np.float32))
