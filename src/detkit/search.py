@@ -176,7 +176,7 @@ MUTATION_OPS = (
 
 _DEPTH_KINDS = STACKED_KINDS + ("ConvBnAct",)
 
-_MUTATION_DRAWS = 16  # per `mutate` call, before it returns the genome unchanged
+_MUTATION_DRAWS = 16
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,6 @@ class TestEntropyScore:
         assert got == golden_scores()[case], f"proxy score of {case} drifted from tests/golden/scores.ndjson"
 
 
-
 def reference_entropy_score(graph: OpGraph) -> ProxyScore:
     """The proxy with every node propagated: variance runs over a copy of the
     graph whose only output is its last node, and the original taps are read."""
@@ -181,10 +180,6 @@ class TestEarlyStop:
         assert entropy_score(graph) == reference_entropy_score(graph)
         truncated = OpGraph(nodes=graph.nodes[:b + 1], outputs=(b,), pyramid=(a, b))
         assert entropy_score(graph) == entropy_score(truncated)
-
-    def test_necked_preset_stops_at_the_last_pyramid_node(self):
-        graph = build_graph(preset_genome("s"))
-        assert len(search_module._propagate_variance(graph)) == max(graph.pyramid) + 1 < len(graph.nodes)
 
 
 class TestMutate:

@@ -284,16 +284,6 @@ class TestRawTensorIO:
         (tmp_path / "feat.bin.json").write_text(json.dumps({"shape": [1, 2, 2, 2]}))
         np.testing.assert_array_equal(load_raw_tensor(path).data, x.data)
 
-    @pytest.mark.parametrize("key, value", [("dtype", "float16"), ("byte_order", "big"), ("order", "F")])
-    def test_sidecar_declaring_another_layout_is_rejected(self, tmp_path, key, value):
-        path = tmp_path / "feat.bin"
-        save_raw_tensor(path, Tensor4(np.zeros((1, 2, 2, 2), dtype=np.float32)))
-        sidecar = tmp_path / "feat.bin.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
-        with pytest.raises(ValidationError) as err:
-            load_raw_tensor(path)
-        assert err.value.path == f"feat.bin.json.{key}"
-
     def test_size_mismatch_detected(self, tmp_path):
         x = Tensor4(np.zeros((1, 1, 2, 2), dtype=np.float32))
         path = tmp_path / "feat.bin"
