@@ -3,13 +3,15 @@
 
 Run only when a template or proxy change is intentional; review the diff
 before committing, since these files freeze the lowering of every block
-template, the proxy score of each of those genomes and of the s preset, and
-the archive of one seeded search.
+template, the proxy score of each of those genomes and of the s preset, the
+archive of one seeded search, and the stdout of every demo under demos/.
 
     PYTHONPATH=src python tools/make_goldens.py
 """
 import argparse
 import json
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from detkit.genome import BlockSpec, DetectorGenome, preset_genome
 from detkit.graph import build_graph
 from detkit.search import SearchConfig, entropy_score, search
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def backbone_only(*blocks, input_res=(64, 64)):
@@ -68,6 +71,14 @@ def search_golden() -> str:
     return search(preset_genome("s"), SearchConfig(**SEARCH_CONFIG)).to_ndjson()
 
 
+def demo_golden(demo: Path) -> str:
+    """The demo's stdout, run as its docstring says; every demo is deterministic."""
+    run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
+    if run.returncode:
+        sys.exit(f"{demo.name} failed:\n{run.stderr}")
+    return run.stdout
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.parse_args()
@@ -82,6 +93,11 @@ def main():
     path = GOLDEN / "search_s_seed0.ndjson"
     path.write_text(search_golden())
     print(f"wrote {path}")
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        path = GOLDEN / "demos" / f"{demo.stem}.txt"
+        path.write_text(demo_golden(demo))
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
