@@ -7,25 +7,29 @@ IoU soft label), the per-target dynamic k, and conflict resolution.
 """
 import numpy as np
 
-from detkit.assign import Box, GroundTruth, Prediction, align_cost, dynamic_k_assign
+from detkit.assign import GroundTruthArrays, PredictionArrays, align_cost, dynamic_k_assign
 
-gts = [
-    GroundTruth(Box(10, 10, 50, 50), class_id=0),
-    GroundTruth(Box(40, 40, 80, 80), class_id=1),
-]
+gts = GroundTruthArrays(
+    boxes=np.array([[10, 10, 50, 50], [40, 40, 80, 80]], dtype=np.float64),
+    class_ids=np.array([0, 1]),
+)
 
-preds = [
-    Prediction(Box(12, 11, 49, 52), np.array([0.9, 0.1]), anchor_point=(30, 30)),  # good for gt0
-    Prediction(Box(9, 12, 51, 48), np.array([0.4, 0.2]), anchor_point=(28, 31)),   # ok for gt0
-    Prediction(Box(42, 39, 78, 82), np.array([0.2, 0.8]), anchor_point=(60, 60)),  # good for gt1
-    Prediction(Box(30, 30, 70, 70), np.array([0.5, 0.5]), anchor_point=(50, 50)),  # contested
-    Prediction(Box(90, 90, 99, 99), np.array([0.9, 0.9]), anchor_point=(95, 95)),  # background
-]
+preds = PredictionArrays(
+    boxes=np.array([
+        [12, 11, 49, 52],  # good for gt0
+        [9, 12, 51, 48],   # ok for gt0
+        [42, 39, 78, 82],  # good for gt1
+        [30, 30, 70, 70],  # contested
+        [90, 90, 99, 99],  # background
+    ], dtype=np.float64),
+    scores=np.array([[0.9, 0.1], [0.4, 0.2], [0.2, 0.8], [0.5, 0.5], [0.9, 0.9]]),
+    anchors=np.array([[30, 30], [28, 31], [60, 60], [50, 50], [95, 95]], dtype=np.float64),
+)
 
 matrix = align_cost(gts, preds)
 print("aligned cost matrix (rows = ground truths, inf = not a candidate):")
-for i in range(len(gts)):
-    row = "  ".join(f"{c:8.3f}" for c in matrix.costs[i])
+for i, costs in enumerate(matrix.costs):
+    row = "  ".join(f"{c:8.3f}" for c in costs)
     print(f"  gt{i}: {row}")
 
 result = dynamic_k_assign(matrix)
@@ -38,7 +42,11 @@ for j, (gt, soft) in enumerate(zip(result.assigned_gt, result.soft_labels)):
 
 # a well-placed but badly classified prediction costs more than a slightly
 # worse box with a confident, correct score
-sloppy_box = Prediction(Box(13, 13, 48, 49), np.array([0.85, 0.1]))
-wrong_cls = Prediction(Box(10, 10, 50, 50), np.array([0.05, 0.9]))
-m = align_cost([gts[0]], [sloppy_box, wrong_cls])
+gt0 = GroundTruthArrays(boxes=gts.boxes[:1], class_ids=gts.class_ids[:1])
+sloppy_box_and_wrong_cls = PredictionArrays(
+    boxes=np.array([[13, 13, 48, 49], [10, 10, 50, 50]], dtype=np.float64),
+    scores=np.array([[0.85, 0.1], [0.05, 0.9]]),
+    anchors=np.zeros((2, 2)),
+)
+m = align_cost(gt0, sloppy_box_and_wrong_cls)
 print(f"\nalignment at work: sloppy box {m.costs[0, 0]:.3f} < wrong class {m.costs[0, 1]:.3f}")

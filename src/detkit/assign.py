@@ -22,12 +22,11 @@ Ties break by (GT index, prediction index) on original indices. Both solvers
 share one per-GT candidate/k pass and build the result from a (P,) array of
 winning GT indices, without a loop over predictions.
 
-Arrays are the core form. Per image, ground truths are (G,4) corners and (G,)
-class ids (`GroundTruthArrays`); predictions are (P,4) corners, (P,C) scores
-and (P,2) anchor points (`PredictionArrays`), which check their values in
-bulk; `align_cost` checks the class ids. Errors name the first bad row, e.g.
-`predictions[17].box`. `align_cost` also accepts lists of `GroundTruth` /
-`Prediction` and stacks them. The cost is built one GT row at a time,
+Arrays are the only input form. Per image, ground truths are (G,4) corners
+and (G,) class ids (`GroundTruthArrays`); predictions are (P,4) corners, (P,C)
+scores and (P,2) anchor points (`PredictionArrays`), which check their values
+in bulk; `align_cost` checks the class ids. Errors name the first bad row,
+e.g. `predictions[17].box`. The cost is built one GT row at a time,
 vectorised over predictions: only the returned |GT| x |pred| matrices grow
 with the pair count, never the temporaries.
 """
@@ -42,8 +41,6 @@ from .errors import ShapeError, ValidationError
 
 __all__ = [
     "Box",
-    "Prediction",
-    "GroundTruth",
     "GroundTruthArrays",
     "PredictionArrays",
     "CostMatrix",
@@ -81,35 +78,6 @@ class Box:
     @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    box: Box
-    cls_scores: np.ndarray
-    anchor_point: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        scores = np.asarray(self.cls_scores, dtype=np.float64).reshape(-1)
-        if scores.size == 0:
-            raise ValidationError("prediction needs at least one class score")
-        if np.any(scores < 0) or np.any(scores > 1):
-            raise ValidationError("class scores must lie in [0, 1]")
-        if len(self.anchor_point) != 2:
-            raise ValidationError(f"anchor_point must hold 2 numbers, got {self.anchor_point!r}")
-        object.__setattr__(self, "cls_scores", scores)
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    box: Box
-    class_id: int
-
-    def __post_init__(self):
-        if self.class_id < 0:
-            raise ValidationError(f"class_id must be >= 0, got {self.class_id}")
-        if self.box.area <= 0:
-            raise ValidationError("ground-truth box must have positive area")
 
 
 def _first_bad(ok: np.ndarray, message: str, path: str) -> None:
@@ -194,22 +162,13 @@ class AssignmentResult:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _box_rows(items) -> np.ndarray:
-    """(N,4) float64 corners from an array or a sequence of Box / GroundTruth / Prediction."""
-    if isinstance(items, np.ndarray):
-        return items.astype(np.float64, copy=False).reshape(-1, 4)
-    boxes = [item if isinstance(item, Box) else item.box for item in items]
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+def pairwise_iou(gt_boxes: np.ndarray, pred_boxes: np.ndarray) -> np.ndarray:
+    """|GT| x |pred| intersection-over-union of two (N,4) corner arrays;
+    degenerate unions give 0.
 
-
-def pairwise_iou(gts, preds) -> np.ndarray:
-    """|GT| x |pred| intersection-over-union; degenerate unions give 0.
-
-    Either side is an (N,4) corner array or a sequence of Box, GroundTruth or
-    Prediction. Rows are computed one GT at a time, with the operations in the
-    order of the per-pair formula, so values are bit-identical to it.
+    Rows are computed one GT at a time, with the operations in the order of
+    the per-pair formula, so values are bit-identical to it.
     """
-    gt_boxes, pred_boxes = _box_rows(gts), _box_rows(preds)
     areas = (pred_boxes[:, 2] - pred_boxes[:, 0]) * (pred_boxes[:, 3] - pred_boxes[:, 1])
     out = np.zeros((len(gt_boxes), len(pred_boxes)), dtype=np.float64)
     for i, box in enumerate(gt_boxes):
@@ -221,28 +180,6 @@ def pairwise_iou(gts, preds) -> np.ndarray:
     return out
 
 
-def _stack_gts(gts) -> GroundTruthArrays:
-    if isinstance(gts, GroundTruthArrays):
-        return gts
-    return GroundTruthArrays(boxes=_box_rows(gts),
-                             class_ids=np.array([g.class_id for g in gts], dtype=np.int64))
-
-
-def _stack_preds(preds) -> PredictionArrays:
-    if isinstance(preds, PredictionArrays):
-        return preds
-    n_classes = preds[0].cls_scores.size if preds else 0
-    for j, pred in enumerate(preds):
-        if pred.cls_scores.size != n_classes:
-            raise ValidationError(
-                f"expected {n_classes} class scores like predictions[0], got {pred.cls_scores.size}",
-                path=f"predictions[{j}].cls_scores",
-            )
-    scores = np.array([p.cls_scores for p in preds], dtype=np.float64).reshape(len(preds), n_classes)
-    anchors = np.array([p.anchor_point for p in preds], dtype=np.float64).reshape(-1, 2)
-    return PredictionArrays(boxes=_box_rows(preds), scores=scores, anchors=anchors)
-
-
 def _pair_costs(alpha: np.ndarray, p: np.ndarray) -> np.ndarray:
     """-ln(max(alpha, eps)) + (alpha - p)^2 * BCE(p, alpha), elementwise."""
     pc = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
@@ -250,18 +187,15 @@ def _pair_costs(alpha: np.ndarray, p: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(alpha, ALPHA_EPS)) + (alpha - p) ** 2 * bce
 
 
-def align_cost(gts, preds, center_prior: bool = False) -> CostMatrix:
+def align_cost(gts: GroundTruthArrays, preds: PredictionArrays, center_prior: bool = False) -> CostMatrix:
     """Aligned assignment costs for one image.
 
-    gts is a GroundTruthArrays or a sequence of GroundTruth; preds is a
-    PredictionArrays or a sequence of Prediction (lists are stacked into
-    arrays first). center_prior additionally requires a prediction's anchor
-    point to lie inside the GT box for candidacy; it is off by default.
+    center_prior additionally requires a prediction's anchor point to lie
+    inside the GT box for candidacy; it is off by default.
 
     Each GT row is computed over all predictions at once, and the cost only at
     that row's candidates, so no temporary grows with |GT| x |pred|.
     """
-    gts, preds = _stack_gts(gts), _stack_preds(preds)
     n_pred, n_classes = preds.scores.shape
     # without predictions, any id an int64 can hold is in range
     limit = n_classes if n_pred else np.iinfo(np.int64).max

@@ -43,10 +43,11 @@ from .assign import (
 )
 from .cost import DeviceProfile, builtin_profile, cost_report
 from .errors import DetkitError, InfeasibleError, ShapeError, ValidationError
-from .fields import array, column, get, integer, load_json, number, objects, string, strings
+from .fields import array, column, get, integer, load_json, number, objects, string, strings, within
 from .genome import MAX_INPUT_RES, genome_from_json, genome_to_json, preset_genome
 from .graph import build_graph
 from .losses import (
+    QFL_BETA,
     DistillSchedule,
     LossWeights,
     dfl,
@@ -55,6 +56,7 @@ from .losses import (
     giou_loss,
     loss_breakdown,
     qfl,
+    total_loss,
 )
 from .reparam import RepBranchParams, reparam_fold
 from .search import SearchConfig, entropy_score, search
@@ -213,11 +215,8 @@ def cmd_assign(args) -> int:
     solver = sinkhorn_assign if args.solver == "sinkhorn" else dynamic_k_assign
     records = []
     for idx, image in enumerate(objects(doc, "images")):
-        try:
+        with within(f"images[{idx}]"):
             result = solver(align_cost(*_parse_image(image), center_prior=args.center_prior))
-        except ValidationError as e:
-            where = f"images[{idx}]"
-            raise ValidationError(e.message, path=f"{where}.{e.path}" if e.path else where) from None
         records.append({
             "image": idx,
             "assigned_gt": [a if a is not None else -1 for a in result.assigned_gt],
@@ -233,15 +232,12 @@ def _mean(values):
     return float(sum(values) / len(values)) if values else 0.0
 
 
-def _box(spec, key: str, path: str) -> Box:
-    where = f"{path}.{key}"
-    corners = array(spec, key, path).tolist()
-    if len(corners) != 4:
-        raise ValidationError(f"expected 4 numbers, got {len(corners)}", path=where)
-    try:
+def _box(spec, key: str) -> Box:
+    corners = array(spec, key).tolist()
+    with within(key):
+        if len(corners) != 4:
+            raise ValidationError(f"expected 4 numbers, got {len(corners)}")
         return Box(*corners)
-    except ValidationError as e:
-        raise ValidationError(str(e), path=where) from None
 
 
 def cmd_loss(args) -> int:
@@ -250,26 +246,27 @@ def cmd_loss(args) -> int:
     if not isinstance(doc, dict):
         raise ValidationError("expected an object", path="input")
     weights_doc = get(doc, "weights", default={})
-    weights = LossWeights(
-        qfl=number(weights_doc, "qfl", "weights", 1.0),
-        dfl=number(weights_doc, "dfl", "weights", 0.25),
-        giou=number(weights_doc, "giou", "weights", 2.0),
-    )
+    with within("weights"):
+        weights = LossWeights(*(number(weights_doc, k, default=getattr(LossWeights, k))
+                                for k in ("qfl", "dfl", "giou")))
     if "components" in doc:
-        q, d, g = (number(doc["components"], k, "components", 0.0) for k in ("qfl", "dfl", "giou"))
+        with within("components"):
+            q, d, g = (number(doc["components"], k, default=0.0) for k in ("qfl", "dfl", "giou"))
+            total_loss((q, d, g), weights)  # rejects a negative component here, so its error names it
     elif "pairs" in doc:
         qs, ds, gs = [], [], []
         for i, pair in enumerate(objects(doc, "pairs")):
-            path = f"pairs[{i}]"
             if "qfl" in pair:
-                spec, sp = pair["qfl"], f"{path}.qfl"
-                qs.append(qfl(number(spec, "pred", sp), number(spec, "target", sp), number(spec, "beta", sp, 2.0)))
+                with within(f"pairs[{i}].qfl"):
+                    spec = pair["qfl"]
+                    qs.append(qfl(number(spec, "pred"), number(spec, "target"),
+                                  number(spec, "beta", default=QFL_BETA)))
             if "dfl" in pair:
-                spec, sp = pair["dfl"], f"{path}.dfl"
-                ds.append(dfl(array(spec, "probs", sp), number(spec, "target", sp)))
+                with within(f"pairs[{i}].dfl"):
+                    ds.append(dfl(array(pair["dfl"], "probs"), number(pair["dfl"], "target")))
             if "giou" in pair:
-                spec, sp = pair["giou"], f"{path}.giou"
-                gs.append(giou_loss(_box(spec, "pred_box", sp), _box(spec, "gt_box", sp)))
+                with within(f"pairs[{i}].giou"):
+                    gs.append(giou_loss(_box(pair["giou"], "pred_box"), _box(pair["giou"], "gt_box")))
         q, d, g = _mean(qs), _mean(ds), _mean(gs)
     else:
         raise ValidationError("need either 'components' or 'pairs'", path="input")
@@ -277,13 +274,14 @@ def cmd_loss(args) -> int:
     schedule = None
     if "schedule" in doc:
         s = doc["schedule"]
-        schedule = DistillSchedule(
-            stage1_epochs=integer(s, "stage1_epochs", "schedule", 284),
-            stage2_epochs=integer(s, "stage2_epochs", "schedule", 16),
-            w_start=number(s, "w_start", "schedule", 0.5),
-            w_end=number(s, "w_end", "schedule", 0.0),
-            mode=string(s, "mode", "schedule", "cosine"),
-        )
+        with within("schedule"):
+            schedule = DistillSchedule(
+                stage1_epochs=integer(s, "stage1_epochs", default=DistillSchedule.stage1_epochs),
+                stage2_epochs=integer(s, "stage2_epochs", default=DistillSchedule.stage2_epochs),
+                w_start=number(s, "w_start", default=DistillSchedule.w_start),
+                w_end=number(s, "w_end", default=DistillSchedule.w_end),
+                mode=string(s, "mode", default=DistillSchedule.mode),
+            )
     epoch = integer(doc, "epoch", default=0)
     if epoch < 0:
         raise ValidationError(f"epoch must be >= 0, got {epoch}", path="epoch")
@@ -296,7 +294,8 @@ def cmd_loss(args) -> int:
         try:
             teacher = [load_raw_tensor(base / f) for f in teacher_files]
             student = [load_raw_tensor(base / f) for f in student_files]
-            distill = distill_loss(teacher, student, kind=kind)
+            with within("distill"):
+                distill = distill_loss(teacher, student, kind=kind)
         except ShapeError as e:  # the tensors' shapes come from the input files
             raise ValidationError(str(e), path="distill") from None
 
@@ -313,22 +312,28 @@ def cmd_loss(args) -> int:
     return EXIT_OK
 
 
+# the fold block's keys for the ConvParams and BnParams fields whose values those types check
+_FOLD_KEYS = {"weights": "weight", "running_var": "var"}
+
+
 def _bn_from_doc(doc, path: str) -> BnParams:
-    return BnParams(
-        gamma=array(doc, "gamma", path),
-        beta=array(doc, "beta", path),
-        running_mean=array(doc, "mean", path),
-        running_var=array(doc, "var", path),
-        epsilon=number(doc, "eps", path, 1e-5),
-    )
+    with within(path, _FOLD_KEYS):
+        return BnParams(
+            gamma=array(doc, "gamma"),
+            beta=array(doc, "beta"),
+            running_mean=array(doc, "mean"),
+            running_var=array(doc, "var"),
+            epsilon=number(doc, "eps", default=BnParams.epsilon),
+        )
 
 
 def _conv_from_doc(doc, path: str) -> tuple[ConvParams, BnParams]:
-    w = array(doc, "weight", path, ndim=4)
-    bias = get(doc, "bias", path, None)
-    conv = ConvParams(w, np.zeros(w.shape[0]) if bias is None else array(doc, "bias", path),
-                      stride=integer(doc, "stride", path, 1),
-                      padding=integer(doc, "padding", path, w.shape[2] // 2))
+    with within(path, _FOLD_KEYS):
+        w = array(doc, "weight", ndim=4)
+        bias = get(doc, "bias", default=None)
+        conv = ConvParams(w, np.zeros(w.shape[0]) if bias is None else array(doc, "bias"),
+                          stride=integer(doc, "stride", default=ConvParams.stride),
+                          padding=integer(doc, "padding", default=w.shape[2] // 2))
     return conv, _bn_from_doc(get(doc, "bn", path), f"{path}.bn")
 
 

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .fields import load_json, number, string
+from .fields import load_json, number, string, within
 from .graph import OpGraph
 
 __all__ = [
@@ -55,10 +55,11 @@ class DeviceProfile:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not (self.flops_per_ms > 0 and self.bytes_per_ms > 0):
-            raise ValidationError("flops_per_ms and bytes_per_ms must be positive")
+        for name in ("flops_per_ms", "bytes_per_ms"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"must be positive, got {getattr(self, name)}", path=name)
         if not self.per_op_overhead_ms >= 0:
-            raise ValidationError("per_op_overhead_ms must be >= 0")
+            raise ValidationError(f"must be >= 0, got {self.per_op_overhead_ms}", path="per_op_overhead_ms")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -78,12 +79,13 @@ class DeviceProfile:
     @staticmethod
     def from_doc(doc, path: str = "") -> "DeviceProfile":
         """Read a profile object; `path` is its place in an enclosing document."""
-        return DeviceProfile(
-            name=string(doc, "name", path),
-            flops_per_ms=number(doc, "flops_per_ms", path),
-            bytes_per_ms=number(doc, "bytes_per_ms", path),
-            per_op_overhead_ms=number(doc, "per_op_overhead_ms", path, 0.0),
-        )
+        with within(path):
+            return DeviceProfile(
+                name=string(doc, "name"),
+                flops_per_ms=number(doc, "flops_per_ms"),
+                bytes_per_ms=number(doc, "bytes_per_ms"),
+                per_op_overhead_ms=number(doc, "per_op_overhead_ms", default=DeviceProfile.per_op_overhead_ms),
+            )
 
 
 # Illustrative profiles, not measurements: coefficients were picked so the

@@ -11,13 +11,16 @@ Each reader takes the enclosing object, the key and the object's own path
 ("" at the document root); a missing key is an error unless a default is
 given. `column` reads one field of every object in a list into one array and
 names the first bad object, e.g. `images[0].predictions[17].box`. Every
-document is parsed by `load_json`.
+document is parsed by `load_json`. A value rule that lives on a library type
+raises with a path relative to that type (or none); `within` puts the path of
+the enclosing document in front.
 """
 from __future__ import annotations
 
 import json
 import math
 import reprlib
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = ["load_json", "get", "integer", "number", "string", "boolean", "integers", "strings", "objects",
-           "array", "column"]
+           "array", "column", "within"]
 
 _REQUIRED = object()
 
@@ -48,6 +51,18 @@ def load_json(text: str, what: str):
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+@contextmanager
+def within(path: str, keys: dict[str, str] | None = None):
+    """Re-raise a ValidationError from the block with `path` in front of its
+    own path, or as its path when it has none; "" adds nothing. `keys` maps
+    a field name the error gives to the document's key for it, where they differ."""
+    try:
+        yield
+    except ValidationError as e:
+        inner = keys.get(e.path, e.path) if keys else e.path
+        raise ValidationError(e.message, path=_join(path, inner) if inner else path or None) from None
 
 
 def get(doc, key: str, path: str = "", default=_REQUIRED):

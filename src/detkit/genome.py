@@ -263,9 +263,9 @@ def genome_from_json(text: str) -> DetectorGenome:
                 kind=string(b, "kind", path),
                 in_ch=integer(b, "in_ch", path),
                 out_ch=integer(b, "out_ch", path),
-                stride=integer(b, "stride", path, 1),
-                depth=integer(b, "depth", path, 1),
-                kernel=integer(b, "kernel", path, 3),
+                stride=integer(b, "stride", path, BlockSpec.stride),
+                depth=integer(b, "depth", path, BlockSpec.depth),
+                kernel=integer(b, "kernel", path, BlockSpec.kernel),
             )
         )
 
@@ -275,26 +275,26 @@ def genome_from_json(text: str) -> DetectorGenome:
         neck = NeckConfig(
             depth=integer(neck_doc, "depth", "neck"),
             widths=tuple(integers(neck_doc, "widths", "neck", length=3)),
-            fusion_style=string(neck_doc, "fusion_style", "neck", "CspReparamElan"),
-            extra_upsample=boolean(neck_doc, "extra_upsample", "neck", False),
-            extra_downsample=boolean(neck_doc, "extra_downsample", "neck", True),
+            fusion_style=string(neck_doc, "fusion_style", "neck", NeckConfig.fusion_style),
+            extra_upsample=boolean(neck_doc, "extra_upsample", "neck", NeckConfig.extra_upsample),
+            extra_downsample=boolean(neck_doc, "extra_downsample", "neck", NeckConfig.extra_downsample),
         )
 
     head_doc = get(doc, "head", default=None)
     head = None
     if head_doc is not None:
         head = HeadConfig(
-            head_depth=integer(head_doc, "head_depth", "head", 0),
-            reg_bins=integer(head_doc, "reg_bins", "head", 16),
+            head_depth=integer(head_doc, "head_depth", "head", HeadConfig.head_depth),
+            reg_bins=integer(head_doc, "reg_bins", "head", HeadConfig.reg_bins),
         )
 
     genome = DetectorGenome(
         backbone=tuple(blocks),
         neck=neck,
         head=head,
-        num_classes=integer(doc, "num_classes", default=80),
-        input_res=tuple(integers(doc, "input_res", length=2, default=[640, 640])),
-        csp_hidden_ratio=number(doc, "csp_hidden_ratio", default=0.5),
+        num_classes=integer(doc, "num_classes", default=DetectorGenome.num_classes),
+        input_res=tuple(integers(doc, "input_res", length=2, default=list(DetectorGenome.input_res))),
+        csp_hidden_ratio=number(doc, "csp_hidden_ratio", default=DetectorGenome.csp_hidden_ratio),
     )
     genome.validate()
     return genome

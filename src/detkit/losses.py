@@ -55,10 +55,13 @@ __all__ = [
     "distill_weight",
     "LOG_EPS",
     "STD_FLOOR",
+    "QFL_BETA",
 ]
 
 LOG_EPS = 1e-12
 STD_FLOOR = 1e-3
+# the focusing exponent of qfl when none is given
+QFL_BETA = 2.0
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,9 @@ class LossWeights:
     giou: float = 2.0
 
     def __post_init__(self):
-        if self.qfl < 0 or self.dfl < 0 or self.giou < 0:
-            raise ValidationError("loss weights must be non-negative")
+        for name in ("qfl", "dfl", "giou"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"loss weights must be non-negative, got {getattr(self, name)}", path=name)
         if self.qfl == self.dfl == self.giou == 0:
             raise ValidationError("at least one loss weight must be positive")
 
@@ -90,7 +94,7 @@ class LossBreakdown:
 class DistillSchedule:
     """Two-stage schedule: distill through stage one, fine-tune without
     distillation in stage two. mode "cosine" decays w_start -> w_end over
-    stage one; "constant" holds w_start."""
+    stage one; "constant" holds w_start. Both weights are non-negative."""
 
     stage1_epochs: int = 284
     stage2_epochs: int = 16
@@ -99,10 +103,15 @@ class DistillSchedule:
     mode: str = "cosine"
 
     def __post_init__(self):
-        if self.stage1_epochs < 1 or self.stage2_epochs < 1:
-            raise ValidationError("stage durations must be positive")
+        for name in ("stage1_epochs", "stage2_epochs"):
+            if getattr(self, name) < 1:
+                raise ValidationError("stage durations must be positive", path=name)
+        for name in ("w_start", "w_end"):
+            # written so that NaN fails too
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"must be >= 0, got {getattr(self, name)}", path=name)
         if self.mode not in ("cosine", "constant"):
-            raise ValidationError(f"unknown schedule mode {self.mode!r}")
+            raise ValidationError(f"unknown schedule mode {self.mode!r}", path="mode")
 
     @property
     def total_epochs(self) -> int:
@@ -120,8 +129,11 @@ def _safe_log(x):
     return np.log(np.maximum(x, LOG_EPS))
 
 
-def qfl(pred_prob, target_q, beta_focal: float = 2.0):
-    """Quality focal loss. Scalars in, scalar out; arrays broadcast."""
+def qfl(pred_prob, target_q, beta_focal: float = QFL_BETA):
+    """Quality focal loss. Scalars in, scalar out; arrays broadcast. beta_focal
+    must be >= 0: a negative one is infinite where the prediction meets its target."""
+    if not beta_focal >= 0:
+        raise ValidationError(f"beta_focal must be >= 0, got {beta_focal}")
     p = _clamp01(pred_prob, "pred_prob")
     t = _clamp01(target_q, "target_q")
     bce = -(t * _safe_log(p) + (1.0 - t) * _safe_log(1.0 - p))
@@ -129,7 +141,7 @@ def qfl(pred_prob, target_q, beta_focal: float = 2.0):
     return float(out) if out.ndim == 0 else out
 
 
-def qfl_grad(pred_prob: float, target_q: float, beta_focal: float = 2.0) -> float:
+def qfl_grad(pred_prob: float, target_q: float, beta_focal: float = QFL_BETA) -> float:
     """d qfl / d pred at interior points (p not in {0, 1, target})."""
     p, t = float(pred_prob), float(target_q)
     gap = abs(t - p)
@@ -249,7 +261,7 @@ def total_loss(components, weights: LossWeights) -> float:
     q, d, g = (float(c) for c in components)
     for name, value in (("qfl", q), ("dfl", d), ("giou", g)):
         if value < 0:
-            raise ValidationError(f"negative {name} component: {value}")
+            raise ValidationError(f"negative {name} component: {value}", path=name)
     return weights.qfl * q + weights.dfl * d + weights.giou * g
 
 
@@ -353,7 +365,8 @@ _DISTILL_KINDS = {"cwd": cwd_loss, "mimic": mimic_loss, "mgd": mgd_loss}
 def distill_loss(teacher_feats, student_feats, kind: str = "cwd", **kw) -> float:
     """Multi-scale distillation: equal-weight mean over feature pairs."""
     if kind not in _DISTILL_KINDS:
-        raise ValidationError(f"unknown distillation kind {kind!r}; options: {sorted(_DISTILL_KINDS)}")
+        raise ValidationError(f"unknown distillation kind {kind!r}; options: {sorted(_DISTILL_KINDS)}",
+                              path="kind")
     if len(teacher_feats) != len(student_feats) or not teacher_feats:
         raise ShapeError("teacher and student need the same non-zero number of feature maps")
     fn = _DISTILL_KINDS[kind]

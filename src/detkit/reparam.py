@@ -42,17 +42,21 @@ class RepBranchParams:
             )
         if self.conv1.stride != self.conv3.stride:
             raise ShapeError("branch strides differ")
-        if self.conv3.padding != 1 or self.conv1.padding != 0:
-            raise ValidationError("rep block expects 3x3 pad 1 and 1x1 pad 0")
+        for name, padding in (("conv3", 1), ("conv1", 0)):
+            got = getattr(self, name).padding
+            if got != padding:
+                raise ValidationError(f"rep block expects 3x3 pad 1 and 1x1 pad 0, got {got}",
+                                      path=f"{name}.padding")
         if self.bn3.channels != self.conv3.out_ch or self.bn1.channels != self.conv1.out_ch:
             raise ShapeError("bn channels do not match branch out_ch")
         if self.identity_bn is not None:
             if self.conv3.in_ch != self.conv3.out_ch:
                 raise ValidationError(
-                    f"identity branch needs in_ch == out_ch, got {self.conv3.in_ch} != {self.conv3.out_ch}"
+                    f"identity branch needs in_ch == out_ch, got {self.conv3.in_ch} != {self.conv3.out_ch}",
+                    path="identity_bn",
                 )
             if self.conv3.stride != 1:
-                raise ValidationError("identity branch needs stride 1")
+                raise ValidationError("identity branch needs stride 1", path="identity_bn")
             if self.identity_bn.channels != self.conv3.out_ch:
                 raise ShapeError("identity bn channels do not match out_ch")
 
@@ -76,11 +80,10 @@ def _pad_1x1_to_3x3(w: np.ndarray) -> np.ndarray:
 
 
 def _identity_as_conv(bn: BnParams, channels: int) -> ConvParams:
-    scale = bn.gamma.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + bn.epsilon)
-    w = np.zeros((channels, channels, 3, 3), dtype=np.float64)
-    w[np.arange(channels), np.arange(channels), 1, 1] = scale
-    b = bn.beta.astype(np.float64) - bn.running_mean.astype(np.float64) * scale
-    return ConvParams(w.astype(np.float32), b.astype(np.float32), stride=1, padding=1)
+    """The identity branch as the batchnorm fold of a zero-bias Dirac 1x1 conv,
+    which the 1x1 branch's padding centres in the 3x3 kernel."""
+    w = np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1)
+    return fold_batchnorm(ConvParams(w, np.zeros(channels, dtype=np.float32)), bn)
 
 
 def reparam_fold(branches: RepBranchParams) -> ConvParams:
@@ -91,7 +94,7 @@ def reparam_fold(branches: RepBranchParams) -> ConvParams:
     b = f3.bias.astype(np.float64) + f1.bias.astype(np.float64)
     if branches.identity_bn is not None:
         ident = _identity_as_conv(branches.identity_bn, branches.out_ch)
-        w += ident.weights.astype(np.float64)
+        w += _pad_1x1_to_3x3(ident.weights.astype(np.float64))
         b += ident.bias.astype(np.float64)
     return ConvParams(w.astype(np.float32), b.astype(np.float32),
                       stride=branches.stride, padding=1)

@@ -53,6 +53,7 @@ class ConvParams:
 
     weights has shape (out_ch, in_ch // groups, kh, kw); bias has shape
     (out_ch,). Kernels must be odd so symmetric padding keeps centers aligned.
+    A bad value raises naming its field, e.g. `stride`.
     """
 
     weights: np.ndarray
@@ -70,13 +71,12 @@ class ConvParams:
         if b.shape != (out_ch,):
             raise ShapeError(f"bias dim {b.shape} != out_ch ({out_ch},)")
         if kh % 2 == 0 or kw % 2 == 0:
-            raise ValidationError(f"kernel must be odd, got {kh}x{kw}")
-        if self.stride < 1 or self.padding < 0 or self.groups < 1:
-            raise ValidationError(
-                f"stride/padding/groups out of range: {self.stride}/{self.padding}/{self.groups}"
-            )
+            raise ValidationError(f"kernel must be odd, got {kh}x{kw}", path="weights")
+        for name, low in (("stride", 1), ("padding", 0), ("groups", 1)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"must be >= {low}, got {getattr(self, name)}", path=name)
         if out_ch % self.groups != 0:
-            raise ValidationError(f"out_ch {out_ch} not divisible by groups {self.groups}")
+            raise ValidationError(f"out_ch {out_ch} not divisible by groups {self.groups}", path="groups")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -114,7 +114,7 @@ class BnParams:
             object.__setattr__(self, name, arr)
         # written so that a NaN variance fails too
         if np.any(~(fields_["running_var"] + self.epsilon > 0)):
-            raise ValidationError("running_var + epsilon must be > 0 per channel")
+            raise ValidationError("running_var + epsilon must be > 0 per channel", path="running_var")
 
     @property
     def channels(self) -> int:

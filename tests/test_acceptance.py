@@ -19,7 +19,7 @@ from detkit.search import search
 from detkit.tensorops import BnParams, ConvParams, Tensor4, conv2d_forward
 from detkit.cost import builtin_profile
 
-from test_assign import naive_assign, random_instance
+from test_assign import naive_assign, random_instance, stack
 from test_search import make_cfg
 
 
@@ -78,7 +78,7 @@ def test_criterion_2_alignota_oracle_equivalence():
     mismatches = 0
     for _ in range(1000):
         gts, preds, gb, gc, pb, ps = random_instance(rng, max_preds=8, max_gts=3)
-        got = dynamic_k_assign(align_cost(gts, preds))
+        got = dynamic_k_assign(align_cost(*stack(gts, preds)))
         exp_assigned, exp_k, _ = naive_assign(gb, gc, pb, ps)
         if list(got.assigned_gt) != exp_assigned or list(got.per_gt_k) != exp_k:
             mismatches += 1

@@ -3,8 +3,11 @@ re-deriving the documented rules from scratch, no shared helpers.
 scalar_align_cost is the per-pair loop the array core replaced, kept as the
 reference its row-at-a-time numpy form is checked against, and
 loop_sinkhorn_assign the per-GT, per-prediction Sinkhorn solver that the
-shared candidate pass and result builder replaced."""
+shared candidate pass and result builder replaced. The oracles read plain
+per-object records (Gt, Pred), which `stack` turns into the library's array
+bundles without checks of its own."""
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,9 +16,7 @@ from detkit.assign import (
     AssignmentResult,
     Box,
     CostMatrix,
-    GroundTruth,
     GroundTruthArrays,
-    Prediction,
     PredictionArrays,
     align_cost,
     dynamic_k_assign,
@@ -23,6 +24,32 @@ from detkit.assign import (
     sinkhorn_assign,
 )
 from detkit.errors import ShapeError, ValidationError
+from detkit.fields import column
+
+
+class Gt(NamedTuple):
+    box: tuple  # (x1, y1, x2, y2)
+    class_id: int
+
+
+class Pred(NamedTuple):
+    box: tuple
+    cls_scores: np.ndarray
+    anchor_point: tuple = (0.0, 0.0)
+
+
+def stack(gts, preds) -> tuple[GroundTruthArrays, PredictionArrays]:
+    n_classes = len(preds[0].cls_scores) if preds else 0
+    return (GroundTruthArrays(boxes=np.array([g.box for g in gts], dtype=np.float64).reshape(-1, 4),
+                              class_ids=np.array([g.class_id for g in gts], dtype=np.int64)),
+            PredictionArrays(boxes=np.array([p.box for p in preds], dtype=np.float64).reshape(-1, 4),
+                             scores=np.array([p.cls_scores for p in preds], dtype=np.float64)
+                             .reshape(len(preds), n_classes),
+                             anchors=np.array([p.anchor_point for p in preds], dtype=np.float64).reshape(-1, 2)))
+
+
+def align(gts, preds, center_prior=False):
+    return align_cost(*stack(gts, preds), center_prior=center_prior)
 
 
 # --- independent oracle -------------------------------------------------------
@@ -82,13 +109,13 @@ def naive_assign(gt_boxes, gt_classes, pred_boxes, pred_scores):
     return assigned, per_gt_k, soft
 
 
-def _scalar_iou(a: Box, b: Box) -> float:
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
+def _scalar_iou(a, b) -> float:
+    ix1 = max(a[0], b[0])
+    iy1 = max(a[1], b[1])
+    ix2 = min(a[2], b[2])
+    iy2 = min(a[3], b[3])
     inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
-    union = a.area + b.area - inter
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -99,7 +126,7 @@ def _scalar_bce(p: float, target: float) -> float:
     return -(target * math.log(p) + (1.0 - target) * math.log(1.0 - p))
 
 
-def scalar_align_cost(gts, preds, center_prior=False):
+def scalar_align(gts, preds, center_prior=False):
     """The library's former per-pair cost loop: (costs, alphas, mask) lists."""
     alphas = np.array([[_scalar_iou(g.box, p.box) for p in preds] for g in gts],
                       dtype=np.float64).reshape(len(gts), len(preds))
@@ -109,7 +136,7 @@ def scalar_align_cost(gts, preds, center_prior=False):
         for j, pred in enumerate(preds):
             if center_prior:
                 ax, ay = pred.anchor_point
-                mask[i, j] &= gt.box.x1 <= ax <= gt.box.x2 and gt.box.y1 <= ay <= gt.box.y2
+                mask[i, j] &= gt.box[0] <= ax <= gt.box[2] and gt.box[1] <= ay <= gt.box[3]
             if not mask[i, j]:
                 continue
             alpha = alphas[i, j]
@@ -167,11 +194,11 @@ def loop_sinkhorn_assign(matrix, reg=0.05, iterations=200):
 # --- helpers -------------------------------------------------------------------
 
 def make_pred(box, scores, anchor=(0.0, 0.0)):
-    return Prediction(box=Box(*box), cls_scores=np.array(scores), anchor_point=anchor)
+    return Pred(box=tuple(box), cls_scores=np.array(scores), anchor_point=anchor)
 
 
 def make_gt(box, cls=0):
-    return GroundTruth(box=Box(*box), class_id=cls)
+    return Gt(box=tuple(box), class_id=cls)
 
 
 def random_instance(rng, n_classes=3, max_preds=8, max_gts=3):
@@ -198,20 +225,19 @@ def random_instance(rng, n_classes=3, max_preds=8, max_gts=3):
 
 class TestPairwiseIou:
     def test_identical_boxes(self):
-        m = pairwise_iou([make_gt([0, 0, 4, 4])], [make_pred([0, 0, 4, 4], [0.5])])
+        m = pairwise_iou(np.array([[0.0, 0, 4, 4]]), np.array([[0.0, 0, 4, 4]]))
         assert m[0, 0] == 1.0
 
     def test_disjoint_boxes(self):
-        m = pairwise_iou([make_gt([0, 0, 1, 1])], [make_pred([5, 5, 6, 6], [0.5])])
+        m = pairwise_iou(np.array([[0.0, 0, 1, 1]]), np.array([[5.0, 5, 6, 6]]))
         assert m[0, 0] == 0.0
 
     def test_degenerate_union_gives_zero(self):
         point = np.array([[1.0, 1.0, 1.0, 1.0]])
         assert pairwise_iou(point, point)[0, 0] == 0.0
-        assert pairwise_iou([Box(1, 1, 1, 1)], [Box(1, 1, 1, 1)])[0, 0] == 0.0
 
     def test_hand_computed_overlap(self):
-        m = pairwise_iou([make_gt([0, 0, 2, 2])], [make_pred([1, 1, 3, 3], [0.5])])
+        m = pairwise_iou(np.array([[0.0, 0, 2, 2]]), np.array([[1.0, 1, 3, 3]]))
         assert m[0, 0] == pytest.approx(1.0 / 7.0, abs=1e-9)
 
 
@@ -219,14 +245,14 @@ class TestAlignCost:
     def test_perfect_pair_costs_zero(self):
         gts = [make_gt([0, 0, 4, 4], cls=0)]
         preds = [make_pred([0, 0, 4, 4], [1.0, 0.0])]
-        m = align_cost(gts, preds)
+        m = align(gts, preds)
         assert m.costs[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_matched_half_quality_kills_cls_term(self):
         # alpha = 0.5 and p = 0.5: squared-gap factor zero, only -ln 0.5 remains
         gts = [make_gt([0, 0, 4, 2], cls=0)]
         preds = [make_pred([0, 0, 4, 4], [0.5])]
-        m = align_cost(gts, preds)
+        m = align(gts, preds)
         assert m.alphas[0, 0] == pytest.approx(0.5)
         assert m.costs[0, 0] == pytest.approx(0.693147, abs=1e-6)
 
@@ -235,7 +261,7 @@ class TestAlignCost:
         # C_reg = -ln 0.8 (scripted oracle re-derivation below)
         gts = [make_gt([0, 0, 10, 8], cls=0)]
         preds = [make_pred([0, 0, 10, 10], [0.2])]
-        m = align_cost(gts, preds)
+        m = align(gts, preds)
         assert m.alphas[0, 0] == pytest.approx(0.8)
         c_cls = (0.8 - 0.2) ** 2 * (-(0.8 * math.log(0.2) + 0.2 * math.log(0.8)))
         assert c_cls == pytest.approx(0.479584, abs=1e-5)
@@ -244,7 +270,7 @@ class TestAlignCost:
         assert m.costs[0, 0] == pytest.approx(c_reg + c_cls, abs=1e-9)
 
     def test_empty_inputs_give_empty_matrix(self):
-        m = align_cost([], [])
+        m = align([], [])
         assert m.costs.shape == (0, 0)
         result = dynamic_k_assign(m)
         assert result.assigned_gt == () and result.per_gt_k == ()
@@ -252,7 +278,7 @@ class TestAlignCost:
     def test_zero_iou_pairs_masked_out(self):
         gts = [make_gt([0, 0, 1, 1])]
         preds = [make_pred([5, 5, 6, 6], [0.9])]
-        m = align_cost(gts, preds)
+        m = align(gts, preds)
         assert not m.candidate_mask[0, 0]
         assert np.isinf(m.costs[0, 0])
 
@@ -276,21 +302,21 @@ class TestAlignCost:
         gts = [make_gt([0, 0, 4, 4])]
         inside = make_pred([0, 0, 4, 4], [0.9], anchor=(2, 2))
         outside = make_pred([0, 0, 4, 4], [0.9], anchor=(9, 9))
-        m_default = align_cost(gts, [inside, outside])
+        m_default = align(gts, [inside, outside])
         assert m_default.candidate_mask.all()
-        m_prior = align_cost(gts, [inside, outside], center_prior=True)
+        m_prior = align(gts, [inside, outside], center_prior=True)
         assert m_prior.candidate_mask[0, 0] and not m_prior.candidate_mask[0, 1]
 
     def test_center_prior_includes_box_edges(self):
         gts = [make_gt([0, 0, 4, 4])]
         corner = make_pred([0, 0, 4, 4], [0.9], anchor=(4, 0))
-        assert align_cost(gts, [corner], center_prior=True).candidate_mask[0, 0]
+        assert align(gts, [corner], center_prior=True).candidate_mask[0, 0]
 
     def test_class_id_out_of_range(self):
         gts = [make_gt([0, 0, 4, 4], cls=5)]
         preds = [make_pred([0, 0, 4, 4], [0.9, 0.1])]
         with pytest.raises(ValidationError, match="class_id"):
-            align_cost(gts, preds)
+            align(gts, preds)
 
 
 def random_scene(rng, n_classes=4):
@@ -319,46 +345,24 @@ class TestArrayCore:
         rng = np.random.default_rng(11 + center_prior)
         for _ in range(300):
             gts, preds = random_scene(rng)
-            m = align_cost(gts, preds, center_prior=center_prior)
-            costs, alphas, mask = scalar_align_cost(gts, preds, center_prior=center_prior)
+            m = align(gts, preds, center_prior=center_prior)
+            costs, alphas, mask = scalar_align(gts, preds, center_prior=center_prior)
             assert np.array_equal(m.alphas, alphas)
             assert np.array_equal(m.candidate_mask, mask)
             assert np.all(np.isinf(m.costs[~mask]))
             # numpy's vectorised log may differ from libm's in the last bits
             np.testing.assert_array_max_ulp(m.costs[mask], costs[mask], maxulp=4)
 
-    def test_array_bundles_match_object_lists(self):
-        rng = np.random.default_rng(12)
-        gts, preds = random_scene(rng)
-        gt_arrays = GroundTruthArrays(
-            boxes=np.array([[g.box.x1, g.box.y1, g.box.x2, g.box.y2] for g in gts]),
-            class_ids=np.array([g.class_id for g in gts]),
-        )
-        pred_arrays = PredictionArrays(
-            boxes=np.array([[p.box.x1, p.box.y1, p.box.x2, p.box.y2] for p in preds]),
-            scores=np.stack([p.cls_scores for p in preds]),
-            anchors=np.array([p.anchor_point for p in preds]),
-        )
-        a = align_cost(gt_arrays, pred_arrays, center_prior=True)
-        b = align_cost(gts, preds, center_prior=True)
-        for field in ("costs", "alphas", "candidate_mask"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert np.array_equal(pairwise_iou(gt_arrays.boxes, pred_arrays.boxes), b.alphas)
-
     def test_gts_without_predictions(self):
-        m = align_cost([make_gt([0, 0, 4, 4])], [], center_prior=True)
+        m = align([make_gt([0, 0, 4, 4])], [], center_prior=True)
         assert m.costs.shape == (1, 0)
         assert dynamic_k_assign(m).per_gt_k == (0,)
 
     def test_cls_score_lengths_must_agree(self):
-        gts = [make_gt([0, 0, 4, 4])]
-        preds = [make_pred([0, 0, 4, 4], [0.9]), make_pred([0, 0, 4, 4], [0.9, 0.1])]
+        # the (P,C) score array has one C; the reader that builds it names a ragged row
+        records = [{"cls_scores": [0.9]}, {"cls_scores": [0.9, 0.1]}]
         with pytest.raises(ValidationError, match=r"predictions\[1\]\.cls_scores"):
-            align_cost(gts, preds)
-
-    def test_anchor_point_needs_two_numbers(self):
-        with pytest.raises(ValidationError, match="anchor_point"):
-            make_pred([0, 0, 4, 4], [0.9], anchor=(1.0,))
+            column(records, "cls_scores", "predictions")
 
     def test_negative_class_id_in_arrays_rejected(self):
         gts = GroundTruthArrays(boxes=np.array([[0.0, 0, 4, 4]]), class_ids=np.array([-1]))
@@ -419,7 +423,7 @@ class TestDynamicK:
     def test_single_perfect_prediction(self):
         gts = [make_gt([0, 0, 4, 4], cls=0)]
         preds = [make_pred([0, 0, 4, 4], [1.0])]
-        result = dynamic_k_assign(align_cost(gts, preds))
+        result = dynamic_k_assign(align(gts, preds))
         assert result.assigned_gt == (0,)
         assert result.per_gt_k == (1,)
         assert result.soft_labels[0] == pytest.approx(1.0)
@@ -444,7 +448,7 @@ class TestDynamicK:
     def test_zero_candidate_gt_warns(self):
         gts = [make_gt([0, 0, 1, 1]), make_gt([10, 10, 14, 14])]
         preds = [make_pred([10, 10, 14, 14], [0.9])]
-        result = dynamic_k_assign(align_cost(gts, preds))
+        result = dynamic_k_assign(align(gts, preds))
         assert result.per_gt_k[0] == 0
         assert any("gt 0" in w for w in result.warnings)
         assert result.assigned_gt == (1,)
@@ -453,7 +457,7 @@ class TestDynamicK:
         rng = np.random.default_rng(20240817)
         for _ in range(1000):
             gts, preds, gb, gc, pb, ps = random_instance(rng)
-            got = dynamic_k_assign(align_cost(gts, preds))
+            got = dynamic_k_assign(align(gts, preds))
             exp_assigned, exp_k, exp_soft = naive_assign(gb, gc, pb, ps)
             assert list(got.assigned_gt) == exp_assigned
             assert list(got.per_gt_k) == exp_k
@@ -467,9 +471,9 @@ class TestDynamicK:
         rng = np.random.default_rng(5)
         for _ in range(50):
             gts, preds, *_ = random_instance(rng)
-            base = dynamic_k_assign(align_cost(gts, preds))
+            base = dynamic_k_assign(align(gts, preds))
             perm = list(rng.permutation(len(preds)))
-            permuted = dynamic_k_assign(align_cost(gts, [preds[j] for j in perm]))
+            permuted = dynamic_k_assign(align(gts, [preds[j] for j in perm]))
             for new_pos, old_pos in enumerate(perm):
                 assert permuted.assigned_gt[new_pos] == base.assigned_gt[old_pos]
 
@@ -477,7 +481,7 @@ class TestDynamicK:
         rng = np.random.default_rng(6)
         for _ in range(50):
             gts, preds, *_ = random_instance(rng)
-            m = align_cost(gts, preds)
+            m = align(gts, preds)
             base = dynamic_k_assign(m)
             scaled = CostMatrix(costs=m.costs * 3.7, alphas=m.alphas,
                                 candidate_mask=m.candidate_mask)
@@ -487,7 +491,7 @@ class TestDynamicK:
         rng = np.random.default_rng(8)
         for _ in range(100):
             gts, preds, *_ = random_instance(rng)
-            result = dynamic_k_assign(align_cost(gts, preds))
+            result = dynamic_k_assign(align(gts, preds))
             for i, k in enumerate(result.per_gt_k):
                 got = sum(1 for a in result.assigned_gt if a == i)
                 assert got <= k
@@ -502,7 +506,7 @@ class TestSinkhorn:
             gts, preds = random_scene(rng) if n % 2 else random_instance(rng)[:2]
             if n % 50 == 0:
                 preds = []
-            m = align_cost(gts, preds, center_prior=center_prior)
+            m = align(gts, preds, center_prior=center_prior)
             got = sinkhorn_assign(m)
             assert got == loop_sinkhorn_assign(m)
             no_candidates += 0 in got.per_gt_k
@@ -512,14 +516,14 @@ class TestSinkhorn:
     def test_perfect_pair_assigned(self):
         gts = [make_gt([0, 0, 4, 4], cls=0)]
         preds = [make_pred([0, 0, 4, 4], [1.0]), make_pred([50, 50, 54, 54], [0.2])]
-        result = sinkhorn_assign(align_cost(gts, preds))
+        result = sinkhorn_assign(align(gts, preds))
         assert result.assigned_gt[0] == 0
         assert result.assigned_gt[1] is None
 
     def test_same_result_contract(self):
         rng = np.random.default_rng(9)
         gts, preds, *_ = random_instance(rng)
-        result = sinkhorn_assign(align_cost(gts, preds))
+        result = sinkhorn_assign(align(gts, preds))
         assert isinstance(result, AssignmentResult)
         assert len(result.assigned_gt) == len(preds)
         assert len(result.per_gt_k) == len(gts)
@@ -528,8 +532,6 @@ class TestSinkhorn:
 def test_box_validation():
     with pytest.raises(ValidationError):
         Box(2, 0, 1, 1)
-    with pytest.raises(ValidationError):
-        GroundTruth(Box(0, 0, 0, 4), class_id=0)  # zero area
     for corners in ((math.nan, 0, 2, 2), (0, 0, math.inf, 2), (0, -math.inf, 2, 2)):
         with pytest.raises(ValidationError, match="finite"):
             Box(*corners)

@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.assign import Box, GroundTruth, Prediction, align_cost, dynamic_k_assign
+from detkit.assign import GroundTruthArrays, PredictionArrays, align_cost, dynamic_k_assign
 from detkit.cli import main
 from detkit.genome import genome_from_json, genome_to_json, preset_genome
 from detkit.search import MUTATION_OPS
@@ -78,6 +79,9 @@ BAD_PROFILES = [
     ({**_PROFILE_OK, "flops_per_ms": float("nan")}, "flops_per_ms"),
     ({**_PROFILE_OK, "per_op_overhead_ms": "nan"}, "per_op_overhead_ms"),
     ({**_PROFILE_OK, "bytes_per_ms": True}, "bytes_per_ms"),
+    # numbers that DeviceProfile rejects
+    ({**_PROFILE_OK, "flops_per_ms": -1.0}, "flops_per_ms"),
+    ({**_PROFILE_OK, "per_op_overhead_ms": -0.5}, "per_op_overhead_ms"),
 ]
 _PROFILE_IDS = [f"{where}={profile[where]!r}" for profile, where in BAD_PROFILES]
 
@@ -693,15 +697,16 @@ class TestAssignCommand:
         assert err.startswith(f"error: {where}: "), err
         assert len(err) < 200, err
 
-    def test_8400_anchor_image_matches_object_path(self, tmp_path, capsys):
+    def test_8400_anchor_image_matches_library_arrays(self, tmp_path, capsys):
         doc = anchor_grid_image(np.random.default_rng(3), n_gt=20)
         path = tmp_path / "images.json"
         path.write_text(json.dumps({"images": [doc]}))
         assert main(["assign", "--input", str(path)]) == 0
         record = json.loads(capsys.readouterr().out)
-        gts = [GroundTruth(Box(*g["box"]), g["class_id"]) for g in doc["ground_truths"]]
-        preds = [Prediction(Box(*p["box"]), np.asarray(p["cls_scores"]), tuple(p["anchor_point"]))
-                 for p in doc["predictions"]]
+        gts = GroundTruthArrays(boxes=np.array([g["box"] for g in doc["ground_truths"]], dtype=np.float64),
+                                class_ids=np.array([g["class_id"] for g in doc["ground_truths"]]))
+        preds = PredictionArrays(*(np.array([p[key] for p in doc["predictions"]], dtype=np.float64)
+                                   for key in ("box", "cls_scores", "anchor_point")))
         expected = dynamic_k_assign(align_cost(gts, preds))
         assert record["assigned_gt"] == [-1 if a is None else a for a in expected.assigned_gt]
         assert record["per_gt_k"] == list(expected.per_gt_k)
@@ -764,6 +769,28 @@ BAD_SIDECARS = [
 ]
 
 
+# values the reading rule admits and the loss types reject: (input document, field path)
+LOSS_VALUE_ERRORS = [
+    pytest.param({"components": {}, "schedule": {"stage1_epochs": 0}}, "schedule.stage1_epochs",
+                 id="stage1_epochs=0"),
+    pytest.param({"components": {}, "schedule": {"stage2_epochs": -3}}, "schedule.stage2_epochs",
+                 id="stage2_epochs=-3"),
+    pytest.param({"components": {}, "schedule": {"mode": "linear"}}, "schedule.mode", id="mode=linear"),
+    pytest.param({"components": {}, "schedule": {"w_start": -5}}, "schedule.w_start", id="w_start=-5"),
+    pytest.param({"components": {}, "schedule": {"w_end": -0.1}}, "schedule.w_end", id="w_end=-0.1"),
+    pytest.param({"weights": {"dfl": -1}, "components": {}}, "weights.dfl", id="weights.dfl=-1"),
+    pytest.param({"weights": {"qfl": 0, "dfl": 0, "giou": 0}, "components": {}}, "weights", id="weights-all-0"),
+    pytest.param({"components": {"qfl": -1}}, "components.qfl", id="components.qfl=-1"),
+    pytest.param({"pairs": [{"qfl": {"pred": 1.5, "target": 1.0}}]}, "pairs[0].qfl", id="qfl.pred=1.5"),
+    pytest.param({"pairs": [{"qfl": {"pred": 1.0, "target": 1.0, "beta": -1}}]}, "pairs[0].qfl",
+                 id="qfl.beta=-1"),
+    pytest.param({"pairs": [{}, {"dfl": {"probs": [0.6, 0.5], "target": 0.5}}]}, "pairs[1].dfl",
+                 id="dfl.probs-sum-1.1"),
+    pytest.param({"components": {}, "distill": {"teacher": [], "student": [], "kind": "xx"}}, "distill.kind",
+                 id="distill.kind=xx"),
+]
+
+
 class TestLossCommand:
     def test_component_fixture_totals_0_9(self, tmp_path, capsys):
         path = tmp_path / "pairs.json"
@@ -816,6 +843,16 @@ class TestLossCommand:
         path = tmp_path / "pairs.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert main(["loss", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: "), err
+
+    @pytest.mark.parametrize("doc, where", LOSS_VALUE_ERRORS)
+    def test_rejected_value_exits_2_naming_the_field(self, tmp_path, capsys, doc, where):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a rejected value is never computed with
+            assert main(["loss", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: "), err
 
@@ -872,6 +909,11 @@ BAD_FOLD_FIELDS = [
     pytest.param("conv3.bias", [0.0, True], "conv3.bias", id="conv3.bias-bool"),
     pytest.param("conv1.weight", [[[[1.0]]], [[[1.0], [2.0]]]], "conv1.weight", id="conv1.weight-ragged"),
     pytest.param("conv3.bias", [0.0], "block", id="conv3.bias-length"),
+    # values the reading rule admits and the conv, batchnorm or rep-block types reject
+    pytest.param("conv3.stride", 0, "conv3.stride", id="conv3.stride=0"),
+    pytest.param("conv1.padding", 1, "conv1.padding", id="conv1.padding=1"),
+    pytest.param("conv3.weight", np.full((2, 2, 2, 2), 0.5).tolist(), "conv3.weight", id="conv3.weight-2x2"),
+    pytest.param("conv3.bn.var", [-2.0, 0.5], "conv3.bn.var", id="conv3.bn.var=-2"),
 ]
 
 
