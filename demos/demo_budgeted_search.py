@@ -12,9 +12,21 @@ from detkit.search import SearchConfig, search
 
 logging.basicConfig(level=logging.INFO, format="%(message)s")
 
+
+def neck_to_head(rows):
+    """Neck FLOPs over head FLOPs: the paper's "large neck, small head" as a number."""
+    flops = {"neck": 0, "head": 0}
+    for row in rows:
+        part = row.name.split(".")[0]
+        if part in flops:
+            flops[part] += row.flops
+    return flops["neck"] / flops["head"]
+
+
 seed_genome = preset_genome("tiny")
 profile = builtin_profile("t4-like")
-seed_latency = cost_report(build_graph(seed_genome), profile).latency_ms
+seed_report = cost_report(build_graph(seed_genome), profile)
+seed_latency = seed_report.latency_ms
 print(f"seed genome: modeled latency {seed_latency:.3f} ms")
 
 cfg = SearchConfig(
@@ -37,6 +49,9 @@ for entry in archive.sorted_entries():
 best = archive.best
 print(f"\nbest genome raises the proxy by "
       f"{best.score.value - archive.history[0][0][0]:.1f} over the seed")
+print(f"it uses {best.latency_ms / cfg.latency_budget_ms:.1%} of the latency budget; "
+      f"neck:head FLOPs {neck_to_head(best.cost.per_node):.1f} "
+      f"(seed {neck_to_head(seed_report.per_node):.1f})")
 
 rerun = search(seed_genome, cfg)
 print(f"same seed reruns byte-identically: {rerun.to_ndjson() == archive.to_ndjson()}")

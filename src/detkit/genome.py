@@ -195,12 +195,6 @@ class DetectorGenome:
             taps.append(max(idx))
         return tuple(taps)  # type: ignore[return-value]
 
-    def pyramid_channels(self) -> tuple[int, int, int]:
-        taps = self.pyramid_taps()
-        if taps is None:
-            raise ValidationError("genome has no stride-8/16/32 pyramid", path="backbone")
-        return tuple(self.backbone[i].out_ch for i in taps)  # type: ignore[return-value]
-
     def with_backbone(self, backbone) -> "DetectorGenome":
         return replace(self, backbone=tuple(backbone))
 

@@ -113,10 +113,6 @@ class DistillSchedule:
         if self.mode not in ("cosine", "constant"):
             raise ValidationError(f"unknown schedule mode {self.mode!r}", path="mode")
 
-    @property
-    def total_epochs(self) -> int:
-        return self.stage1_epochs + self.stage2_epochs
-
 
 def _clamp01(x, name: str):
     x = np.asarray(x, dtype=np.float64)

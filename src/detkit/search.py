@@ -13,6 +13,8 @@ path at initialization. The proxy is scored on the multi-scale feature
 extractor; fusion and head layers only enter through the cost term.
 
 The search is a seeded (mu + lambda) elitist loop with tournament parenting.
+Mutations edit the backbone only, the part the proxy scores, so every
+candidate keeps the seed genome's neck and head.
 Child 0 of every generation always mutates the current best, so with a
 single-dimension mutation space the best genome advances every generation.
 Candidates are evaluated serially in child order and evaluation is pure, so a
@@ -164,15 +166,7 @@ def _scale_entropy(node, segments) -> float:
 
 # --- mutation ------------------------------------------------------------------
 
-MUTATION_OPS = (
-    "widen",
-    "narrow",
-    "deepen",
-    "shallow",
-    "swap_kind",
-    "neck_width",
-    "neck_depth",
-)
+MUTATION_OPS = ("widen", "narrow", "deepen", "shallow", "swap_kind")
 
 _DEPTH_KINDS = STACKED_KINDS + ("ConvBnAct",)
 
@@ -305,29 +299,12 @@ def _try_mutation(genome: DetectorGenome, op: str, rng: random.Random,
             return None
         blocks[i] = replace(blocks[i], kind=options[rng.randrange(len(options))])
         return genome.with_backbone(blocks)
-    if op == "neck_width":
-        if genome.neck is None:
-            return None
-        j = rng.randrange(3)
-        step = cfg.width_step if rng.random() < 0.5 else -cfg.width_step
-        widths = list(genome.neck.widths)
-        widths[j] += step
-        if not cfg.width_min <= widths[j] <= cfg.width_max:
-            return None
-        return replace(genome, neck=replace(genome.neck, widths=tuple(widths)))
-    if op == "neck_depth":
-        if genome.neck is None:
-            return None
-        new_d = genome.neck.depth + (1 if rng.random() < 0.5 else -1)
-        if not 1 <= new_d <= cfg.depth_max:
-            return None
-        return replace(genome, neck=replace(genome.neck, depth=new_d))
     raise ValidationError(f"unknown mutation op {op!r}")
 
 
 def mutate(genome: DetectorGenome, rng: random.Random,
            cfg: SearchConfig | None = None) -> DetectorGenome:
-    """Apply one random structural edit and re-validate.
+    """Apply one random structural edit to the backbone and re-validate.
 
     Infeasible draws (out-of-bounds widths or depths, no legal kind swap) are
     resampled up to `_MUTATION_DRAWS` times; if everything fails the genome is
@@ -522,9 +499,9 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     blocks, the head), and a segment whose arguments and input shapes were
     seen in this or the previous generation is reused: `widen` re-lowers its
     stage, the next, whose input width follows, and the fusion blocks that
-    read it if it is a pyramid tap; a step of the stride-32 neck width
-    re-lowers the out5 block and the head. Results equal `evaluate_genome`'s
-    exactly.
+    read it if it is a pyramid tap; a change of a neck width in the genome
+    re-lowers the blocks of that width, those that read them, and the head.
+    Results equal `evaluate_genome`'s exactly.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)

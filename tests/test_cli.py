@@ -56,6 +56,7 @@ BAD_SEARCH_CONFIGS = [
     ({"mutation_ops": []}, "mutation_ops"),
     ({"mutation_ops": "widen"}, "mutation_ops"),
     ({"mutation_ops": ["widen", "grow"]}, "mutation_ops"),
+    ({"mutation_ops": ["widen", "neck_width"]}, "mutation_ops"),  # the search edits the backbone only
     ({"latency_budget_ms": "abc"}, "latency_budget_ms"),
     ({"latency_budget_ms": [5]}, "latency_budget_ms"),
     ({"width_step": 0}, "width_step"),

@@ -119,7 +119,6 @@ def test_pyramid_taps_pick_last_stage_per_stride():
     taps = g.pyramid_taps()
     # the Spp stage is the last stride-32 stage, so it is the deepest tap
     assert taps == (2, 3, 5)
-    assert g.pyramid_channels() == (128, 256, 512)
 
 
 def test_unknown_preset():

@@ -329,7 +329,7 @@ class TestDistillWeight:
 
     def test_non_increasing_and_continuous_in_stage1(self):
         schedule = DistillSchedule()
-        values = [distill_weight(e, schedule) for e in range(schedule.total_epochs)]
+        values = [distill_weight(e, schedule) for e in range(schedule.stage1_epochs + schedule.stage2_epochs)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         deltas = [abs(a - b) for a, b in zip(values[:283], values[1:284])]
         assert max(deltas) < 0.01  # smooth within stage 1

@@ -246,20 +246,6 @@ class TestMutate:
                     seen.add(new.kind)
         assert seen == {"Csp"}
 
-    def test_neck_mutations(self):
-        g = preset_genome("tiny")
-        cfg = make_cfg(mutation_ops=("neck_width", "neck_depth"), depth_max=4)
-        rng = random.Random(3)
-        changed_width = changed_depth = False
-        for _ in range(100):
-            m = mutate(g, rng, cfg)
-            m.validate()
-            if m.neck.widths != g.neck.widths:
-                changed_width = True
-            if m.neck.depth != g.neck.depth:
-                changed_depth = True
-        assert changed_width and changed_depth
-
 
 def single_stage_space(width=32):
     genome = DetectorGenome(
@@ -347,6 +333,47 @@ class TestSearch:
         assert len(archive.entries) <= 3
 
 
+def random_walk_best(seed_genome: DetectorGenome, cfg: SearchConfig, evaluations: int) -> float:
+    """Best feasible score of a random walk over `evaluations` candidates, the
+    seed first: each next one is `mutate` of a parent drawn uniformly from every
+    feasible candidate so far, evaluated through the search's `_SegmentCache`."""
+    rng = random.Random(cfg.seed)
+    cache = search_module._SegmentCache(cfg.device_profile)
+    feasible = [cache.evaluate(seed_genome)]
+    for _ in range(evaluations - 1):
+        parent = feasible[rng.randrange(len(feasible))]
+        entry = cache.evaluate(mutate(parent.genome, rng, cfg))
+        if entry.latency_ms <= cfg.latency_budget_ms:
+            feasible.append(entry)
+    return max(entry.score.value for entry in feasible)
+
+
+class TestSearchQuality:
+    def s_config(self, seed):
+        """`s` at a budget of 1.25x its latency, pop 16, gen 10: 176 evaluations."""
+        budget = 1.25 * evaluate_genome(preset_genome("s"), builtin_profile("t4-like")).latency_ms
+        return make_cfg(population=16, generations=10, latency_budget_ms=budget, seed=seed)
+
+    def test_evolution_beats_a_random_walk(self):
+        # the archive keeps the best candidate ever seen, so best >= max(gen 0)
+        # holds even if selection ranked candidates in reverse; a random walk
+        # with as many evaluations is the baseline selection has to beat
+        seed_genome = preset_genome("s")
+        wins = 0
+        for seed in range(10):
+            cfg = self.s_config(seed)
+            evaluations = cfg.population * (cfg.generations + 1)
+            wins += search(seed_genome, cfg).best.score.value > random_walk_best(seed_genome, cfg, evaluations)
+        assert wins >= 9, f"evolution beat the random walk in {wins} of 10 seeds"
+
+    def test_candidates_keep_the_seed_neck_and_head(self):
+        seed_genome = preset_genome("s")
+        archive = search(seed_genome, self.s_config(0))
+        assert len(archive.entries) > 1
+        for entry in archive.entries:
+            assert (entry.genome.neck, entry.genome.head) == (seed_genome.neck, seed_genome.head)
+
+
 class TestSearchConfig:
     def test_from_json_minimal(self):
         cfg = SearchConfig.from_json(
@@ -426,9 +453,12 @@ def key_neighbours(genome: DetectorGenome) -> list[DetectorGenome]:
             genome.with_backbone([stem, spacer] + rest)]
 
 
-# (op, rng seed, segments re-lowered when the mutant of `s` follows `s`):
-# a segment is re-lowered when its arguments or its input shapes change; the
-# neck's segments are its four fusion blocks
+# (edit, argument, segments re-lowered when the edited `s` follows `s`): a
+# mutation op is `mutate` with the argument as rng seed; the search does not
+# edit the neck, so "neck_depth" adds the argument to the neck depth and
+# "neck_width" widens the neck width at that index (w3, w4, w5) by 8. A segment
+# is re-lowered when its arguments or its input shapes change; the neck's
+# segments are its four fusion blocks
 MISS_PROFILE = [
     ("deepen", 1, ["backbone.s4"]),
     ("shallow", 1, ["backbone.s4"]),
@@ -438,12 +468,23 @@ MISS_PROFILE = [
     ("widen", 0, ["backbone.s3", "backbone.s4", "neck.mid4"]),  # stage 3 is the stride-16 tap
     # stage 2 is the stride-8 tap: out3 reads it, and mid4 through its dense link
     ("widen", 4, ["backbone.s2", "backbone.s3", "neck.mid4", "neck.out3"]),
-    ("neck_depth", 0, ["neck.mid4", "neck.out3", "neck.out4", "neck.out5"]),
+    ("neck_depth", -1, ["neck.mid4", "neck.out3", "neck.out4", "neck.out5"]),
+    ("neck_width", 0, ["head", "neck.out3", "neck.out4"]),  # w3: out4 reads out3
     # w4 is mid4's and out4's width, and every other block reads one of them
-    ("neck_width", 0, ["head", "neck.mid4", "neck.out3", "neck.out4", "neck.out5"]),
-    ("neck_width", 1, ["head", "neck.out5"]),  # w5: only out5 and the head
-    ("neck_width", 2, ["head", "neck.out3", "neck.out4"]),  # w3: out4 reads out3
+    ("neck_width", 1, ["head", "neck.mid4", "neck.out3", "neck.out4", "neck.out5"]),
+    ("neck_width", 2, ["head", "neck.out5"]),  # w5: only out5 and the head
 ]
+
+
+def edited(genome: DetectorGenome, edit: str, arg: int) -> DetectorGenome:
+    """`genome` after one `MISS_PROFILE` edit."""
+    if edit == "neck_depth":
+        return replace(genome, neck=replace(genome.neck, depth=genome.neck.depth + arg))
+    if edit == "neck_width":
+        widths = list(genome.neck.widths)
+        widths[arg] += 8
+        return replace(genome, neck=replace(genome.neck, widths=tuple(widths)))
+    return mutate(genome, random.Random(arg), make_cfg(mutation_ops=(edit,)))
 
 
 class TestSegmentCache:
@@ -482,8 +523,8 @@ class TestSegmentCache:
         got = search(preset_genome("s"), cfg).to_ndjson()
         assert got == (GOLDEN / "search_s_seed0.ndjson").read_text()
 
-    @pytest.mark.parametrize("op, seed, expected", MISS_PROFILE)
-    def test_mutant_relowers_only_the_segments_it_changes(self, monkeypatch, op, seed, expected):
+    @pytest.mark.parametrize("edit, arg, expected", MISS_PROFILE)
+    def test_mutant_relowers_only_the_segments_it_changes(self, monkeypatch, edit, arg, expected):
         lowered = []
         lower = search_module._SegmentCache._lower
 
@@ -495,7 +536,8 @@ class TestSegmentCache:
 
         monkeypatch.setattr(search_module._SegmentCache, "_lower", counting)
         seed_genome = preset_genome("s")
-        mutant = mutate(seed_genome, random.Random(seed), make_cfg(mutation_ops=(op,)))
+        mutant = edited(seed_genome, edit, arg)
+        mutant.validate()
         assert mutant != seed_genome
         cache = search_module._SegmentCache(builtin_profile("t4-like"))
         cache.evaluate(seed_genome)
