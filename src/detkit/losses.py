@@ -297,6 +297,10 @@ def align_project(student: Tensor4, teacher_shape, proj: ConvParams) -> Tensor4:
     return out
 
 
+# values per channel block of cwd_loss, so a block's temporaries stay cache-sized
+_CWD_BLOCK = 1 << 15
+
+
 def _channel_distributions(feat: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel softmax over all batch x spatial positions of (x - mean)/T,
     and its clamped log; both are (C, N*H*W), computed in place."""
@@ -318,16 +322,31 @@ def cwd_loss(teacher: Tensor4, student: Tensor4) -> float:
     both features are centered, softmaxed spatially at that temperature, and
     compared with KL(teacher || student); channels contribute T_c^2 * KL and
     the result is their mean. Zero iff the normalized distributions coincide.
+
+    Channels are taken in blocks of about 2^15 values (at least two channels;
+    the last block is ragged), so the float64 temporaries stay cache-sized.
+    Each channel's statistics, softmax and KL row sum see the same operations
+    in the same order as on the whole tensor, so the result does not depend
+    on the blocking. No block holds one channel out of several: numpy reduces
+    a lone channel's batch and spatial axes as one run, which rounds
+    differently at batch > 1.
     """
     if teacher.dims != student.dims:
         raise ShapeError(f"teacher {teacher.dims} != student {student.dims}")
-    _, t_std = channel_stats(teacher)
-    temps = np.maximum(t_std, STD_FLOOR)
-    p, log_p = _channel_distributions(teacher.data, temps)
-    log_q = _channel_distributions(student.data, temps)[1]
-    log_p -= log_q
-    log_p *= p
-    kl = log_p.sum(axis=1)
+    n, c, h, w = teacher.dims
+    step = max(2, _CWD_BLOCK // (n * h * w))
+    # a block ends at each multiple of step short of the last channel
+    edges = [0, *range(step, c - 1, step), c]
+    temps, kl = np.empty(c), np.empty(c)
+    for block in map(slice, edges, edges[1:]):
+        t = teacher.data[:, block]
+        _, t_std = channel_stats(Tensor4(t))
+        temps[block] = np.maximum(t_std, STD_FLOOR)
+        p, log_p = _channel_distributions(t, temps[block])
+        log_q = _channel_distributions(student.data[:, block], temps[block])[1]
+        log_p -= log_q
+        log_p *= p
+        kl[block] = log_p.sum(axis=1)
     return float(np.mean(temps**2 * kl))
 
 

@@ -373,6 +373,10 @@ class ParetoArchive:
         for kept in self.entries:
             if _dominates(kept, entry):
                 return
+            # a genome seen again scores and costs the same: keep it once
+            if (kept.score.value == entry.score.value and kept.latency_ms == entry.latency_ms
+                    and kept.genome == entry.genome):
+                return
         self.entries = [kept for kept in self.entries if not _dominates(entry, kept)]
         self.entries.append(entry)
 

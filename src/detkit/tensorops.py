@@ -5,7 +5,13 @@ and the distillation losses. Values are stored as float32 and accumulated in
 float64; the toolkit's tolerance budgets assume exactly that. Convolution uses
 the cross-correlation convention (no kernel flip) and supports only odd kernels
 with symmetric padding; it runs as one float64 GEMM per kernel tap, batched
-over groups.
+over groups, and sums the taps in tap order. At stride 1 a tap's operand is a
+contiguous slice of the zero-padded input, flattened onto the padded width,
+not a copy; the output is computed on that grid and cropped once. Its pixels
+are summed in blocks of 2^12 (a 1x1 kernel in one block), so the accumulator
+and the product buffer stay cache-sized; every output pixel sees the same
+GEMMs and additions in the same order whatever the block. A stride above 1
+copies each tap's strided window and runs as one block.
 """
 from __future__ import annotations
 
@@ -131,6 +137,11 @@ class BnParams:
         return Tensor4(out.astype(np.float32))
 
 
+# output pixels per block of a stride-1 conv over which the taps are summed,
+# so the block's accumulator and product buffer stay in L2
+_TAP_BLOCK = 1 << 12
+
+
 def conv2d_forward(x: Tensor4, p: ConvParams) -> Tensor4:
     """Cross-correlate an NCHW input with a conv's weights and add its bias.
 
@@ -141,8 +152,6 @@ def conv2d_forward(x: Tensor4, p: ConvParams) -> Tensor4:
     if c != p.in_ch:
         raise ShapeError(f"input channels {c} != conv in_ch {p.in_ch}")
     kh, kw = p.kernel
-    if c % p.groups != 0:
-        raise ShapeError(f"input channels {c} not divisible by groups {p.groups}")
     h_out = (h + 2 * p.padding - kh) // p.stride + 1
     w_out = (w + 2 * p.padding - kw) // p.stride + 1
     if h_out < 1 or w_out < 1:
@@ -152,23 +161,37 @@ def conv2d_forward(x: Tensor4, p: ConvParams) -> Tensor4:
         )
 
     g, s, pad = p.groups, p.stride, p.padding
-    xg = np.zeros((n, g, c // g, h + 2 * pad, w + 2 * pad))
+    # at stride 1 the output is computed on the padded input's width: output
+    # pixel (r, q) sits at r * grid_w + q, and tap (i, j) reads the flattened
+    # input from offset i * grid_w + j on; the last tap runs kw - 1 values past
+    # the padded rows, into one spare zero row
+    grid_w = w + 2 * pad if s == 1 else w_out
+    xg = np.zeros((n, g, c // g, h + 2 * pad + (s == 1), w + 2 * pad))
     xg[..., pad:pad + h, pad:pad + w] = x.data.reshape(n, g, c // g, h, w)
+    flat = xg.reshape(n, g, c // g, -1)
+    pixels = h_out * grid_w
+    block = min(_TAP_BLOCK, pixels) if s == 1 and kh * kw > 1 else pixels
     # one (groups, out/groups, in/groups) weight matrix per kernel tap
     taps = np.ascontiguousarray(
         p.weights.astype(np.float64).reshape(g, p.out_ch // g, c // g, kh, kw).transpose(3, 4, 0, 1, 2))
-    out = prod = None
-    for i in range(kh):
-        for j in range(kw):
-            # the input pixels tap (i, j) reads for every output pixel
-            cols = xg[..., i:i + s * (h_out - 1) + 1:s, j:j + s * (w_out - 1) + 1:s]
-            cols = cols.reshape(n, g, c // g, h_out * w_out)
-            if out is None:
-                out = np.matmul(taps[i, j], cols)
-            else:
-                prod = np.matmul(taps[i, j], cols, out=prod)
-                out += prod
-    out = out.reshape(n, p.out_ch, h_out, w_out)
+    out = np.empty((n, g, p.out_ch // g, pixels))
+    prod = np.empty((n, g, p.out_ch // g, block))
+    for start in range(0, pixels, block):
+        stop = min(start + block, pixels)
+        acc, tmp = out[..., start:stop], prod[..., :stop - start]
+        for i in range(kh):
+            for j in range(kw):
+                if s == 1:
+                    cols = flat[..., i * grid_w + j + start:i * grid_w + j + stop]
+                else:
+                    # strided windows are copied, one block covering every pixel
+                    cols = xg[..., i:i + s * (h_out - 1) + 1:s, j:j + s * (w_out - 1) + 1:s]
+                    cols = cols.reshape(n, g, c // g, pixels)
+                if i == j == 0:
+                    np.matmul(taps[i, j], cols, out=acc)
+                else:
+                    acc += np.matmul(taps[i, j], cols, out=tmp)
+    out = out.reshape(n, p.out_ch, h_out, grid_w)[..., :w_out]
     out += p.bias.astype(np.float64)[None, :, None, None]
     return Tensor4(out.astype(np.float32))
 

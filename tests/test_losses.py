@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from detkit import losses
 from detkit.assign import Box
 from detkit.errors import ShapeError, ValidationError
 from detkit.losses import (
@@ -26,7 +27,7 @@ from detkit.losses import (
     qfl_grad,
     total_loss,
 )
-from detkit.tensorops import ConvParams, Tensor4
+from detkit.tensorops import ConvParams, Tensor4, channel_stats
 
 
 class TestQfl:
@@ -252,6 +253,32 @@ class TestCwd:
             t[:, 0] = 2.5  # a constant teacher channel takes the temperature floor
             s[:, -1] = -1.0
             assert cwd_loss(Tensor4(t), Tensor4(s)) == two_pass_cwd(t, s)
+
+    @pytest.mark.parametrize("shape", [(2, 9, 80, 80), (1, 70, 32, 48), (2, 11, 64, 64), (1, 128, 80, 80)])
+    def test_equals_two_pass_reference_over_several_blocks(self, shape, monkeypatch):
+        # each channel block runs the whole tensor's operations: equal, not close
+        blocks = []
+        monkeypatch.setattr(losses, "channel_stats", lambda feat: blocks.append(feat.dims[1]) or channel_stats(feat))
+        rng = np.random.default_rng(shape[1])
+        t = (rng.standard_normal(shape) * 2).astype(np.float32)
+        s = rng.standard_normal(shape).astype(np.float32)
+        t[:, shape[1] // 2] = -0.75  # a constant teacher channel inside a block
+        assert cwd_loss(Tensor4(t), Tensor4(s)) == two_pass_cwd(t, s)
+        assert len(blocks) > 2 and blocks[-1] != blocks[0] and sum(blocks) == shape[1]
+
+    @pytest.mark.parametrize("block", [1, 20, 45, 100])
+    def test_small_blocks_equal_two_pass_reference(self, block, monkeypatch):
+        # blocks of 2+ channels with a ragged last one, at batch 1-4; a block of
+        # one channel out of several rounds its statistics differently now and then
+        monkeypatch.setattr(losses, "_CWD_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for shape in [(2, 3, 4, 5), (3, 7, 2, 3), (2, 9, 1, 1), (1, 5, 3, 3), (4, 3, 7, 7),
+                      (3, 3, 10, 10), (2, 16, 9, 11)]:
+            for _ in range(10):
+                t = (rng.standard_normal(shape) * rng.uniform(0.1, 5)).astype(np.float32)
+                s = (rng.standard_normal(shape) * rng.uniform(0.1, 5)).astype(np.float32)
+                t[:, 0] = 2.5
+                assert cwd_loss(Tensor4(t), Tensor4(s)) == two_pass_cwd(t, s)
 
     def test_identical_features_zero(self):
         rng = np.random.default_rng(4)

@@ -10,7 +10,15 @@ import pytest
 from detkit import search as search_module
 from detkit.cost import builtin_profile
 from detkit.errors import InfeasibleError, ValidationError
-from detkit.genome import FUSION_STYLES, BlockSpec, DetectorGenome, HeadConfig, NeckConfig, preset_genome
+from detkit.genome import (
+    FUSION_STYLES,
+    BlockSpec,
+    DetectorGenome,
+    HeadConfig,
+    NeckConfig,
+    genome_to_json,
+    preset_genome,
+)
 from detkit.graph import GraphBuilder, OpGraph, build_graph
 from detkit.search import (
     MUTATION_OPS,
@@ -330,7 +338,46 @@ class TestSearch:
         # wider: higher score, higher latency -> both stay
         assert len(archive.entries) == 2
         archive.insert(e1)  # duplicate does not displace anything
-        assert len(archive.entries) <= 3
+        assert len(archive.entries) == 2
+
+    def test_pareto_insert_keeps_a_genome_once(self):
+        g = preset_genome("tiny")
+        entry = evaluate_genome(g, builtin_profile("t4-like"))
+        archive = ParetoArchive()
+        archive.insert(entry)
+        # the same genome built again: an equal, not identical, object
+        archive.insert(evaluate_genome(replace(g), builtin_profile("t4-like")))
+        assert archive.entries == [entry]
+        # another genome that ties on score and latency is a second point
+        other = replace(g, input_res=(g.input_res[0] + 32, g.input_res[1]))
+        archive.insert(search_module.ArchiveEntry(other, entry.score, entry.cost))
+        assert [e.genome for e in archive.entries] == [g, other]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_archive_lists_each_genome_once(self, seed):
+        # `s`, pop 16, gen 10 at 1.25x its latency: children repeat genomes
+        budget = 1.25 * evaluate_genome(preset_genome("s"), builtin_profile("t4-like")).latency_ms
+        archive = search(preset_genome("s"), make_cfg(population=16, generations=10,
+                                                      latency_budget_ms=budget, seed=seed))
+        genomes = [genome_to_json(e.genome) for e in archive.entries]
+        assert len(genomes) > 1
+        assert len(set(genomes)) == len(genomes)
+
+    def test_tournament_favours_the_top_ranked_half(self, monkeypatch):
+        # with mutation the identity, every child is its parent, so the share of
+        # tournament children drawn from the better half shows selection by rank:
+        # 1 - 0.5**2 = 0.75 for size-2 tournaments, 0.5 for a rank-blind pick
+        monkeypatch.setattr(search_module, "_mutated", lambda genome, rng, cfg: genome)
+        cfg = make_cfg(population=16)
+        entries = sorted((evaluate_genome(single_stage_space(width=8 * (k + 1)), cfg.device_profile)
+                          for k in range(16)), key=search_module._rank_key)
+        assert len({e.score.value for e in entries}) == 16
+        top_half = {id(e.genome) for e in entries[:8]}
+        rng = random.Random(0)
+        children = [child for _ in range(50)
+                    for child in search_module._offspring(entries, rng, cfg)[1:]]
+        share = sum(id(child) in top_half for child in children) / len(children)
+        assert share >= 0.65, f"{share:.3f} of tournament children come from the top-ranked half"
 
 
 def random_walk_best(seed_genome: DetectorGenome, cfg: SearchConfig, evaluations: int) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from detkit import tensorops
 from detkit.errors import ShapeError, ValidationError
 from detkit.tensorops import (
     BnParams,
@@ -61,6 +62,34 @@ def einsum_conv2d(x, p):
         for g in range(p.groups)
     ], axis=1)
     return (out + p.bias.astype(np.float64)[None, :, None, None]).astype(np.float32)
+
+
+def tap_copy_conv2d(x, p):
+    """The former conv2d_forward, kept as the exact reference: one float64 GEMM
+    per kernel tap on a copy of the tap's window, the taps summed in tap order
+    over all output pixels at once."""
+    n, c, h, w = x.shape
+    kh, kw = p.kernel
+    g, s, pad = p.groups, p.stride, p.padding
+    h_out = (h + 2 * pad - kh) // s + 1
+    w_out = (w + 2 * pad - kw) // s + 1
+    xg = np.zeros((n, g, c // g, h + 2 * pad, w + 2 * pad))
+    xg[..., pad:pad + h, pad:pad + w] = x.reshape(n, g, c // g, h, w)
+    taps = np.ascontiguousarray(
+        p.weights.astype(np.float64).reshape(g, p.out_ch // g, c // g, kh, kw).transpose(3, 4, 0, 1, 2))
+    out = prod = None
+    for i in range(kh):
+        for j in range(kw):
+            cols = xg[..., i:i + s * (h_out - 1) + 1:s, j:j + s * (w_out - 1) + 1:s]
+            cols = cols.reshape(n, g, c // g, h_out * w_out)
+            if out is None:
+                out = np.matmul(taps[i, j], cols)
+            else:
+                prod = np.matmul(taps[i, j], cols, out=prod)
+                out += prod
+    out = out.reshape(n, p.out_ch, h_out, w_out)
+    out += p.bias.astype(np.float64)[None, :, None, None]
+    return out.astype(np.float32)
 
 
 def rand_conv(rng, in_ch, out_ch, k, stride=1, padding=None, groups=1):
@@ -153,6 +182,46 @@ class TestConv2d:
         x = rng.standard_normal((1, in_ch, 80, 80)).astype(np.float32)
         p = rand_conv(rng, in_ch, out_ch, k)
         np.testing.assert_allclose(conv2d_forward(Tensor4(x), p).data, einsum_conv2d(x, p), rtol=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_equals_tap_copy_reference_over_several_blocks(self, k, padding, groups):
+        # a 90 x 100 input puts 2 or more blocks on the grid at stride 1 (a 1x1
+        # kernel runs as one), the last one ragged; per output pixel the same
+        # GEMMs and sums run, so equal, not close
+        rng = np.random.default_rng(k * 10 + padding + groups)
+        x = rng.standard_normal((2, 4, 90, 100)).astype(np.float32)
+        p = rand_conv(rng, 4, 6, k, padding=padding, groups=groups)
+        assert 2 * tensorops._TAP_BLOCK < 86 * 100
+        assert np.array_equal(conv2d_forward(Tensor4(x), p).data, tap_copy_conv2d(x, p))
+
+    @pytest.mark.parametrize("k,stride,padding,groups", [(3, 2, 1, 1), (5, 2, 2, 2), (1, 2, 0, 1)])
+    def test_strided_equals_tap_copy_reference(self, k, stride, padding, groups):
+        rng = np.random.default_rng(k + stride + padding)
+        x = rng.standard_normal((2, 4, 33, 40)).astype(np.float32)
+        p = rand_conv(rng, 4, 6, k, stride=stride, padding=padding, groups=groups)
+        assert np.array_equal(conv2d_forward(Tensor4(x), p).data, tap_copy_conv2d(x, p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_small_blocks_equal_tap_copy_reference(self, data):
+        # tiny blocks split every row, down to one-pixel remainders
+        block = data.draw(st.integers(1, 40), "block")
+        k = data.draw(st.sampled_from([1, 3, 5]), "k")
+        padding = data.draw(st.integers(0, 2), "padding")
+        groups = data.draw(st.integers(1, 2), "groups")
+        in_ch = groups * data.draw(st.integers(1, 3), "in_ch / groups")
+        out_ch = groups * data.draw(st.integers(1, 3), "out_ch / groups")
+        side = st.integers(max(1, k - 2 * padding), 9)
+        shape = (data.draw(st.integers(1, 2), "n"), in_ch, data.draw(side, "h"), data.draw(side, "w"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        x = rng.standard_normal(shape).astype(np.float32)
+        p = rand_conv(rng, in_ch, out_ch, k, padding=padding, groups=groups)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensorops, "_TAP_BLOCK", block)
+            got = conv2d_forward(Tensor4(x), p).data
+        assert np.array_equal(got, tap_copy_conv2d(x, p))
 
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(3)
