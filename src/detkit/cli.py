@@ -22,6 +22,8 @@ byte-identical primary outputs.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import hashlib
 import json
 import logging
@@ -208,15 +210,47 @@ def _parse_image(image) -> tuple[GroundTruthArrays, PredictionArrays]:
     return gt_arrays, pred_arrays
 
 
-def cmd_assign(args) -> int:
-    doc = load_json(_read(args.input), "assign input")
+def _parse_images(path) -> list[tuple[GroundTruthArrays, PredictionArrays]]:
+    doc = load_json(_read(path), "assign input")
     if not isinstance(doc, dict):
         raise ValidationError("expected an object holding an 'images' list", path="images")
-    solver = sinkhorn_assign if args.solver == "sinkhorn" else dynamic_k_assign
-    records = []
+    images = []
     for idx, image in enumerate(objects(doc, "images")):
         with within(f"images[{idx}]"):
-            result = solver(align_cost(*_parse_image(image), center_prior=args.center_prior))
+            images.append(_parse_image(image))
+    return images
+
+
+def _read_images(path) -> list[tuple[GroundTruthArrays, PredictionArrays]]:
+    """Every image of an assign input file as arrays, read with the cycle
+    collector paused.
+
+    `json.loads` of an 8400-prediction image builds ~34k dicts and lists,
+    and the collector would traverse that growing tree again and again. The
+    pause is safe: a parsed JSON tree holds no reference cycles, so those
+    passes could free nothing, and while `gc.disable` is process-wide,
+    detkit runs no threads, so it pauses nothing but this read. The tree
+    dies with `_parse_images`' frame, before the collector resumes; resumed
+    with the tree alive, its first collection would traverse all of it. The
+    collector's prior state is restored on every exit, so a caller that
+    disabled it finds it still disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_images(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def cmd_assign(args) -> int:
+    images = _read_images(args.input)  # every image is read before any is assigned
+    solver = sinkhorn_assign if args.solver == "sinkhorn" else dynamic_k_assign
+    records = []
+    for idx, (gts, preds) in enumerate(images):
+        with within(f"images[{idx}]"):
+            result = solver(align_cost(gts, preds, center_prior=args.center_prior))
         records.append({
             "image": idx,
             "assigned_gt": [a if a is not None else -1 for a in result.assigned_gt],
@@ -366,6 +400,7 @@ def cmd_preset(args) -> int:
 # --- parser -------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: main() only reads it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="detkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detkit import cli
 from detkit.assign import GroundTruthArrays, PredictionArrays, align_cost, dynamic_k_assign
 from detkit.cli import main
 from detkit.genome import genome_from_json, genome_to_json, preset_genome
@@ -646,6 +648,22 @@ def assign_documents(draw):
     return maybe(st.just({"images": images}))
 
 
+def library_record(image: dict, idx: int) -> dict:
+    """The NDJSON record `assign` should write for `image`, from the library's
+    dynamic-k assignment of arrays built here."""
+    gts = image["ground_truths"]
+    result = dynamic_k_assign(align_cost(
+        GroundTruthArrays(boxes=np.array([g["box"] for g in gts], dtype=np.float64).reshape(-1, 4),
+                          class_ids=np.array([g["class_id"] for g in gts], dtype=int)),
+        PredictionArrays(*(np.array([p[key] for p in image["predictions"]], dtype=np.float64)
+                           for key in ("box", "cls_scores", "anchor_point")))))
+    return {"image": idx,
+            "assigned_gt": [-1 if a is None else a for a in result.assigned_gt],
+            "per_gt_k": list(result.per_gt_k),
+            "soft_labels": list(result.soft_labels),
+            "warnings": list(result.warnings)}
+
+
 class TestAssignCommand:
     def test_perfect_pair_fixture(self, tmp_path, capsys):
         path = tmp_path / "images.json"
@@ -704,15 +722,7 @@ class TestAssignCommand:
         path.write_text(json.dumps({"images": [doc]}))
         assert main(["assign", "--input", str(path)]) == 0
         record = json.loads(capsys.readouterr().out)
-        gts = GroundTruthArrays(boxes=np.array([g["box"] for g in doc["ground_truths"]], dtype=np.float64),
-                                class_ids=np.array([g["class_id"] for g in doc["ground_truths"]]))
-        preds = PredictionArrays(*(np.array([p[key] for p in doc["predictions"]], dtype=np.float64)
-                                   for key in ("box", "cls_scores", "anchor_point")))
-        expected = dynamic_k_assign(align_cost(gts, preds))
-        assert record["assigned_gt"] == [-1 if a is None else a for a in expected.assigned_gt]
-        assert record["per_gt_k"] == list(expected.per_gt_k)
-        assert record["soft_labels"] == list(expected.soft_labels)
-        assert record["warnings"] == list(expected.warnings)
+        assert record == library_record(doc, 0)
         assert sum(a >= 0 for a in record["assigned_gt"]) >= 20
 
     @settings(max_examples=100, deadline=None)
@@ -723,6 +733,86 @@ class TestAssignCommand:
         path.write_text(json.dumps(doc))
         assert main(["assign", "--input", str(path), "--out", str(path.with_suffix(".out")),
                      *flags]) in (0, 2)
+
+    def test_every_image_is_read_before_any_is_assigned(self, tmp_path, capsys):
+        # image 0's class id is out of range (align_cost's check), image 1's box
+        # is unordered (a read check): the read error wins
+        doc = {"images": [_image([_pred()], [_gt(class_id=3)])["images"][0],
+                          _image([_pred(box=(2, 0, 1, 1))])["images"][0]]}
+        path = tmp_path / "images.json"
+        path.write_text(json.dumps(doc))
+        assert main(["assign", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: images[1].predictions[0].box: ")
+
+    def test_three_images_match_the_library_per_image(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        docs = [anchor_grid_image(rng, n_gt=n, size=160) for n in (0, 1, 4)]
+        path = tmp_path / "images.json"
+        path.write_text(json.dumps({"images": docs}))
+        assert main(["assign", "--input", str(path)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert records == [library_record(doc, idx) for idx, doc in enumerate(docs)]
+        assert [sum(a >= 0 for a in r["assigned_gt"]) > 0 for r in records] == [False, True, True]
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cycle collector on or off for the block, as it was afterwards."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+_PAUSE_CASES = {
+    "ok": json.dumps(_image([_pred()], [_gt()])),
+    "malformed": '{"images": [',
+    "bad_box": json.dumps(_image([_pred(box=(2, 0, 1, 1))])),
+}
+
+
+class TestPausedRead:
+    """`assign` reads its input with the cycle collector paused."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", _PAUSE_CASES)
+    def test_collector_state_is_restored(self, tmp_path, capsys, case, enabled):
+        path = tmp_path / "images.json"
+        path.write_text(_PAUSE_CASES[case])
+        with collector(enabled):
+            code = main(["assign", "--input", str(path)])
+            assert gc.isenabled() is enabled
+        assert code == (0 if case == "ok" else 2)
+
+    def test_no_collection_runs_and_the_tree_is_gone_on_return(self, tmp_path):
+        doc = anchor_grid_image(np.random.default_rng(3), n_gt=20, classes=80)
+        path = tmp_path / "images.json"
+        path.write_text(json.dumps({"images": [doc]}))
+        del doc
+        collections = []
+
+        def hook(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        with collector(True):
+            gc.collect()
+            before = gc.get_count()
+            gc.callbacks.append(hook)
+            try:
+                images = cli._read_images(path)
+                after = gc.get_count()
+            finally:
+                gc.callbacks.remove(hook)
+        assert collections == []
+        assert images[0][1].scores.shape == (8400, 80)
+        # the young count fell back below the threshold with no collection to
+        # reset it (the older counts did not move): the ~34k-object JSON tree was
+        # freed before the collector resumed
+        assert after[0] < gc.get_threshold()[0]
+        assert after[1:] == before[1:]
 
 
 _GIOU_OK = {"pred_box": [0, 0, 2, 2], "gt_box": [0, 0, 2, 2]}
@@ -1011,3 +1101,11 @@ class TestPresetCommand:
         path = tmp_path / "genome.json"
         path.write_bytes(b'\xff\xfe{"schema_version": 1}')
         assert main(["cost", "--genome", str(path)]) == 2
+
+    def test_one_parser_serves_every_call(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        first = parser.parse_args(["assign", "--input", "a.json", "--solver", "sinkhorn"])
+        second = parser.parse_args(["assign", "--input", "a.json"])
+        assert (first.solver, second.solver) == ("sinkhorn", "dynamic-k")
+        assert not hasattr(parser.parse_args(["preset", "--name", "s"]), "solver")
