@@ -54,7 +54,6 @@ from .losses import (
     LossWeights,
     dfl,
     distill_loss,
-    distill_weight,
     giou_loss,
     loss_breakdown,
     qfl,
@@ -155,16 +154,8 @@ def cmd_search(args) -> int:
           seed=cfg.seed)
 
     if args.history:
-        rows = ["generation,best_score,best_latency_ms"]
-        best_score = -float("inf")
-        best_latency = float("inf")
-        for gen, records in enumerate(archive.history):
-            feasible = [(s, l) for s, l, ok in records if ok]
-            if feasible:
-                top = max(feasible, key=lambda t: (t[0], -t[1]))
-                if top[0] > best_score or (top[0] == best_score and top[1] < best_latency):
-                    best_score, best_latency = top
-            rows.append(f"{gen},{best_score:.6f},{best_latency:.6f}")
+        rows = ["generation,best_score,best_latency_ms"] + [
+            f"{gen},{e.score.value:.6f},{e.latency_ms:.6f}" for gen, e in enumerate(archive.leaders)]
         _emit(args.history, args, inputs, text="\n".join(rows) + "\n", seed=cfg.seed)
     print(f"wrote {len(archive.entries)} archive entries to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -317,8 +308,6 @@ def cmd_loss(args) -> int:
                 mode=string(s, "mode", default=DistillSchedule.mode),
             )
     epoch = integer(doc, "epoch", default=0)
-    if epoch < 0:
-        raise ValidationError(f"epoch must be >= 0, got {epoch}", path="epoch")
 
     distill = 0.0
     if "distill" in doc:
@@ -340,7 +329,7 @@ def cmd_loss(args) -> int:
         "dfl": breakdown.dfl,
         "giou": breakdown.giou,
         "distill": breakdown.distill,
-        "distill_weight": distill_weight(epoch, schedule) if schedule else 1.0,
+        "distill_weight": breakdown.distill_weight,
         "total": breakdown.total,
     })
     return EXIT_OK

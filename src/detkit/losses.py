@@ -87,6 +87,7 @@ class LossBreakdown:
     dfl: float
     giou: float
     distill: float
+    distill_weight: float  # the schedule weight applied to `distill`
     total: float
 
 
@@ -264,13 +265,16 @@ def total_loss(components, weights: LossWeights) -> float:
 def loss_breakdown(components, weights: LossWeights, distill: float = 0.0,
                    epoch: int = 0, schedule: DistillSchedule | None = None) -> LossBreakdown:
     """Assemble the full breakdown; the distillation term is scaled by the
-    schedule weight at `epoch` (weight 1 when no schedule is given)."""
+    schedule weight at `epoch` (weight 1 when no schedule is given, but the
+    epoch must still be >= 0)."""
+    if epoch < 0:
+        raise ValidationError(f"epoch must be >= 0, got {epoch}", path="epoch")
     if distill < 0:
         raise ValidationError(f"negative distill component: {distill}")
     base = total_loss(components, weights)
     w = distill_weight(epoch, schedule) if schedule is not None else 1.0
     q, d, g = (float(c) for c in components)
-    return LossBreakdown(qfl=q, dfl=d, giou=g, distill=distill,
+    return LossBreakdown(qfl=q, dfl=d, giou=g, distill=distill, distill_weight=w,
                          total=base + w * distill)
 
 
@@ -394,7 +398,7 @@ def distill_weight(epoch: int, schedule: DistillSchedule | None = None) -> float
     if schedule is None:
         schedule = DistillSchedule()
     if epoch < 0:
-        raise ValidationError(f"epoch must be >= 0, got {epoch}")
+        raise ValidationError(f"epoch must be >= 0, got {epoch}", path="epoch")
     if epoch >= schedule.stage1_epochs:
         return 0.0
     if schedule.mode == "constant":

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from .cost import CostReport, DeviceProfile, builtin_profile, cost_report, cost_rows
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
-from .genome import STACKED_KINDS, DetectorGenome, genome_to_doc, genome_to_json
+from .genome import STACKED_KINDS, DetectorGenome, genome_to_doc
 from .graph import GraphBuilder, OpGraph, build_graph, segments
 
 __all__ = [
@@ -357,6 +357,11 @@ class ArchiveEntry:
         }
 
 
+def _rank_key(entry: ArchiveEntry):
+    """The one ranking rule: score descending, then latency ascending."""
+    return (-entry.score.value, entry.latency_ms)
+
+
 def _dominates(a: ArchiveEntry, b: ArchiveEntry) -> bool:
     return (a.score.value >= b.score.value and a.latency_ms <= b.latency_ms
             and (a.score.value > b.score.value or a.latency_ms < b.latency_ms))
@@ -364,10 +369,13 @@ def _dominates(a: ArchiveEntry, b: ArchiveEntry) -> bool:
 
 @dataclass
 class ParetoArchive:
-    """Mutually non-dominated (score up, latency down) feasible entries."""
+    """Mutually non-dominated (score up, latency down) feasible entries, in
+    evaluation order, and per generation the search's leader: the best
+    feasible entry so far by `_rank_key`."""
 
     entries: list[ArchiveEntry] = field(default_factory=list)
     history: list[list[tuple[float, float, bool]]] = field(default_factory=list)
+    leaders: list[ArchiveEntry] = field(default_factory=list)
 
     def insert(self, entry: ArchiveEntry) -> None:
         for kept in self.entries:
@@ -381,16 +389,14 @@ class ParetoArchive:
         self.entries.append(entry)
 
     def sorted_entries(self) -> list[ArchiveEntry]:
-        return sorted(
-            self.entries,
-            key=lambda e: (-e.score.value, e.latency_ms, genome_to_json(e.genome)),
-        )
+        # a stable sort: entries with an equal (score, latency) pair keep evaluation order
+        return sorted(self.entries, key=_rank_key)
 
     @property
     def best(self) -> ArchiveEntry:
         if not self.entries:
             raise InfeasibleError("archive is empty")
-        return self.sorted_entries()[0]
+        return min(self.entries, key=_rank_key)
 
     def to_ndjson(self) -> str:
         lines = [json.dumps(e.to_record(), sort_keys=True) for e in self.sorted_entries()]
@@ -472,10 +478,6 @@ class _SegmentCache:
                             cost=CostReport.from_rows(rows, timed=True))
 
 
-def _rank_key(entry: ArchiveEntry):
-    return (-entry.score.value, entry.latency_ms)
-
-
 def _mutated(genome: DetectorGenome, rng: random.Random, cfg: SearchConfig) -> DetectorGenome:
     for _ in range(cfg.mutations_per_child):
         genome = mutate(genome, rng, cfg)
@@ -498,7 +500,8 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
 
     The archive's `best` property is the single best-score feasible genome;
     `history` records (score, latency, feasible) per evaluated candidate per
-    generation, generation 0 being the initial population. Candidates are
+    generation, generation 0 being the initial population, and `leaders` the
+    best feasible entry so far after each generation. Candidates are
     evaluated segment by segment (each backbone stage, four neck fusion
     blocks, the head), and a segment whose arguments and input shapes were
     seen in this or the previous generation is reused: `widen` re-lowers its
@@ -537,6 +540,8 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
         # the feasible seed keeps generation 0, and so every later one, non-empty
         population.sort(key=_rank_key)
         del population[cfg.population:]
+        # selection is elitist, so the head is the best feasible entry so far
+        archive.leaders.append(population[0])
         log.info("generation=%d best_score=%.6f best_latency_ms=%.4f",
                  gen, population[0].score.value, population[0].latency_ms)
     return archive

@@ -13,7 +13,8 @@ from detkit import cli
 from detkit.assign import GroundTruthArrays, PredictionArrays, align_cost, dynamic_k_assign
 from detkit.cli import main
 from detkit.genome import genome_from_json, genome_to_json, preset_genome
-from detkit.search import MUTATION_OPS
+from detkit.cost import builtin_profile
+from detkit.search import MUTATION_OPS, SearchConfig, evaluate_genome, search
 from detkit.tensorops import Tensor4, save_raw_tensor
 
 
@@ -72,6 +73,7 @@ BAD_SEARCH_CONFIGS = [
     ({"seed": True}, "seed"),
     ({"seed": 1.9}, "seed"),
     ({"scale_rule": "no"}, "scale_rule"),
+    ({"scale_rule_depth": 4.5}, "scale_rule_depth"),
 ]
 
 _PROFILE_OK = {"name": "p", "flops_per_ms": 1e10, "bytes_per_ms": 1e9}
@@ -242,7 +244,45 @@ def loss_documents(draw):
     return perturbed(draw, doc)
 
 
+def reference_history(history) -> str:
+    """The `--history` CSV rebuilt from `ParetoArchive.history` by a rule of its
+    own: per generation, the best feasible (score, latency) seen so far, ranked
+    by score and then by lower latency."""
+    rows = ["generation,best_score,best_latency_ms"]
+    best_score = -float("inf")
+    best_latency = float("inf")
+    for gen, records in enumerate(history):
+        feasible = [(s, l) for s, l, ok in records if ok]
+        if feasible:
+            top = max(feasible, key=lambda t: (t[0], -t[1]))
+            if top[0] > best_score or (top[0] == best_score and top[1] < best_latency):
+                best_score, best_latency = top
+        rows.append(f"{gen},{best_score:.6f},{best_latency:.6f}")
+    return "\n".join(rows) + "\n"
+
+
+# `s` at 1.25x its latency and `tiny` with no budget, seeds 0-4, 1 and 2 mutations per child
+HISTORY_CASES = [(name, seed, mutations) for name in ("s", "tiny") for seed in range(5)
+                 for mutations in (1, 2)]
+
+
 class TestSearchCommand:
+    @pytest.mark.parametrize("name, seed, mutations", HISTORY_CASES,
+                             ids=[f"{n}-seed{s}-m{m}" for n, s, m in HISTORY_CASES])
+    def test_history_equals_the_reference_rebuild(self, tmp_path, name, seed, mutations):
+        genome = preset_genome(name)
+        budget = (1.25 * evaluate_genome(genome, builtin_profile("t4-like")).latency_ms
+                  if name == "s" else "inf")
+        doc = {"population": 8, "generations": 8, "mutations_per_child": mutations,
+               "latency_budget_ms": budget, "seed": seed}
+        space, config, hist = tmp_path / "space.json", tmp_path / "search.json", tmp_path / "hist.csv"
+        space.write_text(genome_to_json(genome))
+        config.write_text(json.dumps(doc))
+        assert main(["search", "--space", str(space), "--config", str(config),
+                     "--out", str(tmp_path / "archive.ndjson"), "--history", str(hist)]) == 0
+        archive = search(genome, SearchConfig.from_json(json.dumps(doc)))
+        assert hist.read_text() == reference_history(archive.history)
+
     def test_fixed_seed_byte_identical_archives(self, tmp_path, tiny_genome_path, search_config_path):
         out1 = tmp_path / "a1.ndjson"
         out2 = tmp_path / "a2.ndjson"
@@ -923,6 +963,21 @@ class TestLossCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["distill"] == pytest.approx(0.0, abs=1e-12)
         assert doc["distill_weight"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("schedule", [None, {"stage1_epochs": 10}])
+    def test_negative_epoch_message(self, tmp_path, capsys, schedule):
+        doc = {"components": {}, "epoch": -7, **({"schedule": schedule} if schedule else {})}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["loss", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: epoch: epoch must be >= 0, got -7\n"
+
+    def test_distill_error_reports_ahead_of_a_negative_epoch(self, tmp_path, capsys):
+        # the epoch is checked where the breakdown is assembled, after the distill inputs are read
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"components": {}, "epoch": -1, "distill": {"teacher": ["t.bin"]}}))
+        assert main(["loss", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: distill.student: ")
 
     def test_missing_both_modes_exits_2(self, tmp_path):
         path = tmp_path / "pairs.json"

@@ -163,6 +163,22 @@ class TestTotalLoss:
         with pytest.raises(ValidationError):
             LossWeights(0, 0, 0)
 
+    @pytest.mark.parametrize("schedule", [None, DistillSchedule()])
+    def test_breakdown_rejects_a_negative_epoch(self, schedule):
+        with pytest.raises(ValidationError, match="epoch must be >= 0, got -3") as err:
+            loss_breakdown((1, 1, 1), LossWeights(), distill=0.5, epoch=-3, schedule=schedule)
+        assert err.value.path == "epoch"
+
+    @pytest.mark.parametrize("epoch", [0, 142, 284])
+    def test_breakdown_carries_the_distill_weight_it_applied(self, epoch):
+        schedule = DistillSchedule()
+        bd = loss_breakdown((0.2, 0.4, 0.3), LossWeights(1, 0.25, 2), distill=2.0,
+                            epoch=epoch, schedule=schedule)
+        assert bd.distill_weight == distill_weight(epoch, schedule)
+        assert bd.total == 0.2 + 0.25 * 0.4 + 2 * 0.3 + bd.distill_weight * 2.0
+        # no schedule: the distillation term is taken at weight 1 at any epoch
+        assert loss_breakdown((0, 0, 0), LossWeights(), distill=2.0, epoch=epoch).distill_weight == 1.0
+
     def test_breakdown_total_includes_scheduled_distill(self):
         schedule = DistillSchedule()
         bd = loss_breakdown((0.2, 0.4, 0.3), LossWeights(1, 0.25, 2),
@@ -368,8 +384,9 @@ class TestDistillWeight:
         assert distill_weight(284, schedule) == 0.0
 
     def test_negative_epoch_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             distill_weight(-1)
+        assert err.value.path == "epoch"
 
 
 class TestGradientSanity:

@@ -227,32 +227,39 @@ class TestMutate:
             g = mutate(g, rng, cfg)
             g.validate()
 
-    def test_swap_kind_respects_scale_rule_small(self):
-        g = preset_genome("tiny")  # total stacked depth 4 -> residual rule
-        cfg = make_cfg(mutation_ops=("swap_kind",), scale_rule=True)
-        rng = random.Random(1)
+    @staticmethod
+    def swapped_kinds(genome, cfg, seed):
+        rng = random.Random(seed)
         seen = set()
         for _ in range(50):
-            m = mutate(g, rng, cfg)
-            for old, new in zip(g.backbone, m.backbone):
+            m = mutate(genome, rng, cfg)
+            for old, new in zip(genome.backbone, m.backbone):
                 if old.kind != new.kind:
                     seen.add(new.kind)
-        assert seen <= {"Res"}
+        return seen
 
-    def test_swap_kind_respects_scale_rule_deep(self):
-        g = preset_genome("s")  # total stacked depth 19
+    # residual blocks below the threshold, cross-stage partial from it on
+    @pytest.mark.parametrize("threshold, kind", [(None, "Res"), (5, "Res"), (4, "Csp")],
+                             ids=["default=30", "5", "4"])
+    def test_swap_kind_respects_scale_rule_small(self, threshold, kind):
+        g = preset_genome("tiny")  # three Res stages and a Csp one
+        assert search_module._stacked_depth(g) == 4
+        depth = {} if threshold is None else {"scale_rule_depth": threshold}
+        cfg = make_cfg(mutation_ops=("swap_kind",), scale_rule=True, **depth)
+        assert self.swapped_kinds(g, cfg, seed=1) == {kind}
+
+    @pytest.mark.parametrize("threshold, kind", [(None, "Csp"), (38, "Csp"), (39, "Res")],
+                             ids=["default=30", "38", "39"])
+    def test_swap_kind_respects_scale_rule_deep(self, threshold, kind):
+        g = preset_genome("s")  # total stacked depth 19, all Res
         deep = g.with_backbone(
-            replace(b, depth=b.depth * 2) if b.kind == "Res" else b for b in g.backbone
+            replace(b, depth=b.depth * 2, kind="Csp" if i == 4 else b.kind) if b.kind == "Res" else b
+            for i, b in enumerate(g.backbone)
         )
-        cfg = make_cfg(mutation_ops=("swap_kind",), scale_rule=True)
-        rng = random.Random(2)
-        seen = set()
-        for _ in range(50):
-            m = mutate(deep, rng, cfg)
-            for old, new in zip(deep.backbone, m.backbone):
-                if old.kind != new.kind:
-                    seen.add(new.kind)
-        assert seen == {"Csp"}
+        assert search_module._stacked_depth(deep) == 38
+        depth = {} if threshold is None else {"scale_rule_depth": threshold}
+        cfg = make_cfg(mutation_ops=("swap_kind",), scale_rule=True, **depth)
+        assert self.swapped_kinds(deep, cfg, seed=2) == {kind}
 
 
 def single_stage_space(width=32):
@@ -353,6 +360,31 @@ class TestSearch:
         archive.insert(search_module.ArchiveEntry(other, entry.score, entry.cost))
         assert [e.genome for e in archive.entries] == [g, other]
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_tied_entries_keep_insertion_order(self, first):
+        g = preset_genome("tiny")
+        entry = evaluate_genome(g, builtin_profile("t4-like"))
+        other = replace(g, input_res=(g.input_res[0] + 32, g.input_res[1]))
+        tied = [entry, search_module.ArchiveEntry(other, entry.score, entry.cost)]
+        if first:
+            tied.reverse()
+        archive = ParetoArchive()
+        for e in tied:
+            archive.insert(e)
+        # equal (score, latency): no genome tie-break, evaluation order stands
+        assert archive.sorted_entries() == tied
+        assert archive.best is tied[0]
+
+    def test_leaders_are_the_best_so_far(self):
+        g = preset_genome("tiny")
+        seed_latency = evaluate_genome(g, builtin_profile("t4-like")).latency_ms
+        cfg = make_cfg(population=6, generations=12, seed=5, latency_budget_ms=1.25 * seed_latency)
+        archive = search(g, cfg)
+        assert len(archive.leaders) == len(archive.history) == cfg.generations + 1
+        keys = [search_module._rank_key(e) for e in archive.leaders]
+        assert keys == sorted(keys, reverse=True)  # never worse than the generation before
+        assert archive.leaders[-1] is archive.best
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_archive_lists_each_genome_once(self, seed):
         # `s`, pop 16, gen 10 at 1.25x its latency: children repeat genomes
@@ -429,6 +461,17 @@ class TestSearchConfig:
         )
         assert cfg.device_profile.name == "t4-like"
         assert cfg.mutation_ops == MUTATION_OPS
+
+    @pytest.mark.parametrize("extra, depth", [("", 30), (', "scale_rule_depth": 4', 4)])
+    def test_from_json_reads_scale_rule_depth(self, extra, depth):
+        cfg = SearchConfig.from_json(
+            '{"population": 4, "generations": 2, "mutations_per_child": 1,'
+            f' "latency_budget_ms": 5.0, "seed": 3, "scale_rule": true{extra}}}'
+        )
+        assert (cfg.scale_rule, cfg.scale_rule_depth) == (True, depth)
+        # tiny's stacked depth is 4: below 30 it swaps to Res, at 4 to Csp
+        allowed = search_module._allowed_swap_kinds(preset_genome("tiny"), cfg)
+        assert allowed == (("Res",) if depth == 30 else ("Csp",))
 
     def test_from_json_missing_field(self):
         with pytest.raises(ValidationError, match="population"):
