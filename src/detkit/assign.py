@@ -62,7 +62,8 @@ SINKHORN_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box in pixel coordinates, finite corners (x1, y1) <= (x2, y2)."""
+    """Axis-aligned box in pixel coordinates. Its corners follow the rule
+    `PredictionArrays` applies to its (P,4) boxes and fail with its message."""
 
     x1: float
     y1: float
@@ -70,10 +71,8 @@ class Box:
     y2: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
-            raise ValidationError(f"box corners must be finite: {self}")
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValidationError(f"box corners out of order: {self}")
+        if not _corners_ok(np.array([(self.x1, self.y1, self.x2, self.y2)], dtype=np.float64))[0]:
+            raise ValidationError(_CORNER_RULE)
 
     @property
     def area(self) -> float:
@@ -85,6 +84,10 @@ def _first_bad(ok: np.ndarray, message: str, path: str) -> None:
     bad = np.flatnonzero(~ok)
     if bad.size:
         raise ValidationError(message, path=path.format(int(bad[0])))
+
+
+# the one value rule of a box's corners, and its message
+_CORNER_RULE = "box corners must be finite, with x1 <= x2, y1 <= y2"
 
 
 def _corners_ok(boxes: np.ndarray) -> np.ndarray:
@@ -128,8 +131,7 @@ class PredictionArrays:
                 f"predictions need (P,4) boxes, (P,C) scores and (P,2) anchors, got "
                 f"{self.boxes.shape}, {self.scores.shape} and {self.anchors.shape}"
             )
-        _first_bad(_corners_ok(self.boxes), "box corners must be finite, with x1 <= x2, y1 <= y2",
-                   "predictions[{}].box")
+        _first_bad(_corners_ok(self.boxes), _CORNER_RULE, "predictions[{}].box")
         _first_bad(np.isfinite(self.anchors).all(axis=1), "anchor point must be finite",
                    "predictions[{}].anchor_point")
         _first_bad(((self.scores >= 0) & (self.scores <= 1)).all(axis=1), "class scores must lie in [0, 1]",

@@ -19,7 +19,6 @@ not a benchmark.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -33,8 +32,6 @@ __all__ = [
     "DeviceProfile",
     "NodeCost",
     "CostReport",
-    "count_flops",
-    "count_params",
     "cost_report",
     "cost_rows",
     "builtin_profile",
@@ -60,17 +57,6 @@ class DeviceProfile:
                 raise ValidationError(f"must be positive, got {getattr(self, name)}", path=name)
         if not self.per_op_overhead_ms >= 0:
             raise ValidationError(f"must be >= 0, got {self.per_op_overhead_ms}", path="per_op_overhead_ms")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "flops_per_ms": self.flops_per_ms,
-                "bytes_per_ms": self.bytes_per_ms,
-                "per_op_overhead_ms": self.per_op_overhead_ms,
-            },
-            indent=2,
-        ) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "DeviceProfile":
@@ -204,16 +190,6 @@ class CostReport:
 
 def _node_latency(flops: int, nbytes: int, profile: DeviceProfile) -> float:
     return max(flops / profile.flops_per_ms, nbytes / profile.bytes_per_ms) + profile.per_op_overhead_ms
-
-
-def count_flops(graph: OpGraph, strict: bool = False) -> int:
-    """Total FLOPs of a shape-resolved graph; exact integer arithmetic."""
-    return cost_report(graph, strict=strict).flops
-
-
-def count_params(graph: OpGraph) -> int:
-    """Total trainable parameter count of a graph."""
-    return cost_report(graph).params
 
 
 def cost_report(graph: OpGraph, profile: DeviceProfile | None = None,

@@ -20,8 +20,7 @@ cosine schedule over stage one and is identically zero during the short
 second (fine-tuning) stage.
 
 Log arguments are clamped at 1e-12 throughout, so all stated tolerances are
-reproducible. The *_grad helpers are the documented analytic derivatives used
-by the finite-difference sanity checks.
+reproducible.
 """
 from __future__ import annotations
 
@@ -39,12 +38,9 @@ __all__ = [
     "LossBreakdown",
     "DistillSchedule",
     "qfl",
-    "qfl_grad",
     "dfl",
-    "dfl_grad",
     "giou",
     "giou_loss",
-    "giou_loss_grad",
     "total_loss",
     "loss_breakdown",
     "align_project",
@@ -138,16 +134,6 @@ def qfl(pred_prob, target_q, beta_focal: float = QFL_BETA):
     return float(out) if out.ndim == 0 else out
 
 
-def qfl_grad(pred_prob: float, target_q: float, beta_focal: float = QFL_BETA) -> float:
-    """d qfl / d pred at interior points (p not in {0, 1, target})."""
-    p, t = float(pred_prob), float(target_q)
-    gap = abs(t - p)
-    bce = -(t * math.log(max(p, LOG_EPS)) + (1 - t) * math.log(max(1 - p, LOG_EPS)))
-    dgap = -math.copysign(1.0, t - p)
-    dbce = -(t / max(p, LOG_EPS)) + (1 - t) / max(1 - p, LOG_EPS)
-    return beta_focal * gap ** (beta_focal - 1) * dgap * bce + gap ** beta_focal * dbce
-
-
 def dfl(bin_probs, target_y: float) -> float:
     """Distribution focal loss for one coordinate.
 
@@ -171,32 +157,13 @@ def dfl(bin_probs, target_y: float) -> float:
     return float(-(left * _safe_log(p[i]) + right * _safe_log(p[i + 1])))
 
 
-def dfl_grad(bin_probs, target_y: float) -> np.ndarray:
-    """Partial derivatives w.r.t. each bin probability (bins as free coords)."""
-    p = np.asarray(bin_probs, dtype=np.float64).reshape(-1)
-    y = float(target_y)
-    i = int(math.floor(y))
-    grad = np.zeros_like(p)
-    if i == y:
-        grad[i] = -1.0 / max(p[i], LOG_EPS)
-    else:
-        grad[i] = -(i + 1 - y) / max(p[i], LOG_EPS)
-        grad[i + 1] = -(y - i) / max(p[i + 1], LOG_EPS)
-    return grad
-
-
-def _box_geometry(pred: Box, gt: Box):
+def giou(pred: Box, gt: Box) -> float:
+    """Generalized IoU in [-1, 1]; degenerate unions take the IoU-0 path."""
     ix = max(0.0, min(pred.x2, gt.x2) - max(pred.x1, gt.x1))
     iy = max(0.0, min(pred.y2, gt.y2) - max(pred.y1, gt.y1))
     inter = ix * iy
     union = pred.area + gt.area - inter
     hull = (max(pred.x2, gt.x2) - min(pred.x1, gt.x1)) * (max(pred.y2, gt.y2) - min(pred.y1, gt.y1))
-    return inter, union, hull
-
-
-def giou(pred: Box, gt: Box) -> float:
-    """Generalized IoU in [-1, 1]; degenerate unions take the IoU-0 path."""
-    inter, union, hull = _box_geometry(pred, gt)
     iou = inter / union if union > 0 else 0.0
     if hull <= 0:
         return iou
@@ -208,56 +175,11 @@ def giou_loss(pred: Box, gt: Box) -> float:
     return 1.0 - giou(pred, gt)
 
 
-def giou_loss_grad(pred: Box, gt: Box, step_guard: float = 1e-9) -> np.ndarray:
-    """d giou_loss / d (pred.x1, y1, x2, y2) at generic (non-kink) positions.
-
-    Derived from the piecewise-smooth geometry; valid away from the boundary
-    cases where min/max arguments tie.
-    """
-    inter, union, hull = _box_geometry(pred, gt)
-    iou = inter / union if union > 0 else 0.0
-
-    ix = max(0.0, min(pred.x2, gt.x2) - max(pred.x1, gt.x1))
-    iy = max(0.0, min(pred.y2, gt.y2) - max(pred.y1, gt.y1))
-    pw, ph = pred.x2 - pred.x1, pred.y2 - pred.y1
-
-    # d inter / d coord: active only when pred's edge is the binding one
-    di = np.zeros(4)
-    if ix > 0 and iy > 0:
-        if pred.x1 > gt.x1:
-            di[0] = -iy
-        if pred.y1 > gt.y1:
-            di[1] = -ix
-        if pred.x2 < gt.x2:
-            di[2] = iy
-        if pred.y2 < gt.y2:
-            di[3] = ix
-    da = np.array([-ph, -pw, ph, pw], dtype=np.float64)  # d pred_area
-    du = da - di
-    hw = max(pred.x2, gt.x2) - min(pred.x1, gt.x1)
-    hh = max(pred.y2, gt.y2) - min(pred.y1, gt.y1)
-    dh = np.zeros(4)
-    if pred.x1 < gt.x1:
-        dh[0] = -hh
-    if pred.y1 < gt.y1:
-        dh[1] = -hw
-    if pred.x2 > gt.x2:
-        dh[2] = hh
-    if pred.y2 > gt.y2:
-        dh[3] = hw
-
-    union = max(union, step_guard)
-    hull = max(hull, step_guard)
-    diou = (di * union - inter * du) / union**2
-    dpen = ((dh - du) * hull - (hull - union) * dh) / hull**2
-    return -(diou - dpen)
-
-
 def total_loss(components, weights: LossWeights) -> float:
     """Weighted sum of (qfl, dfl, giou) components; rejects negative inputs."""
     q, d, g = (float(c) for c in components)
     for name, value in (("qfl", q), ("dfl", d), ("giou", g)):
-        if value < 0:
+        if not value >= 0:  # written so that NaN fails too
             raise ValidationError(f"negative {name} component: {value}", path=name)
     return weights.qfl * q + weights.dfl * d + weights.giou * g
 
@@ -269,8 +191,8 @@ def loss_breakdown(components, weights: LossWeights, distill: float = 0.0,
     epoch must still be >= 0)."""
     if epoch < 0:
         raise ValidationError(f"epoch must be >= 0, got {epoch}", path="epoch")
-    if distill < 0:
-        raise ValidationError(f"negative distill component: {distill}")
+    if not distill >= 0:
+        raise ValidationError(f"negative distill component: {distill}", path="distill")
     base = total_loss(components, weights)
     w = distill_weight(epoch, schedule) if schedule is not None else 1.0
     q, d, g = (float(c) for c in components)

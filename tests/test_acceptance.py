@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from detkit.assign import align_cost, dynamic_k_assign
-from detkit.cost import cost_report, count_flops, count_params
+from detkit.cost import cost_report
 from detkit.genome import NeckConfig, preset_genome
 from detkit.graph import GraphBuilder, build_graph
 from detkit.losses import DistillSchedule, cwd_loss, dfl, distill_weight, giou_loss, qfl
@@ -147,11 +147,12 @@ def test_criterion_6_flops_exactness_and_calibration():
     x = gb.input((1, 64, 32, 32))
     y = gb.conv(x, 64, name="conv", kernel=3, bias=True, norm=False, act=None)
     g = gb.finish(outputs=(y,))
-    exact_ok = count_flops(g) == 75_497_472 and count_params(g) == 36_928
+    exact = cost_report(g)
+    exact_ok = exact.flops == 75_497_472 and exact.params == 36_928
 
     graph = build_graph(preset_genome("s"), input_res=(640, 640))
-    flops = count_flops(graph)
-    params = count_params(graph)
+    report = cost_report(graph)
+    flops, params = report.flops, report.params
     flops_err = abs(flops - 37.8e9) / 37.8e9
     params_err = abs(params - 16.3e6) / 16.3e6
     ok = exact_ok and flops_err < 0.15 and params_err < 0.15

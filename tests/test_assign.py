@@ -529,9 +529,23 @@ class TestSinkhorn:
         assert len(result.per_gt_k) == len(gts)
 
 
-def test_box_validation():
-    with pytest.raises(ValidationError):
-        Box(2, 0, 1, 1)
-    for corners in ((math.nan, 0, 2, 2), (0, 0, math.inf, 2), (0, -math.inf, 2, 2)):
-        with pytest.raises(ValidationError, match="finite"):
-            Box(*corners)
+@pytest.mark.parametrize("corners", [
+    (0, 0, 2, 2), (1, 0, 1, 2), (math.nan, 0, 2, 2), (0, 0, math.inf, 2), (0, -math.inf, 2, 2),
+    (2, 0, 1, 1), (0, 2, 1, 1),
+], ids=["ordered", "zero-width", "nan", "inf", "minus-inf", "x2-below-x1", "y2-below-y1"])
+def test_box_and_prediction_arrays_share_one_corner_rule(corners):
+    """A Box raises exactly when PredictionArrays holding that one box does,
+    with the same message."""
+    def error(build):
+        try:
+            build()
+        except ValidationError as e:
+            return e.message
+        return None
+
+    box_error = error(lambda: Box(*corners))
+    arrays_error = error(lambda: PredictionArrays(boxes=np.array([corners], dtype=np.float64),
+                                                  scores=np.full((1, 1), 0.5), anchors=np.zeros((1, 2))))
+    assert box_error == arrays_error
+    assert (box_error is None) == (math.isfinite(sum(corners)) and corners[0] <= corners[2]
+                                   and corners[1] <= corners[3])
