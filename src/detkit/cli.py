@@ -22,6 +22,7 @@ byte-identical primary outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import hashlib
@@ -148,7 +149,10 @@ def _emit(out: str | None, args, inputs, *, doc: dict | None = None,
 def cmd_search(args) -> int:
     cfg = SearchConfig.from_json(_read(args.config))
     genome = genome_from_json(_read(args.space))
-    archive = search(genome, cfg)
+    # the search's store of lowered segments and entries only grows, so each
+    # collection would traverse more of it, and the search makes no cycles
+    with _collector_paused():
+        archive = search(genome, cfg)
     inputs = [args.space, args.config]
     _emit(args.out, args, inputs, records=[e.to_record() for e in archive.sorted_entries()],
           seed=cfg.seed)
@@ -212,27 +216,36 @@ def _parse_images(path) -> list[tuple[GroundTruthArrays, PredictionArrays]]:
     return images
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cycle collector paused, and restore its prior
+    state on every exit, so a caller that disabled it finds it still disabled.
+
+    A pause is safe where the block makes no reference cycles, so that
+    collections could free nothing; and while `gc.disable` is process-wide,
+    detkit runs no threads, so it pauses nothing but the block.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read_images(path) -> list[tuple[GroundTruthArrays, PredictionArrays]]:
     """Every image of an assign input file as arrays, read with the cycle
     collector paused.
 
     `json.loads` of an 8400-prediction image builds ~34k dicts and lists,
-    and the collector would traverse that growing tree again and again. The
-    pause is safe: a parsed JSON tree holds no reference cycles, so those
-    passes could free nothing, and while `gc.disable` is process-wide,
-    detkit runs no threads, so it pauses nothing but this read. The tree
-    dies with `_parse_images`' frame, before the collector resumes; resumed
-    with the tree alive, its first collection would traverse all of it. The
-    collector's prior state is restored on every exit, so a caller that
-    disabled it finds it still disabled.
+    and the collector would traverse that growing tree again and again,
+    though a parsed JSON tree holds no reference cycles. The tree dies with
+    `_parse_images`' frame, before the collector resumes; resumed with the
+    tree alive, its first collection would traverse all of it.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         return _parse_images(path)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def cmd_assign(args) -> int:

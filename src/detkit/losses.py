@@ -175,12 +175,18 @@ def giou_loss(pred: Box, gt: Box) -> float:
     return 1.0 - giou(pred, gt)
 
 
+def _check_component(name: str, value: float) -> None:
+    if value != value:
+        raise ValidationError(f"{name} component is not a number: {value}", path=name)
+    if value < 0:
+        raise ValidationError(f"negative {name} component: {value}", path=name)
+
+
 def total_loss(components, weights: LossWeights) -> float:
-    """Weighted sum of (qfl, dfl, giou) components; rejects negative inputs."""
+    """Weighted sum of (qfl, dfl, giou) components; rejects negative and NaN inputs."""
     q, d, g = (float(c) for c in components)
     for name, value in (("qfl", q), ("dfl", d), ("giou", g)):
-        if not value >= 0:  # written so that NaN fails too
-            raise ValidationError(f"negative {name} component: {value}", path=name)
+        _check_component(name, value)
     return weights.qfl * q + weights.dfl * d + weights.giou * g
 
 
@@ -191,8 +197,7 @@ def loss_breakdown(components, weights: LossWeights, distill: float = 0.0,
     epoch must still be >= 0)."""
     if epoch < 0:
         raise ValidationError(f"epoch must be >= 0, got {epoch}", path="epoch")
-    if not distill >= 0:
-        raise ValidationError(f"negative distill component: {distill}", path="distill")
+    _check_component("distill", distill)
     base = total_loss(components, weights)
     w = distill_weight(epoch, schedule) if schedule is not None else 1.0
     q, d, g = (float(c) for c in components)

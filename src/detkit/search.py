@@ -27,6 +27,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .cost import CostReport, DeviceProfile, builtin_profile, cost_report, cost_rows
 from .errors import InfeasibleError, ValidationError
@@ -415,67 +416,89 @@ def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEn
     return ArchiveEntry(genome=genome, score=score, cost=cost)
 
 
+class _Segment(NamedTuple):
+    """One lowered segment: its graph, cost rows with their latencies, FLOP and
+    parameter sums, output shapes, and a stage's proxy output variance per
+    input variance, filled in as the search meets each."""
+
+    graph: OpGraph
+    rows: list
+    latencies: list
+    flops: int
+    params: int
+    out_shapes: tuple
+    variances: dict
+
+
 class _SegmentCache:
     """Candidate evaluation for one search, one segment at a time.
 
     A candidate's cost rows and proxy come from its `segments`. Each is looked
     up by the segment and its input shapes; a miss lowers only that segment,
     on placeholder inputs of those shapes. A stage's proxy variance is looked
-    up by its segment key and input variance. Rows are concatenated and summed
-    in `build_graph`'s order, so the result equals `evaluate_genome`'s exactly.
+    up in its segment's entry by the stage's input variance. Rows and their
+    latencies are concatenated in `build_graph`'s order and the latencies
+    summed in that order, while FLOPs and parameters are exact integer sums of
+    the per-segment sums, so the result equals `evaluate_genome`'s exactly. A
+    genome seen before returns its first entry.
 
-    Entries looked up in the current or the previous generation are kept; the
-    rest are dropped at each `next_generation`, which bounds memory.
+    Nothing is evicted: `entries` holds every segment and `genomes` every
+    candidate met in the search, so memory grows with the distinct segments
+    and genomes it evaluates, as `ParetoArchive.history` does with its length.
     """
 
     def __init__(self, profile: DeviceProfile):
         self.profile = profile
-        self.current: dict = {}
-        self.previous: dict = {}
+        self.entries: dict = {}
+        self.genomes: dict = {}
 
-    def next_generation(self) -> None:
-        self.previous, self.current = self.current, {}
-
-    def _lookup(self, key, make):
-        value = self.current.get(key)
-        if value is None:
-            value = self.previous.pop(key, None)
-            if value is None:
-                value = make()
-            self.current[key] = value
-        return value
-
-    def _lower(self, segment, shapes):
-        """Lower one segment on placeholder inputs of these shapes; returns its graph,
-        its cost rows and output shapes. Of the placeholders, only feature 0 (the
-        graph input) keeps its row."""
+    def _lower(self, segment, shapes) -> _Segment:
+        """Lower one segment on placeholder inputs of these shapes. Of the
+        placeholders, only feature 0 (the graph input) keeps its cost row."""
         lower, args, reads = segment
         gb = GraphBuilder()
         graph = gb.finish(outputs=lower(gb, [gb.input(shape) for shape in shapes], *args))
         rows = cost_rows(graph, self.profile)
-        return (graph, rows if reads == (0,) else rows[len(shapes):],
-                tuple(graph.nodes[nid].out_shape for nid in graph.outputs))
+        if reads != (0,):
+            rows = rows[len(shapes):]
+        return _Segment(graph, rows, [r.latency_ms for r in rows], sum(r.flops for r in rows),
+                        sum(r.params for r in rows),
+                        tuple(graph.nodes[nid].out_shape for nid in graph.outputs), {})
 
     def evaluate(self, genome: DetectorGenome) -> ArchiveEntry:
-        rows = []
+        entry = self.genomes.get(genome)
+        if entry is not None:
+            return entry
+        entries = self.entries
+        rows, latencies, flops, params = [], [], 0, 0
         shapes = [(1, genome.backbone[0].in_ch, *genome.input_res)]  # one per feature
         variance = ((shapes[0][1], 1.0),)
         stage_out = []  # (output node, its variance segments) per stage
         stages, taps = len(genome.backbone), genome.pyramid_taps()
         for k, segment in enumerate(segments(genome, taps)):
             key = segment, tuple([shapes[i] for i in segment[2]])
-            graph, segment_rows, out_shapes = self._lookup(key, lambda: self._lower(*key))
-            rows += segment_rows
+            found = entries.get(key)
+            if found is None:
+                found = entries[key] = self._lower(*key)
+            graph, seg_rows, seg_latencies, seg_flops, seg_params, out_shapes, variances = found
+            rows += seg_rows
+            latencies += seg_latencies
+            flops += seg_flops
+            params += seg_params
             shapes += out_shapes
             if k < stages:  # the stages come first
                 out = graph.outputs[0]
                 in_variance = variance
-                variance = self._lookup(("variance", key, in_variance), lambda: tuple(
-                    _propagate_variance(graph, in_variance)[out]))
+                variance = variances.get(in_variance)
+                if variance is None:
+                    variance = variances[in_variance] = tuple(
+                        _propagate_variance(graph, in_variance)[out])
                 stage_out.append((graph.nodes[out], variance))
 
-        return ArchiveEntry(genome=genome, score=_proxy(stage_out[i] for i in taps or (stages - 1,)),
-                            cost=CostReport.from_rows(rows, timed=True))
+        entry = self.genomes[genome] = ArchiveEntry(
+            genome=genome, score=_proxy(stage_out[i] for i in taps or (stages - 1,)),
+            cost=CostReport(flops, params, sum(latencies), tuple(rows)))
+        return entry
 
 
 def _mutated(genome: DetectorGenome, rng: random.Random, cfg: SearchConfig) -> DetectorGenome:
@@ -503,12 +526,15 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     generation, generation 0 being the initial population, and `leaders` the
     best feasible entry so far after each generation. Candidates are
     evaluated segment by segment (each backbone stage, four neck fusion
-    blocks, the head), and a segment whose arguments and input shapes were
-    seen in this or the previous generation is reused: `widen` re-lowers its
-    stage, the next, whose input width follows, and the fusion blocks that
-    read it if it is a pyramid tap; a change of a neck width in the genome
-    re-lowers the blocks of that width, those that read them, and the head.
-    Results equal `evaluate_genome`'s exactly.
+    blocks, the head), and each segment is lowered once per search: one
+    whose arguments and input shapes were seen earlier in the search, in any
+    generation, is reused. So `widen` re-lowers at most its stage, the next,
+    whose input width follows, and the fusion blocks that read it if it is a
+    pyramid tap; a change of a neck width in the genome re-lowers at most the
+    blocks of that width, those that read them, and the head. A genome seen
+    before in the search is not evaluated again. Results equal
+    `evaluate_genome`'s exactly; memory grows with the distinct segments and
+    genomes the search evaluates.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)
@@ -527,7 +553,6 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
                               for _ in range(cfg.population - 1)]
     for gen in range(cfg.generations + 1):
         if gen > 0:
-            cache.next_generation()
             entries = [cache.evaluate(g) for g in _offspring(population, rng, cfg)]
         record = []
         for entry in entries:

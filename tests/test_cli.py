@@ -855,6 +855,62 @@ class TestPausedRead:
         assert after[1:] == before[1:]
 
 
+class TestPausedSearch:
+    """`search` runs with the cycle collector paused."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("budget, expected", [(50.0, 0), (0.001, 3)], ids=["ok", "over_budget"])
+    def test_collector_state_is_restored(self, tmp_path, tiny_genome_path, capsys, enabled,
+                                         budget, expected):
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps({"population": 4, "generations": 3, "mutations_per_child": 1,
+                                      "latency_budget_ms": budget, "seed": 0}))
+        with collector(enabled):
+            code = main(["search", "--space", str(tiny_genome_path), "--config", str(config),
+                         "--out", str(tmp_path / "archive.ndjson")])
+            assert gc.isenabled() is enabled
+        assert code == expected
+
+    def test_no_collection_runs_during_the_search(self, tmp_path, monkeypatch):
+        genome = preset_genome("s")
+        budget = 1.25 * evaluate_genome(genome, builtin_profile("t4-like")).latency_ms
+        space, config = tmp_path / "space.json", tmp_path / "search.json"
+        space.write_text(genome_to_json(genome))
+        config.write_text(json.dumps({"population": 16, "generations": 10, "mutations_per_child": 1,
+                                      "latency_budget_ms": budget, "seed": 0}))
+        collections, states = [], []
+
+        def hook(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        def recorded(*args):
+            states.append(gc.isenabled())
+            gc.callbacks.append(hook)
+            try:
+                return search(*args)
+            finally:
+                gc.callbacks.remove(hook)
+
+        monkeypatch.setattr(cli, "search", recorded)
+        with collector(True):
+            assert main(["search", "--space", str(space), "--config", str(config),
+                         "--out", str(tmp_path / "archive.ndjson")]) == 0
+        assert states == [False]
+        assert collections == []
+
+    def test_a_paused_search_leaves_no_cyclic_garbage(self):
+        genome = preset_genome("s")
+        budget = 1.25 * evaluate_genome(genome, builtin_profile("t4-like")).latency_ms
+        cfg = SearchConfig(population=16, generations=10, mutations_per_child=1,
+                           latency_budget_ms=budget, seed=0, device_profile=builtin_profile("t4-like"))
+        with collector(False):
+            gc.collect()
+            archive = search(genome, cfg)
+            assert gc.collect() == 0
+        assert archive.entries
+
+
 _GIOU_OK = {"pred_box": [0, 0, 2, 2], "gt_box": [0, 0, 2, 2]}
 
 # (input document or raw text, field path the error must name)

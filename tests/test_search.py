@@ -580,8 +580,7 @@ def edited(genome: DetectorGenome, edit: str, arg: int) -> DetectorGenome:
 class TestSegmentCache:
     def test_segment_evaluation_equals_full_lowering(self):
         # related genomes (mutation chains and key neighbours) so that most
-        # segments are hits reached from other candidates; the cache turns
-        # over every 20
+        # segments are hits reached from other candidates
         rng = random.Random(0)
         profile = builtin_profile("x86-like")
         cache = search_module._SegmentCache(profile)
@@ -591,9 +590,7 @@ class TestSegmentCache:
         for n in range(240):
             genome = random_genome(rng) if n % 6 == 0 else mutate(genome, rng, cfg)
             genomes += [genome] + (key_neighbours(genome) if n % 6 == 0 else [])
-        for n, genome in enumerate(genomes):
-            if n % 20 == 0:
-                cache.next_generation()
+        for genome in genomes:
             kinds.update(b.kind for b in genome.backbone)
             neckless += genome.neck is None
             if genome.neck is not None:
@@ -635,19 +632,76 @@ class TestSegmentCache:
         cache.evaluate(mutant)
         assert sorted(lowered) == expected
 
-    def test_cache_keeps_two_generations(self, monkeypatch):
-        sizes, keys_per_generation = [], []
+    def test_each_segment_is_lowered_once_per_search(self, monkeypatch):
+        lowered, looked_up, caches = [], {}, []
+
+        class RecordingLookups(dict):
+            def get(self, key, default=None):
+                looked_up.setdefault(key, set()).add(caches[0].generation)
+                return super().get(key, default)
 
         class Recording(search_module._SegmentCache):
-            def next_generation(self):
-                sizes.append(len(self.current) + len(self.previous))
-                keys_per_generation.append(set(self.current))
-                super().next_generation()
+            def __init__(self, profile):
+                super().__init__(profile)
+                self.entries = RecordingLookups()
+                self.evaluated = 0
+                caches.append(self)
+
+            @property
+            def generation(self):
+                return self.evaluated // 8  # the seed and 7 mutants, then 8 children per generation
+
+            def evaluate(self, genome):
+                entry = super().evaluate(genome)
+                self.evaluated += 1
+                return entry
+
+            def _lower(self, segment, shapes):
+                lowered.append((segment, shapes))
+                return super()._lower(segment, shapes)
 
         monkeypatch.setattr(search_module, "_SegmentCache", Recording)
         search(preset_genome("tiny"), make_cfg(population=8, generations=60, seed=5))
-        assert len(sizes) == 60
-        for gen in range(1, 60):
-            assert sizes[gen] <= len(keys_per_generation[gen] | keys_per_generation[gen - 1])
-        all_keys = set().union(*keys_per_generation)
-        assert max(sizes) < len(all_keys) / 4  # entries of older generations are gone
+        [cache] = caches
+        assert cache.evaluated == 8 * 61
+        assert len(lowered) == len(set(lowered))
+        assert set(lowered) == set(looked_up) == set(cache.entries)
+        # a two-generation cache would have lowered these again: keys looked up
+        # again after a generation with no lookup of them
+        revisited = [key for key, gens in looked_up.items()
+                     if any(g not in gens and g + 1 in gens for g in range(min(gens) + 1, max(gens)))]
+        assert revisited
+
+    def test_a_repeated_genome_returns_its_first_entry_and_lowers_nothing(self, monkeypatch):
+        cache = search_module._SegmentCache(builtin_profile("t4-like"))
+        first = cache.evaluate(preset_genome("s"))
+        entries = dict(cache.entries)
+
+        def fail(*args):
+            raise AssertionError("lowered a segment of a genome seen before")
+
+        monkeypatch.setattr(search_module._SegmentCache, "_lower", fail)
+        monkeypatch.setattr(search_module, "_propagate_variance", fail)
+        again = preset_genome("s")  # equal, but another object
+        assert again is not first.genome
+        assert cache.evaluate(again) is first
+        assert cache.entries == entries
+
+    def test_long_search_equals_full_lowering(self, monkeypatch):
+        # 248 candidates, most of whose segments were lowered for an earlier
+        # generation's candidates
+        budget = 1.25 * evaluate_genome(preset_genome("s"), builtin_profile("t4-like")).latency_ms
+        cfg = make_cfg(population=8, generations=30, latency_budget_ms=budget, seed=3)
+        got = search(preset_genome("s"), cfg)
+
+        class FullLowering:
+            def __init__(self, profile):
+                self.profile = profile
+
+            def evaluate(self, genome):
+                return evaluate_genome(genome, self.profile)
+
+        monkeypatch.setattr(search_module, "_SegmentCache", FullLowering)
+        want = search(preset_genome("s"), cfg)
+        assert got.to_ndjson() == want.to_ndjson()
+        assert got.history == want.history
