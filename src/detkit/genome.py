@@ -47,9 +47,11 @@ MAX_KERNEL = 31
 MAX_INPUT_RES = 16384
 
 
-def _check_range(value: int, low: int, high: int, path: str) -> None:
+def _check_range(value: int, low: int, high: int, path: str, key: str | None = None) -> None:
+    """Raise unless low <= value <= high, at `path`, or at `path.key` when a
+    field name is given: the path is formatted only when it raises."""
     if not low <= value <= high:
-        raise ValidationError(f"must be in [{low}, {high}]", path=path)
+        raise ValidationError(f"must be in [{low}, {high}]", path=path if key is None else f"{path}.{key}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,12 @@ class BlockSpec:
     def validate(self, path: str = "block") -> None:
         if self.kind not in BLOCK_KINDS:
             raise ValidationError(f"unsupported kind {self.kind!r}", path=f"{path}.kind")
-        _check_range(self.in_ch, 1, MAX_CHANNELS, f"{path}.in_ch")
-        _check_range(self.out_ch, 1, MAX_CHANNELS, f"{path}.out_ch")
+        _check_range(self.in_ch, 1, MAX_CHANNELS, path, "in_ch")
+        _check_range(self.out_ch, 1, MAX_CHANNELS, path, "out_ch")
         if self.stride not in (1, 2):
             raise ValidationError(f"stride must be 1 or 2, got {self.stride}", path=f"{path}.stride")
-        _check_range(self.depth, 1, MAX_DEPTH, f"{path}.depth")
-        _check_range(self.kernel, 1, MAX_KERNEL, f"{path}.kernel")
+        _check_range(self.depth, 1, MAX_DEPTH, path, "depth")
+        _check_range(self.kernel, 1, MAX_KERNEL, path, "kernel")
         if self.kernel % 2 == 0:
             raise ValidationError(f"kernel must be odd, got {self.kernel}", path=f"{path}.kernel")
         if self.kind == "Focus" and self.stride != 2:
@@ -98,7 +100,7 @@ class NeckConfig:
     extra_downsample: bool = True
 
     def validate(self, path: str = "neck") -> None:
-        _check_range(self.depth, 1, MAX_DEPTH, f"{path}.depth")
+        _check_range(self.depth, 1, MAX_DEPTH, path, "depth")
         if len(self.widths) != 3 or not all(1 <= w <= MAX_CHANNELS for w in self.widths):
             raise ValidationError(f"widths must be a triple of integers in [1, {MAX_CHANNELS}]",
                                   path=f"{path}.widths")
@@ -115,8 +117,8 @@ class HeadConfig:
     reg_bins: int = 16
 
     def validate(self, path: str = "head") -> None:
-        _check_range(self.head_depth, 0, MAX_DEPTH, f"{path}.head_depth")
-        _check_range(self.reg_bins, 1, MAX_CHANNELS, f"{path}.reg_bins")
+        _check_range(self.head_depth, 0, MAX_DEPTH, path, "head_depth")
+        _check_range(self.reg_bins, 1, MAX_CHANNELS, path, "reg_bins")
 
 
 @dataclass(frozen=True)
@@ -182,18 +184,15 @@ class DetectorGenome:
         return tuple(strides)
 
     def pyramid_taps(self) -> tuple[int, int, int] | None:
-        """Indices of the last stage at strides 8, 16, and 32, or None."""
-        strides = self.stage_strides()
-        if not strides or max(strides) != 32:
+        """Indices of the last stage at strides 8, 16, and 32, or None when
+        one is missing or the largest stride is not 32."""
+        # a later stage overwrites an earlier one at its stride: each stride
+        # keeps its last stage, the one before the next downsample
+        last = {s: i for i, s in enumerate(self.stage_strides())}
+        c3, c4, c5 = PYRAMID_STRIDES
+        if not last or max(last) != c5 or c3 not in last or c4 not in last:
             return None
-        taps = []
-        for target in PYRAMID_STRIDES:
-            idx = [i for i, s in enumerate(strides) if s == target]
-            if not idx:
-                return None
-            # last stage at this stride before the next downsample
-            taps.append(max(idx))
-        return tuple(taps)  # type: ignore[return-value]
+        return last[c3], last[c4], last[c5]
 
     def with_backbone(self, backbone) -> "DetectorGenome":
         return replace(self, backbone=tuple(backbone))

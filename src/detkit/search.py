@@ -96,6 +96,15 @@ def _refine_pair(a, b):
 
 
 def _mean_variance(segs) -> float:
+    """Channel-weighted mean variance of a segment list.
+
+    A single segment `(ch, v)` gives `ch * v / ch`, the same float as the two
+    sums: a one-term `sum` adds its term to 0 and has nothing to round, or to
+    compensate on Pythons whose float `sum` is compensated.
+    """
+    if len(segs) == 1:
+        ch, v = segs[0]
+        return ch * v / ch
     total = sum(ch for ch, _ in segs)
     return sum(ch * v for ch, v in segs) / total
 
@@ -103,34 +112,51 @@ def _mean_variance(segs) -> float:
 def _propagate_variance(graph: OpGraph, input_segments=None) -> list[list[tuple[int, float]]]:
     """Variance segments of every node up to the last scored one, indexed by
     node id. Input nodes start at unit variance, or at `input_segments` when a
-    segment graph's placeholder stands for a feature computed elsewhere."""
+    segment graph's placeholder stands for a feature computed elsewhere.
+
+    Most states are one segment: a conv folds its input into one, and only a
+    concat of parts with different variances (a Csp stage's `[y, bypass]`)
+    makes more. An add of two one-segment states is their one sum
+    `[(ch, va + vb)]`, the float that splitting both to common boundaries
+    would add; other adds and every concat go through the segment lists.
+    Nodes are visited through `graph.topo_order()`, the graph's one
+    dependency order, rather than over `graph.nodes`: perfbench's traced run
+    counts its calls as the graph walks a workload makes.
+    """
     # ids are dependency order, so no node after the last tap reaches a tap
     stop = max(graph.pyramid or graph.outputs) + 1
+    nodes = graph.nodes
     state: list[list[tuple[int, float]]] = []
     for nid in graph.topo_order()[:stop]:
-        n = graph.nodes[nid]
-        if n.kind == "input":
-            state.append(input_segments or [(n.out_shape[1], 1.0)])
-        elif n.kind == "conv":
+        n = nodes[nid]
+        kind = n.kind
+        if kind == "conv":
             # fan-in-scaled init mixes all input channels into a uniform variance
             state.append([(n.out_shape[1], _mean_variance(state[n.inputs[0]]))])
-        elif n.kind == "add":
+        elif kind == "add":
             acc = state[n.inputs[0]]
             for src in n.inputs[1:]:
-                acc, other = _refine_pair(acc, state[src])
-                acc = [(ch, va + vb) for (ch, va), (_, vb) in zip(acc, other)]
-            state.append(_merge_segments(acc))
-        elif n.kind == "concat":
+                other = state[src]
+                if len(acc) == 1 and len(other) == 1:
+                    acc = [(acc[0][0], acc[0][1] + other[0][1])]
+                else:
+                    acc, other = _refine_pair(acc, other)
+                    acc = [(ch, va + vb) for (ch, va), (_, vb) in zip(acc, other)]
+            # a one-segment sum built above is merged already
+            state.append(acc if len(acc) == 1 and len(n.inputs) > 1 else _merge_segments(acc))
+        elif kind == "input":
+            state.append(input_segments or [(n.out_shape[1], 1.0)])
+        elif kind == "concat":
             segs = []
             for src in n.inputs:
                 segs.extend(state[src])
             state.append(_merge_segments(segs))
-        elif n.kind == "space_to_depth":
+        elif kind == "space_to_depth":
             state.append(_merge_segments(list(state[n.inputs[0]]) * 4))
-        elif n.kind in ("upsample", "maxpool"):
+        elif kind in ("upsample", "maxpool"):
             state.append(state[n.inputs[0]])
         else:
-            raise ValidationError(f"no variance rule for node kind {n.kind!r}")
+            raise ValidationError(f"no variance rule for node kind {kind!r}")
     return state
 
 

@@ -124,3 +124,74 @@ def test_pyramid_taps_pick_last_stage_per_stride():
 def test_unknown_preset():
     with pytest.raises(ValidationError):
         preset_genome("xxl")
+
+
+# every `_check_range` site, reached through the JSON reader: (field path in
+# the document, bad value, the error's path, its message)
+RANGE_SITES = [
+    (("backbone", 1, "in_ch"), 0, "backbone[1].in_ch", "must be in [1, 65536]"),
+    (("backbone", 2, "out_ch"), 65537, "backbone[2].out_ch", "must be in [1, 65536]"),
+    (("backbone", 3, "depth"), 0, "backbone[3].depth", "must be in [1, 1024]"),
+    (("backbone", 4, "depth"), 1025, "backbone[4].depth", "must be in [1, 1024]"),
+    (("backbone", 0, "kernel"), 0, "backbone[0].kernel", "must be in [1, 31]"),
+    (("backbone", 5, "kernel"), 33, "backbone[5].kernel", "must be in [1, 31]"),
+    (("neck", "depth"), 0, "neck.depth", "must be in [1, 1024]"),
+    (("head", "head_depth"), -1, "head.head_depth", "must be in [0, 1024]"),
+    (("head", "head_depth"), 1025, "head.head_depth", "must be in [0, 1024]"),
+    (("head", "reg_bins"), 0, "head.reg_bins", "must be in [1, 65536]"),
+    (("num_classes",), 65537, "num_classes", "must be in [1, 65536]"),
+]
+
+
+@pytest.mark.parametrize("where, value, path, message", RANGE_SITES)
+def test_range_errors_name_their_field(where, value, path, message):
+    doc = json.loads(genome_to_json(preset_genome("s")))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with pytest.raises(ValidationError) as err:
+        genome_from_json(json.dumps(doc))
+    assert (err.value.path, err.value.message) == (path, message)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("part, path, message", [
+    (BlockSpec("Res", 8, 8, depth=0), "block.depth", "must be in [1, 1024]"),
+    (NeckConfig(depth=0, widths=(8, 16, 32)), "neck.depth", "must be in [1, 1024]"),
+    (HeadConfig(reg_bins=0), "head.reg_bins", "must be in [1, 65536]"),
+])
+def test_direct_validate_uses_the_default_path(part, path, message):
+    with pytest.raises(ValidationError) as err:
+        part.validate()
+    assert (err.value.path, err.value.message) == (path, message)
+
+
+def backbone_of(*strides):
+    """A neckless genome whose stages have these strides. `pyramid_taps` reads
+    only the strides, so a stride of 4, which `validate` rejects, can stand in
+    for a skipped pyramid level."""
+    blocks = [BlockSpec("ConvBnAct", 8, 8, stride=s) for s in strides]
+    return DetectorGenome(backbone=tuple(blocks), neck=None, head=None)
+
+
+@pytest.mark.parametrize("strides", [
+    (2, 2, 2, 2, 2),  # 8, 16, 32 reached: taps exist (the control)
+    (2, 2, 4, 2),  # the stride-4 stage jumps 4 -> 16: no stage at stride 8
+    (2, 2, 2, 4),  # 8 -> 32: no stage at stride 16
+    (2, 2, 2, 2),  # ends at 16: no stage at stride 32
+    (2, 2, 2, 2, 2, 2),  # the largest stride is 64
+])
+def test_pyramid_taps_need_exactly_strides_8_16_32(strides):
+    taps = backbone_of(*strides).pyramid_taps()
+    assert taps == ((2, 3, 4) if strides == (2, 2, 2, 2, 2) else None)
+
+
+def test_pyramid_taps_with_repeated_strides_pick_the_last_stage():
+    # stride-1 stages after a downsample share its stride; the last one is the tap
+    g = backbone_of(2, 2, 2, 1, 1, 2, 1, 2, 1)
+    assert g.stage_strides() == (2, 4, 8, 8, 8, 16, 16, 32, 32)
+    assert g.pyramid_taps() == (4, 6, 8)
+    # Spp after the stride-32 stage is the stride-32 tap
+    s = preset_genome("s")
+    assert s.backbone[s.pyramid_taps()[2]].kind == "Spp"

@@ -16,10 +16,11 @@ from detkit.genome import (
     DetectorGenome,
     HeadConfig,
     NeckConfig,
+    genome_from_json,
     genome_to_json,
     preset_genome,
 )
-from detkit.graph import GraphBuilder, OpGraph, build_graph
+from detkit.graph import GraphBuilder, OpGraph, _lower_stage, build_graph
 from detkit.search import (
     MUTATION_OPS,
     ParetoArchive,
@@ -42,8 +43,9 @@ def _load_make_goldens():
     return module
 
 
+MAKE_GOLDENS = _load_make_goldens()
 # the genomes whose proxy scores tests/golden/scores.ndjson pins, by case name
-SCORE_CASES = _load_make_goldens().SCORE_CASES
+SCORE_CASES = MAKE_GOLDENS.SCORE_CASES
 
 
 def golden_scores() -> dict:
@@ -188,6 +190,128 @@ class TestEarlyStop:
         assert entropy_score(graph) == reference_entropy_score(graph)
         truncated = OpGraph(nodes=graph.nodes[:b + 1], outputs=(b,), pyramid=(a, b))
         assert entropy_score(graph) == entropy_score(truncated)
+
+
+def reference_propagate_variance(graph: OpGraph, input_segments=None):
+    """The generic variance pass: every rule written over segment lists of any
+    length, with no one-segment shortcut."""
+    stop = max(graph.pyramid or graph.outputs) + 1
+    state = []
+    for nid in graph.topo_order()[:stop]:
+        n = graph.nodes[nid]
+        if n.kind == "input":
+            state.append(input_segments or [(n.out_shape[1], 1.0)])
+        elif n.kind == "conv":
+            segs = state[n.inputs[0]]
+            mean = sum(ch * v for ch, v in segs) / sum(ch for ch, _ in segs)
+            state.append([(n.out_shape[1], mean)])
+        elif n.kind == "add":
+            acc = state[n.inputs[0]]
+            for src in n.inputs[1:]:
+                acc, other = search_module._refine_pair(acc, state[src])
+                acc = [(ch, va + vb) for (ch, va), (_, vb) in zip(acc, other)]
+            state.append(search_module._merge_segments(acc))
+        elif n.kind == "concat":
+            segs = []
+            for src in n.inputs:
+                segs.extend(state[src])
+            state.append(search_module._merge_segments(segs))
+        elif n.kind == "space_to_depth":
+            state.append(search_module._merge_segments(list(state[n.inputs[0]]) * 4))
+        elif n.kind in ("upsample", "maxpool"):
+            state.append(state[n.inputs[0]])
+        else:
+            raise ValidationError(f"no variance rule for node kind {n.kind!r}")
+    return state
+
+
+def golden_genomes() -> list[DetectorGenome]:
+    """The score cases and every genome in a search golden's archive."""
+    genomes = [make() for make in SCORE_CASES.values()]
+    for path in sorted(GOLDEN.glob("search_*.ndjson")):
+        genomes += [genome_from_json(json.dumps(json.loads(line)["genome"]))
+                    for line in path.read_text().splitlines()]
+    return genomes
+
+
+class TestVarianceOracle:
+    """`_propagate_variance` equals the generic pass bit for bit: the same
+    state lists, compared as (int, float) tuples."""
+
+    def test_golden_genomes(self):
+        genomes = golden_genomes()
+        assert len(genomes) > len(SCORE_CASES)
+        for genome in genomes:
+            graph = build_graph(genome)
+            assert search_module._propagate_variance(graph) == reference_propagate_variance(graph)
+
+    # every stage kind in each stride it has: Focus only downsamples, Spp never does
+    @pytest.mark.parametrize("kind, stride", [
+        (kind, stride) for kind in ("Res", "Mob", "Csp", "Focus", "Spp", "ConvBnAct") for stride in (1, 2)
+        if (kind, stride) not in (("Focus", 1), ("Spp", 2))])
+    @pytest.mark.parametrize("input_segments", [
+        None, [(32, 1.0)], [(32, 2.718281828459045)], [(16, 0.5), (16, 2.0)],
+        [(8, 3.0), (16, 0.25), (8, 1.5)],
+        [(32, 0.3819624387983612)],  # 24 * v / 24 != v: a 24-channel conv input is not v
+    ])
+    def test_each_stage_kind_on_a_placeholder(self, kind, stride, input_segments):
+        for out_ch in (24, 32, 48):
+            gb = GraphBuilder()
+            x = gb.input((1, 32, 16, 16))
+            spec = BlockSpec(kind, 32, out_ch, stride=stride, depth=1 if kind in ("Focus", "Spp") else 2,
+                             kernel=5 if kind == "Spp" else 3)
+            graph = gb.finish(outputs=_lower_stage(gb, [x], spec, 1, 0.5 if kind == "Csp" else None))
+            got = search_module._propagate_variance(graph, input_segments)
+            assert got == reference_propagate_variance(graph, input_segments)
+
+    def test_add_over_mixed_one_and_multi_segment_states(self):
+        gb = GraphBuilder()
+        x = gb.input((1, 16, 8, 8))
+        one = gb.conv(x, 32, name="one")
+        doubled = gb.add([gb.conv(x, 16, name="a"), gb.conv(x, 16, name="b")], name="ab")
+        two = gb.concat([gb.conv(x, 16, name="c"), doubled], name="two")
+        quad = gb.add([doubled, doubled], name="quad")
+        three = gb.concat([gb.conv(x, 8, name="d"), quad, gb.conv(x, 8, name="e")], name="three")
+        flipped = gb.concat([doubled, gb.conv(x, 16, name="f")], name="flipped")
+        outs = [gb.add(srcs, name=f"sum{i}") for i, srcs in enumerate(
+            [[one, two, three], [three, two, one], [one, one, two], [one, one, one], [two, two, one],
+             [two, flipped]])]
+        graph = gb.finish(outputs=outs)
+        state = search_module._propagate_variance(graph)
+        assert state == reference_propagate_variance(graph)
+        assert [state[n] for n in (one, two, three)] == [
+            [(32, 1.0)], [(16, 1.0), (16, 2.0)], [(8, 1.0), (16, 4.0), (8, 1.0)]]
+        assert state[outs[0]] == [(8, 3.0), (8, 6.0), (8, 7.0), (8, 4.0)]
+        assert state[outs[3]] == [(32, 3.0)]
+        assert state[outs[5]] == [(32, 3.0)]  # two segments of equal sums merge
+
+    def test_a_one_input_add_merges_its_input(self):
+        gb = GraphBuilder()
+        x = gb.input((1, 32, 8, 8))
+        graph = gb.finish(outputs=(gb.add([x], name="a"),))
+        for segs in (((16, 1.0), (16, 1.0)), ((32, 1.0),), [(8, 2.0), (24, 0.5)]):
+            assert search_module._propagate_variance(graph, segs) == reference_propagate_variance(graph, segs)
+
+    @pytest.mark.parametrize("preset, cfg", [
+        ("tiny", make_cfg(population=8, generations=20, seed=1)),
+        ("s", SearchConfig.from_json(json.dumps(MAKE_GOLDENS.bench_search_doc(0)))),
+    ])
+    def test_every_pass_of_a_search(self, monkeypatch, preset, cfg):
+        passes = []
+        propagate = search_module._propagate_variance
+
+        def recording(graph, input_segments=None):
+            state = propagate(graph, input_segments)
+            passes.append((graph, input_segments, state))
+            return state
+
+        monkeypatch.setattr(search_module, "_propagate_variance", recording)
+        search(preset_genome(preset), cfg)
+        assert len(passes) > 50
+        # Csp stages hold two segments between their concat and merge conv
+        assert any(len(segs) > 1 for _, _, state in passes for segs in state)
+        for graph, input_segments, state in passes:
+            assert state == reference_propagate_variance(graph, input_segments)
 
 
 class TestMutate:
@@ -609,6 +733,13 @@ class TestSegmentCache:
         cfg = make_cfg(population=6, generations=5, latency_budget_ms=4.2, seed=0)
         got = search(preset_genome("s"), cfg).to_ndjson()
         assert got == (GOLDEN / "search_s_seed0.ndjson").read_text()
+
+    @pytest.mark.parametrize("seed", MAKE_GOLDENS.BENCH_SEEDS)
+    def test_benchmark_search_reproduces_golden_archive(self, seed):
+        # the benchmark's search (s, pop 16, gen 10, budget 1.25x the seed's latency)
+        cfg = SearchConfig.from_json(json.dumps(MAKE_GOLDENS.bench_search_doc(seed)))
+        got = search(preset_genome("s"), cfg).to_ndjson()
+        assert got == (GOLDEN / f"search_s_bench_seed{seed}.ndjson").read_text()
 
     @pytest.mark.parametrize("edit, arg, expected", MISS_PROFILE)
     def test_mutant_relowers_only_the_segments_it_changes(self, monkeypatch, edit, arg, expected):

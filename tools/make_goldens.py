@@ -4,7 +4,7 @@
 Run only when a template or proxy change is intentional; review the diff
 before committing, since these files freeze the lowering of every block
 template, the proxy score of each of those genomes and of the s preset, the
-archive of one seeded search, and the stdout of every demo under demos/.
+archives of seeded searches, and the stdout of every demo under demos/.
 
     PYTHONPATH=src python tools/make_goldens.py
 """
@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from detkit.cost import builtin_profile
+from detkit.cost import builtin_profile, cost_report
 from detkit.genome import BlockSpec, DetectorGenome, preset_genome
 from detkit.graph import build_graph
 from detkit.search import SearchConfig, entropy_score, search
@@ -56,6 +56,24 @@ SCORE_CASES = dict(CASES, s=lambda: preset_genome("s"))
 SEARCH_CONFIG = dict(population=6, generations=5, mutations_per_child=1,
                      latency_budget_ms=4.2, seed=0, device_profile=builtin_profile("t4-like"))
 
+# the benchmark's search: s, pop 16, gen 10, one mutation per child, budget
+# 1.25x the seed's modeled t4-like latency; one archive per seed
+BENCH_SEEDS = (0, 1, 2)
+
+
+def bench_search_doc(seed: int) -> dict:
+    """The benchmark search's config document; `json.dump` writes the budget
+    so that it reads back as the same float."""
+    profile = builtin_profile("t4-like")
+    budget = 1.25 * cost_report(build_graph(preset_genome("s")), profile).latency_ms
+    return {"population": 16, "generations": 10, "mutations_per_child": 1,
+            "latency_budget_ms": budget, "seed": seed, "device_profile": "t4-like"}
+
+
+def bench_search_golden(seed: int) -> str:
+    cfg = SearchConfig.from_json(json.dumps(bench_search_doc(seed)))
+    return search(preset_genome("s"), cfg).to_ndjson()
+
 
 def scores_golden() -> str:
     """One line per score case: its proxy value and per-scale terms."""
@@ -93,6 +111,10 @@ def main():
     path = GOLDEN / "search_s_seed0.ndjson"
     path.write_text(search_golden())
     print(f"wrote {path}")
+    for seed in BENCH_SEEDS:
+        path = GOLDEN / f"search_s_bench_seed{seed}.ndjson"
+        path.write_text(bench_search_golden(seed))
+        print(f"wrote {path}")
     (GOLDEN / "demos").mkdir(exist_ok=True)
     for demo in sorted((ROOT / "demos").glob("*.py")):
         path = GOLDEN / "demos" / f"{demo.stem}.txt"
