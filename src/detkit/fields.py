@@ -41,11 +41,12 @@ _brief.maxlist = 4
 
 
 def load_json(text: str, what: str):
-    """Parse one input document, `what` naming it in the error. Malformed JSON
-    and integer literals too long to convert (over 4300 digits) are input errors."""
+    """Parse one input document, `what` naming it in the error. Malformed JSON,
+    integer literals too long to convert (over 4300 digits) and arrays or
+    objects nested deeper than the parser's recursion limit are input errors."""
     try:
         return json.loads(text)
-    except ValueError as e:  # json.JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as e:  # json.JSONDecodeError is a ValueError
         raise ValidationError(f"{what} is not valid JSON: {e}") from None
 
 

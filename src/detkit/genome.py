@@ -10,7 +10,7 @@ errors name the offending path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .fields import boolean, get, integer, integers, load_json, number, objects, string
@@ -195,7 +195,11 @@ class DetectorGenome:
         return last[c3], last[c4], last[c5]
 
     def with_backbone(self, backbone) -> "DetectorGenome":
-        return replace(self, backbone=tuple(backbone))
+        """This genome with another backbone, built by the constructor (what
+        `dataclasses.replace` calls, without its per-field lookups): each
+        search child is one."""
+        return DetectorGenome(tuple(backbone), self.neck, self.head, self.num_classes, self.input_res,
+                              self.csp_hidden_ratio)
 
 
 # --- JSON schema -----------------------------------------------------------

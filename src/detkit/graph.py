@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .genome import DetectorGenome
 
-__all__ = ["OpNode", "OpGraph", "GraphBuilder", "build_graph", "segments"]
+__all__ = ["OpNode", "OpGraph", "GraphBuilder", "build_graph", "segments", "stage_units"]
 
 ACT = "silu"
 
@@ -205,12 +205,8 @@ class GraphBuilder:
 # --- backbone stage lowerings -------------------------------------------------
 
 
-def _lower_conv_stage(gb: GraphBuilder, x: int, spec, prefix: str) -> int:
-    for r in range(spec.depth):
-        stride = spec.stride if r == 0 else 1
-        out_ch = spec.out_ch
-        x = gb.conv(x, out_ch, name=f"{prefix}.r{r}.conv", kernel=spec.kernel, stride=stride)
-    return x
+def _conv_unit(gb: GraphBuilder, x: int, out_ch: int, kernel: int, stride: int, prefix: str) -> int:
+    return gb.conv(x, out_ch, name=f"{prefix}.conv", kernel=kernel, stride=stride)
 
 
 def _lower_focus(gb: GraphBuilder, x: int, spec, prefix: str) -> int:
@@ -218,40 +214,48 @@ def _lower_focus(gb: GraphBuilder, x: int, spec, prefix: str) -> int:
     return gb.conv(x, spec.out_ch, name=f"{prefix}.conv", kernel=spec.kernel, stride=1)
 
 
-def _lower_res_stage(gb: GraphBuilder, x: int, spec, prefix: str) -> int:
+def _res_unit(gb: GraphBuilder, x: int, out_ch: int, kernel: int, stride: int, prefix: str) -> int:
     # residual bottleneck: 1x1 reduce, kxk spatial, 1x1 expand; projection
     # shortcut on the shape-changing first repeat
-    hid = _round8(spec.out_ch * 0.75)
-    for r in range(spec.depth):
-        stride = spec.stride if r == 0 else 1
-        in_ch = gb.shape(x)[1]
-        p = f"{prefix}.r{r}"
-        y = gb.conv(x, hid, name=f"{p}.conv1", kernel=1)
-        y = gb.conv(y, hid, name=f"{p}.conv2", kernel=spec.kernel, stride=stride)
-        y = gb.conv(y, spec.out_ch, name=f"{p}.conv3", kernel=1, act=None)
-        if stride == 1 and in_ch == spec.out_ch:
-            shortcut = x
-        else:
-            shortcut = gb.conv(x, spec.out_ch, name=f"{p}.proj", kernel=1, stride=stride, act=None)
-        x = gb.add([y, shortcut], name=f"{p}.add", act=ACT)
-    return x
+    hid = _round8(out_ch * 0.75)
+    y = gb.conv(x, hid, name=f"{prefix}.conv1", kernel=1)
+    y = gb.conv(y, hid, name=f"{prefix}.conv2", kernel=kernel, stride=stride)
+    y = gb.conv(y, out_ch, name=f"{prefix}.conv3", kernel=1, act=None)
+    if stride == 1 and gb.shape(x)[1] == out_ch:
+        shortcut = x
+    else:
+        shortcut = gb.conv(x, out_ch, name=f"{prefix}.proj", kernel=1, stride=stride, act=None)
+    return gb.add([y, shortcut], name=f"{prefix}.add", act=ACT)
 
 
-def _lower_mob_stage(gb: GraphBuilder, x: int, spec, prefix: str) -> int:
+def _mob_unit(gb: GraphBuilder, x: int, out_ch: int, kernel: int, stride: int, prefix: str) -> int:
     # inverted residual: 1x1 expand, kxk depthwise, 1x1 project
-    exp = _round8(spec.out_ch * 2.0)
-    for r in range(spec.depth):
-        stride = spec.stride if r == 0 else 1
-        in_ch = gb.shape(x)[1]
-        p = f"{prefix}.r{r}"
-        y = gb.conv(x, exp, name=f"{p}.expand", kernel=1)
-        y = gb.conv(y, exp, name=f"{p}.dw", kernel=spec.kernel, stride=stride, groups=exp)
-        y = gb.conv(y, spec.out_ch, name=f"{p}.project", kernel=1, act=None)
-        if stride == 1 and in_ch == spec.out_ch:
-            x = gb.add([y, x], name=f"{p}.add")
-        else:
-            x = y
-    return x
+    exp = _round8(out_ch * 2.0)
+    y = gb.conv(x, exp, name=f"{prefix}.expand", kernel=1)
+    y = gb.conv(y, exp, name=f"{prefix}.dw", kernel=kernel, stride=stride, groups=exp)
+    y = gb.conv(y, out_ch, name=f"{prefix}.project", kernel=1, act=None)
+    if stride == 1 and gb.shape(x)[1] == out_ch:
+        return gb.add([y, x], name=f"{prefix}.add")
+    return y
+
+
+# the stage kinds lowered as `depth` repeat units, the first applying the
+# stage stride and the in->out channel change
+_UNIT_LOWERING = {"ConvBnAct": _conv_unit, "Res": _res_unit, "Mob": _mob_unit}
+
+
+def stage_units(spec, i: int) -> tuple:
+    """Backbone stage i's repeat units in lowering order, as `(lower, args)`:
+    `lower(gb, x, *args)` emits one repeat on input node x and returns its
+    output node. The arguments are the stage's out_ch and kernel, this
+    repeat's stride and its name prefix `backbone.s{i}.r{r}`, so a unit with
+    its input shape determines its nodes, whatever the stage's depth. A stage
+    kind lowered whole (Csp, Spp, Focus) has no units: ()."""
+    unit = _UNIT_LOWERING.get(spec.kind)
+    if unit is None:
+        return ()
+    return tuple([(unit, (spec.out_ch, spec.kernel, spec.stride if r == 0 else 1, f"backbone.s{i}.r{r}"))
+                  for r in range(spec.depth)])
 
 
 def _lower_csp_stage(gb: GraphBuilder, x: int, spec, prefix: str, hidden_ratio: float) -> int:
@@ -285,18 +289,22 @@ def _lower_spp(gb: GraphBuilder, x: int, spec, prefix: str) -> int:
     return gb.conv(cat, spec.out_ch, name=f"{prefix}.expand", kernel=1)
 
 
+# the stage kinds lowered whole, other than Csp, which also reads the genome's hidden ratio
 _STAGE_LOWERING = {
-    "ConvBnAct": _lower_conv_stage,
     "Focus": _lower_focus,
-    "Res": _lower_res_stage,
-    "Mob": _lower_mob_stage,
     "Spp": _lower_spp,
 }
 
 
 def _lower_stage(gb: GraphBuilder, inputs, spec, i: int, csp_hidden_ratio: float | None) -> tuple[int]:
-    """Lower backbone stage i reading its one input node; returns the stage's output node."""
+    """Lower backbone stage i reading its one input node, unit by unit where
+    the kind has `stage_units`; returns the stage's output node."""
     (x,) = inputs
+    units = stage_units(spec, i)
+    if units:
+        for unit, args in units:
+            x = unit(gb, x, *args)
+        return (x,)
     if spec.kind == "Csp":
         return (_lower_csp_stage(gb, x, spec, f"backbone.s{i}", csp_hidden_ratio),)
     lower = _STAGE_LOWERING.get(spec.kind)
@@ -396,11 +404,13 @@ def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[
     order). A lowering reads nothing but its arguments and its inputs' shapes,
     so a segment with its input shapes determines its nodes: `search` caches
     on that pair. A stage's arguments are spec, index and Csp hidden ratio
-    (None for other kinds). A fusion block's are its name, its resample nodes,
-    its width, and the neck's style and depth; it reads the features its block
-    fuses, a dense link only when its flag is on, and owns the upsample and
-    max-pool nodes in front of it. So a change to the stride-32 width w5
-    re-lowers out5 and the head, and no other block.
+    (None for other kinds); a stage with `stage_units` is lowered as its
+    units in order, and `search` caches each unit on its input shape too. A
+    fusion block's are its name, its resample nodes, its width, and the
+    neck's style and depth; it reads the features its block fuses, a dense
+    link only when its flag is on, and owns the upsample and max-pool nodes
+    in front of it. So a change to the stride-32 width w5 re-lowers out5 and
+    the head, and no other block.
     """
     found = [(_lower_stage, (spec, i, genome.csp_hidden_ratio if spec.kind == "Csp" else None), (i,))
              for i, spec in enumerate(genome.backbone)]

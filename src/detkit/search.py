@@ -26,14 +26,14 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cost import CostReport, DeviceProfile, builtin_profile, cost_report, cost_rows
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
-from .genome import STACKED_KINDS, DetectorGenome, genome_to_doc
-from .graph import GraphBuilder, OpGraph, build_graph, segments
+from .genome import STACKED_KINDS, BlockSpec, DetectorGenome, genome_to_doc
+from .graph import GraphBuilder, OpGraph, OpNode, _lower_stage, build_graph, segments, stage_units
 
 __all__ = [
     "ProxyScore",
@@ -286,70 +286,77 @@ def _allowed_swap_kinds(genome: DetectorGenome, cfg: SearchConfig) -> tuple[str,
     return ("Res",) if _stacked_depth(genome) < cfg.scale_rule_depth else ("Csp",)
 
 
-def _repair_chain(blocks: list) -> list:
-    """Forward repair: every consumer adopts its producer's width."""
-    repaired = [blocks[0]]
-    for b in blocks[1:]:
-        prev_out = repaired[-1].out_ch
-        repaired.append(replace(b, in_ch=prev_out) if b.in_ch != prev_out else b)
-    return repaired
-
-
-def _try_mutation(genome: DetectorGenome, op: str, rng: random.Random,
-                  cfg: SearchConfig) -> DetectorGenome | None:
+def _edit(genome: DetectorGenome, op: str, rng: random.Random, cfg: SearchConfig) -> tuple | None:
+    """One draw of `op` on a valid genome: the edited backbone and the specs
+    the edit put in it, or None when the draw is out of bounds or has nothing
+    to edit. A width edit also sets the next stage's in_ch, so the chain holds."""
     blocks = list(genome.backbone)
     if op in ("widen", "narrow"):
         i = rng.randrange(len(blocks))
         step = cfg.width_step if op == "widen" else -cfg.width_step
-        new_w = blocks[i].out_ch + step
+        b = blocks[i]
+        new_w = b.out_ch + step
         if not cfg.width_min <= new_w <= cfg.width_max:
             return None
-        blocks[i] = replace(blocks[i], out_ch=new_w)
-        return genome.with_backbone(_repair_chain(blocks))
+        blocks[i] = BlockSpec(b.kind, b.in_ch, new_w, b.stride, b.depth, b.kernel)
+        if i + 1 == len(blocks):
+            return blocks, (blocks[i],)
+        c = blocks[i + 1]
+        blocks[i + 1] = BlockSpec(c.kind, new_w, c.out_ch, c.stride, c.depth, c.kernel)
+        return blocks, (blocks[i], blocks[i + 1])
     if op in ("deepen", "shallow"):
         candidates = [i for i, b in enumerate(blocks) if b.kind in _DEPTH_KINDS]
         if not candidates:
             return None
         i = candidates[rng.randrange(len(candidates))]
-        new_d = blocks[i].depth + (1 if op == "deepen" else -1)
+        b = blocks[i]
+        new_d = b.depth + (1 if op == "deepen" else -1)
         if not 1 <= new_d <= cfg.depth_max:
             return None
-        blocks[i] = replace(blocks[i], depth=new_d)
-        return genome.with_backbone(blocks)
+        blocks[i] = BlockSpec(b.kind, b.in_ch, b.out_ch, b.stride, new_d, b.kernel)
+        return blocks, (blocks[i],)
     if op == "swap_kind":
         candidates = [i for i, b in enumerate(blocks) if b.kind in STACKED_KINDS]
         if not candidates:
             return None
         i = candidates[rng.randrange(len(candidates))]
-        options = [k for k in _allowed_swap_kinds(genome, cfg) if k != blocks[i].kind]
+        b = blocks[i]
+        options = [k for k in _allowed_swap_kinds(genome, cfg) if k != b.kind]
         if not options:
             return None
-        blocks[i] = replace(blocks[i], kind=options[rng.randrange(len(options))])
-        return genome.with_backbone(blocks)
+        blocks[i] = BlockSpec(options[rng.randrange(len(options))], b.in_ch, b.out_ch, b.stride, b.depth,
+                              b.kernel)
+        return blocks, (blocks[i],)
     raise ValidationError(f"unknown mutation op {op!r}")
 
 
 def mutate(genome: DetectorGenome, rng: random.Random,
            cfg: SearchConfig | None = None) -> DetectorGenome:
-    """Apply one random structural edit to the backbone and re-validate.
+    """Apply one random structural edit to the backbone of a valid genome.
 
-    Infeasible draws (out-of-bounds widths or depths, no legal kind swap) are
-    resampled up to `_MUTATION_DRAWS` times; if everything fails the genome is
-    returned unchanged.
+    Infeasible draws (out-of-bounds widths or depths, no legal kind swap, an
+    edited stage its own `BlockSpec.validate` rejects) are resampled up to
+    `_MUTATION_DRAWS` times; if everything fails the genome is returned
+    unchanged. Only the specs an edit replaced are validated: an edit keeps
+    the strides, the channel chain, the neck and the head, so a valid genome
+    stays valid when they are. The input must be valid (`search` validates
+    its seed, and every child is a mutant of it).
     """
     if cfg is None:
         cfg = _DEFAULT_MUTATION_CFG
     ops = cfg.mutation_ops
     for _ in range(_MUTATION_DRAWS):
         op = ops[rng.randrange(len(ops))]
-        mutated = _try_mutation(genome, op, rng, cfg)
-        if mutated is None:
+        edit = _edit(genome, op, rng, cfg)
+        if edit is None:
             continue
+        blocks, replaced = edit
         try:
-            mutated.validate()
+            for spec in replaced:
+                spec.validate()
         except ValidationError:
             continue
-        return mutated
+        return genome.with_backbone(blocks)
     return genome
 
 
@@ -443,53 +450,113 @@ def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEn
 
 
 class _Segment(NamedTuple):
-    """One lowered segment: its graph, cost rows with their latencies, FLOP and
-    parameter sums, output shapes, and a stage's proxy output variance per
-    input variance, filled in as the search meets each."""
+    """One lowered segment or repeat unit: cost rows with their latencies,
+    FLOP and parameter sums, output shapes, the node of its first output (a
+    stage's or unit's only one), and a stage's or unit's proxy output variance
+    per input variance, filled in as the search meets each. A lowered entry
+    holds its graph and no units; a stage composed of repeat units holds their
+    entries in order and no graph."""
 
-    graph: OpGraph
     rows: list
     latencies: list
     flops: int
     params: int
     out_shapes: tuple
+    out_node: OpNode
+    graph: OpGraph | None
+    units: tuple
     variances: dict
+
+
+def _lower_unit(gb: GraphBuilder, inputs, lower, args) -> tuple[int]:
+    """A repeat unit `(lower, args)` of `stage_units` as a segment lowering."""
+    return (lower(gb, inputs[0], *args),)
+
+
+def _output_variance(entry: _Segment, in_variance: tuple) -> tuple:
+    """A stage's or unit's output variance segments for this input variance,
+    memoised in its entry. A composed stage chains its units' own memos: each
+    unit's output is the next one's input, as in the stage's one graph."""
+    variance = entry.variances.get(in_variance)
+    if variance is None:
+        if entry.units:
+            variance = in_variance
+            for unit in entry.units:
+                variance = _output_variance(unit, variance)
+        else:
+            graph = entry.graph
+            variance = tuple(_propagate_variance(graph, in_variance)[graph.outputs[0]])
+        entry.variances[in_variance] = variance
+    return variance
 
 
 class _SegmentCache:
     """Candidate evaluation for one search, one segment at a time.
 
     A candidate's cost rows and proxy come from its `segments`. Each is looked
-    up by the segment and its input shapes; a miss lowers only that segment,
-    on placeholder inputs of those shapes. A stage's proxy variance is looked
-    up in its segment's entry by the stage's input variance. Rows and their
-    latencies are concatenated in `build_graph`'s order and the latencies
-    summed in that order, while FLOPs and parameters are exact integer sums of
-    the per-segment sums, so the result equals `evaluate_genome`'s exactly. A
-    genome seen before returns its first entry.
+    up in `entries` by the segment and its input shapes. On a miss, a stage of
+    a kind with repeat units (Res, Mob, ConvBnAct: `graph.stage_units`) is
+    composed from a second store, `units`, keyed by unit and input shape, in
+    which a miss lowers only that unit on a placeholder input. So `deepen`
+    lowers one new unit, `shallow` none, and `widen` re-lowers its own stage's
+    units and the next stage's first. Csp, Spp and Focus stages, the fusion
+    blocks and the head are lowered whole on placeholder inputs of their
+    shapes. A stage's proxy variance is looked up in its entry by the stage's
+    input variance, and a miss there chains through its units' own memos.
+    Rows and their latencies are concatenated in `build_graph`'s order and the
+    latencies summed in that order, while FLOPs and parameters are exact
+    integer sums of the per-segment and per-unit sums, so the result equals
+    `evaluate_genome`'s exactly. A genome seen before returns its first entry.
 
-    Nothing is evicted: `entries` holds every segment and `genomes` every
-    candidate met in the search, so memory grows with the distinct segments
-    and genomes it evaluates, as `ParetoArchive.history` does with its length.
+    Nothing is evicted: `entries`, `units` and `genomes` hold every segment,
+    unit and candidate met in the search, so memory grows with the distinct
+    ones it evaluates, as `ParetoArchive.history` does with its length.
     """
 
     def __init__(self, profile: DeviceProfile):
         self.profile = profile
         self.entries: dict = {}
+        self.units: dict = {}
         self.genomes: dict = {}
 
-    def _lower(self, segment, shapes) -> _Segment:
-        """Lower one segment on placeholder inputs of these shapes. Of the
-        placeholders, only feature 0 (the graph input) keeps its cost row."""
-        lower, args, reads = segment
+    def _lower(self, lower, args, shapes, keep_input: bool) -> _Segment:
+        """Lower `lower(gb, inputs, *args)` on placeholder inputs of these
+        shapes. The placeholders keep their cost rows only when `keep_input`:
+        the one input is then the graph input."""
         gb = GraphBuilder()
         graph = gb.finish(outputs=lower(gb, [gb.input(shape) for shape in shapes], *args))
         rows = cost_rows(graph, self.profile)
-        if reads != (0,):
+        if not keep_input:
             rows = rows[len(shapes):]
-        return _Segment(graph, rows, [r.latency_ms for r in rows], sum(r.flops for r in rows),
-                        sum(r.params for r in rows),
-                        tuple(graph.nodes[nid].out_shape for nid in graph.outputs), {})
+        nodes = graph.nodes
+        return _Segment(rows, [r.latency_ms for r in rows], sum(r.flops for r in rows),
+                        sum(r.params for r in rows), tuple([nodes[nid].out_shape for nid in graph.outputs]),
+                        nodes[graph.outputs[0]], graph, (), {})
+
+    def _segment(self, segment, shapes) -> _Segment:
+        """The entry of a segment on inputs of these shapes, not yet in
+        `entries`. Only stage 0, which reads feature 0, keeps its input row."""
+        lower, args, reads = segment
+        keep_input = reads == (0,)
+        units = stage_units(args[0], args[1]) if lower is _lower_stage else ()
+        if not units:
+            return self._lower(lower, args, shapes, keep_input)
+        store, parts = self.units, []
+        (shape,) = shapes
+        for unit in units:
+            key = unit, shape
+            part = store.get(key)
+            if part is None:
+                part = store[key] = self._lower(_lower_unit, unit, (shape,), keep_input and not parts)
+            parts.append(part)
+            shape = part.out_shapes[0]
+        rows, latencies = [], []
+        for part in parts:
+            rows += part.rows
+            latencies += part.latencies
+        last = parts[-1]
+        return _Segment(rows, latencies, sum(p.flops for p in parts), sum(p.params for p in parts),
+                        last.out_shapes, last.out_node, None, tuple(parts), {})
 
     def evaluate(self, genome: DetectorGenome) -> ArchiveEntry:
         entry = self.genomes.get(genome)
@@ -505,21 +572,16 @@ class _SegmentCache:
             key = segment, tuple([shapes[i] for i in segment[2]])
             found = entries.get(key)
             if found is None:
-                found = entries[key] = self._lower(*key)
-            graph, seg_rows, seg_latencies, seg_flops, seg_params, out_shapes, variances = found
+                found = entries[key] = self._segment(*key)
+            seg_rows, seg_latencies, seg_flops, seg_params, out_shapes, out_node, _, _, variances = found
             rows += seg_rows
             latencies += seg_latencies
             flops += seg_flops
             params += seg_params
             shapes += out_shapes
             if k < stages:  # the stages come first
-                out = graph.outputs[0]
-                in_variance = variance
-                variance = variances.get(in_variance)
-                if variance is None:
-                    variance = variances[in_variance] = tuple(
-                        _propagate_variance(graph, in_variance)[out])
-                stage_out.append((graph.nodes[out], variance))
+                variance = variances.get(variance) or _output_variance(found, variance)
+                stage_out.append((out_node, variance))
 
         entry = self.genomes[genome] = ArchiveEntry(
             genome=genome, score=_proxy(stage_out[i] for i in taps or (stages - 1,)),
@@ -552,15 +614,19 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     generation, generation 0 being the initial population, and `leaders` the
     best feasible entry so far after each generation. Candidates are
     evaluated segment by segment (each backbone stage, four neck fusion
-    blocks, the head), and each segment is lowered once per search: one
-    whose arguments and input shapes were seen earlier in the search, in any
-    generation, is reused. So `widen` re-lowers at most its stage, the next,
-    whose input width follows, and the fusion blocks that read it if it is a
-    pyramid tap; a change of a neck width in the genome re-lowers at most the
-    blocks of that width, those that read them, and the head. A genome seen
-    before in the search is not evaluated again. Results equal
-    `evaluate_genome`'s exactly; memory grows with the distinct segments and
-    genomes the search evaluates.
+    blocks, the head) from a store with two levels: a segment whose
+    arguments and input shapes were seen earlier in the search, in any
+    generation, is reused, and a new Res, Mob or ConvBnAct stage is composed
+    from its repeat units, each lowered once per search. So `deepen` lowers
+    one new unit, `shallow` none, and `widen` re-lowers the units of its
+    stage, the first unit of the next, whose input width follows, and the
+    fusion blocks that read it if it is a pyramid tap; a change of a neck
+    width in the genome re-lowers at most the blocks of that width, those
+    that read them, and the head. A genome seen before in the search is not
+    evaluated again. Results equal `evaluate_genome`'s exactly; memory grows
+    with the distinct segments, units and genomes the search evaluates. The
+    seed is validated here, and each child is a `mutate` of a valid genome,
+    which keeps it valid.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)

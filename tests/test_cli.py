@@ -128,10 +128,13 @@ BAD_GENOME_FIELDS = [
 ]
 
 # a JSON integer literal longer than the 4300 digits Python converts
+# two documents json.loads cannot read: an integer literal over its 4300-digit
+# limit, and arrays nested deeper than its recursion limit (a RecursionError)
 LONG_INTEGER_DOCUMENT = '{"schema_version": 1%s}' % ("0" * 4300)
+DEEP_NESTING_DOCUMENT = "[" * 200000
 
-# (argv, {doc} being a file holding LONG_INTEGER_DOCUMENT; the document the error names)
-LONG_INTEGER_INPUTS = [
+# (argv, {doc} being a file holding such a document; the document the error names)
+JSON_INPUTS = [
     (["cost", "--genome", "{doc}"], "genome"),
     (["score", "--genome", "{doc}"], "genome"),
     (["cost", "--genome", "{genome}", "--profile", "{doc}"], "profile"),
@@ -503,22 +506,24 @@ class TestCostCommand:
 
 
 class TestInputLimits:
-    @pytest.mark.parametrize("argv, what", LONG_INTEGER_INPUTS, ids=[f"{a[0]} {w}" for a, w in LONG_INTEGER_INPUTS])
-    def test_overlong_integer_literal_exits_2(self, tmp_path, capsys, tiny_genome_path,
-                                                search_config_path, argv, what):
+    @pytest.mark.parametrize("document", [LONG_INTEGER_DOCUMENT, DEEP_NESTING_DOCUMENT], ids=["long", "deep"])
+    @pytest.mark.parametrize("argv, what", JSON_INPUTS, ids=[f"{a[0]} {w}" for a, w in JSON_INPUTS])
+    def test_unreadable_document_exits_2(self, tmp_path, capsys, tiny_genome_path,
+                                         search_config_path, argv, what, document):
         doc = tmp_path / "doc.json"
-        doc.write_text(LONG_INTEGER_DOCUMENT)
+        doc.write_text(document)
         paths = {"doc": doc, "genome": tiny_genome_path, "config": search_config_path,
                  "out": tmp_path / "out.ndjson"}
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {what} is not valid JSON: "), err
 
-    def test_overlong_integer_in_sidecar_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("document", [LONG_INTEGER_DOCUMENT, DEEP_NESTING_DOCUMENT], ids=["long", "deep"])
+    def test_unreadable_sidecar_exits_2(self, tmp_path, capsys, document):
         feats = Tensor4(np.zeros((1, 2, 4, 4), dtype=np.float32))
         save_raw_tensor(tmp_path / "t.bin", feats)
         save_raw_tensor(tmp_path / "s.bin", feats)
-        (tmp_path / "t.bin.json").write_text(LONG_INTEGER_DOCUMENT)
+        (tmp_path / "t.bin.json").write_text(document)
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps({"components": {},
                                     "distill": {"teacher": ["t.bin"], "student": ["s.bin"]}}))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -310,11 +311,123 @@ class TestVarianceOracle:
         assert len(passes) > 50
         # Csp stages hold two segments between their concat and merge conv
         assert any(len(segs) > 1 for _, _, state in passes for segs in state)
+        # Res stages are scored one repeat unit per pass: a graph whose nodes
+        # after its placeholder all belong to one later repeat `backbone.sI.rR`
+        prefixes = [{".".join(n.name.split(".")[:3]) for n in graph.nodes[1:]} for graph, _, _ in passes]
+        assert any(len(p) == 1 and not p.pop().endswith(".r0") for p in prefixes)
         for graph, input_segments, state in passes:
             assert state == reference_propagate_variance(graph, input_segments)
 
 
+def reference_mutate(genome: DetectorGenome, rng: random.Random, cfg: SearchConfig,
+                     rejected: list | None = None) -> DetectorGenome:
+    """`mutate` as it was written with a full `DetectorGenome.validate` of
+    every edited genome, `dataclasses.replace` for every edit and a forward
+    repair of the whole channel chain; a draw that fails validation is
+    appended to `rejected`."""
+
+    def repair_chain(blocks):
+        repaired = [blocks[0]]
+        for b in blocks[1:]:
+            prev_out = repaired[-1].out_ch
+            repaired.append(replace(b, in_ch=prev_out) if b.in_ch != prev_out else b)
+        return repaired
+
+    def try_mutation(op):
+        blocks = list(genome.backbone)
+        if op in ("widen", "narrow"):
+            i = rng.randrange(len(blocks))
+            step = cfg.width_step if op == "widen" else -cfg.width_step
+            new_w = blocks[i].out_ch + step
+            if not cfg.width_min <= new_w <= cfg.width_max:
+                return None
+            blocks[i] = replace(blocks[i], out_ch=new_w)
+            return replace(genome, backbone=tuple(repair_chain(blocks)))
+        if op in ("deepen", "shallow"):
+            candidates = [i for i, b in enumerate(blocks) if b.kind in search_module._DEPTH_KINDS]
+            if not candidates:
+                return None
+            i = candidates[rng.randrange(len(candidates))]
+            new_d = blocks[i].depth + (1 if op == "deepen" else -1)
+            if not 1 <= new_d <= cfg.depth_max:
+                return None
+            blocks[i] = replace(blocks[i], depth=new_d)
+            return replace(genome, backbone=tuple(blocks))
+        candidates = [i for i, b in enumerate(blocks) if b.kind in search_module.STACKED_KINDS]
+        if not candidates:
+            return None
+        i = candidates[rng.randrange(len(candidates))]
+        options = [k for k in search_module._allowed_swap_kinds(genome, cfg) if k != blocks[i].kind]
+        if not options:
+            return None
+        blocks[i] = replace(blocks[i], kind=options[rng.randrange(len(options))])
+        return replace(genome, backbone=tuple(blocks))
+
+    ops = cfg.mutation_ops
+    for _ in range(search_module._MUTATION_DRAWS):
+        mutated = try_mutation(ops[rng.randrange(len(ops))])
+        if mutated is None:
+            continue
+        try:
+            mutated.validate()
+        except ValidationError:
+            if rejected is not None:
+                rejected.append(mutated)
+            continue
+        return mutated
+    return genome
+
+
+def oracle_cases() -> list:
+    """(genome, config, whether validation must reject some draws): the
+    presets, a stage at the top of the channel range and one at the top of
+    the depth range with search bounds beyond them, and a genome whose every
+    field differs from its default."""
+    s, tiny = preset_genome("s"), preset_genome("tiny")
+    wide = list(s.backbone)
+    wide[4] = replace(wide[4], out_ch=65536)
+    wide[5] = replace(wide[5], in_ch=65536, out_ch=65536)
+    deep = list(s.backbone)
+    deep[3] = replace(deep[3], depth=1024)
+    odd = DetectorGenome(
+        backbone=tuple(replace(b, kernel=5) if b.kind == "Res" else b for b in tiny.backbone),
+        neck=NeckConfig(depth=2, widths=(32, 40, 56), fusion_style="Csp", extra_upsample=True,
+                        extra_downsample=False),
+        head=HeadConfig(head_depth=1, reg_bins=4), num_classes=7, input_res=(96, 160), csp_hidden_ratio=0.375)
+    return [
+        (s, make_cfg(), False),
+        (tiny, make_cfg(), False),
+        (tiny, make_cfg(scale_rule=True, scale_rule_depth=6, depth_max=4), False),
+        (s.with_backbone(wide), make_cfg(width_max=70000, width_step=8), True),
+        (s.with_backbone(deep), make_cfg(depth_max=2000, mutation_ops=("deepen", "shallow", "widen")), True),
+        (odd, make_cfg(), False),
+    ]
+
+
 class TestMutate:
+    @pytest.mark.parametrize("genome, cfg, rejects", oracle_cases(),
+                             ids=["s", "tiny", "tiny-scale-rule", "s-width-edge", "s-depth-edge", "non-default"])
+    def test_equals_full_validation_mutate(self, genome, cfg, rejects):
+        # a chain of 2000 draws from the case's genome, every fifth restarting there
+        genome.validate()
+        rng, reference_rng, rejected = random.Random(11), random.Random(11), []
+        current = genome
+        for n in range(2000):
+            if n % 5 == 0:
+                current = genome
+            got = mutate(current, rng, cfg)
+            want = reference_mutate(current, reference_rng, cfg, rejected)
+            assert got == want
+            assert rng.getstate() == reference_rng.getstate()
+            # what the edit leaves alone survives the constructors
+            for f in dataclasses.fields(DetectorGenome):
+                if f.name != "backbone":
+                    assert getattr(got, f.name) == getattr(genome, f.name)
+            for old, new in zip(current.backbone, got.backbone):
+                assert (new.stride, new.kernel) == (old.stride, old.kernel)
+            current = got
+        assert bool(rejected) == rejects
+
     def test_forced_noop_path_returns_genome_unchanged(self):
         # every stage already at the width cap: all widen draws are infeasible,
         # so bounded retries fall through to the no-op path
@@ -741,30 +854,65 @@ class TestSegmentCache:
         got = search(preset_genome("s"), cfg).to_ndjson()
         assert got == (GOLDEN / f"search_s_bench_seed{seed}.ndjson").read_text()
 
-    @pytest.mark.parametrize("edit, arg, expected", MISS_PROFILE)
-    def test_mutant_relowers_only_the_segments_it_changes(self, monkeypatch, edit, arg, expected):
-        lowered = []
-        lower = search_module._SegmentCache._lower
+    @staticmethod
+    def relowered(monkeypatch, seed_genome, mutant):
+        """(segments whose entry `mutant` built anew after `seed_genome`, as
+        names like "backbone.s4", "neck.out3" or "head"; the repeat units and
+        whole segments it lowered, by name prefix like "backbone.s4.r4")."""
+        built, lowered = [], []
+        segment, lower = search_module._SegmentCache._segment, search_module._SegmentCache._lower
 
-        def counting(self, *args, **kwargs):
-            result = lower(self, *args, **kwargs)
-            first, second = result[0].nodes[-1].name.split(".")[:2]  # the segment's last node
-            lowered.append(first if first == "head" else f"{first}.{second}")
-            return result
+        def building(self, *args):
+            entry = segment(self, *args)
+            first, second = entry.out_node.name.split(".")[:2]  # the segment's first output
+            built.append(first if first == "head" else f"{first}.{second}")
+            return entry
 
-        monkeypatch.setattr(search_module._SegmentCache, "_lower", counting)
-        seed_genome = preset_genome("s")
-        mutant = edited(seed_genome, edit, arg)
+        def lowering(self, *args):
+            entry = lower(self, *args)
+            unit = args[0] is search_module._lower_unit
+            lowered.append(".".join(entry.graph.nodes[-1].name.split(".")[:3 if unit else 2]))
+            return entry
+
+        monkeypatch.setattr(search_module._SegmentCache, "_segment", building)
+        monkeypatch.setattr(search_module._SegmentCache, "_lower", lowering)
         mutant.validate()
         assert mutant != seed_genome
         cache = search_module._SegmentCache(builtin_profile("t4-like"))
         cache.evaluate(seed_genome)
+        built.clear()
         lowered.clear()
         cache.evaluate(mutant)
-        assert sorted(lowered) == expected
+        return sorted(built), sorted(lowered)
+
+    @pytest.mark.parametrize("edit, arg, expected", MISS_PROFILE)
+    def test_mutant_relowers_only_the_segments_it_changes(self, monkeypatch, edit, arg, expected):
+        seed_genome = preset_genome("s")
+        built, _ = self.relowered(monkeypatch, seed_genome, edited(seed_genome, edit, arg))
+        assert built == expected
+
+    def test_deepen_lowers_one_new_unit(self, monkeypatch):
+        seed_genome = preset_genome("s")
+        mutant = edited(seed_genome, "deepen", 1)
+        assert mutant.backbone[4].kind == "Res" and mutant.backbone[4].depth == 5
+        assert self.relowered(monkeypatch, seed_genome, mutant) == (["backbone.s4"], ["backbone.s4.r4"])
+
+    def test_shallow_lowers_no_unit(self, monkeypatch):
+        seed_genome = preset_genome("s")
+        mutant = edited(seed_genome, "shallow", 1)
+        assert mutant.backbone[4].depth == 3
+        assert self.relowered(monkeypatch, seed_genome, mutant) == (["backbone.s4"], [])
+
+    def test_widen_relowers_only_the_first_unit_of_the_next_stage(self, monkeypatch):
+        seed_genome = preset_genome("s")
+        mutant = edited(seed_genome, "widen", 0)  # stage 3, Res of depth 8, the stride-16 tap
+        assert mutant.backbone[3].out_ch == seed_genome.backbone[3].out_ch + 8
+        built, lowered = self.relowered(monkeypatch, seed_genome, mutant)
+        assert built == ["backbone.s3", "backbone.s4", "neck.mid4"]
+        assert lowered == sorted([f"backbone.s3.r{r}" for r in range(8)] + ["backbone.s4.r0", "neck.mid4"])
 
     def test_each_segment_is_lowered_once_per_search(self, monkeypatch):
-        lowered, looked_up, caches = [], {}, []
+        built, lowered_units, looked_up, caches = [], [], {}, []
 
         class RecordingLookups(dict):
             def get(self, key, default=None):
@@ -787,16 +935,25 @@ class TestSegmentCache:
                 self.evaluated += 1
                 return entry
 
-            def _lower(self, segment, shapes):
-                lowered.append((segment, shapes))
-                return super()._lower(segment, shapes)
+            def _segment(self, segment, shapes):
+                built.append((segment, shapes))
+                return super()._segment(segment, shapes)
+
+            def _lower(self, lower, args, shapes, keep_input):
+                if lower is search_module._lower_unit:
+                    lowered_units.append((args, shapes[0]))
+                return super()._lower(lower, args, shapes, keep_input)
 
         monkeypatch.setattr(search_module, "_SegmentCache", Recording)
         search(preset_genome("tiny"), make_cfg(population=8, generations=60, seed=5))
         [cache] = caches
         assert cache.evaluated == 8 * 61
-        assert len(lowered) == len(set(lowered))
-        assert set(lowered) == set(looked_up) == set(cache.entries)
+        assert len(built) == len(set(built))
+        assert set(built) == set(looked_up) == set(cache.entries)
+        # each repeat unit is lowered once too, however many stages it is part of
+        assert len(lowered_units) == len(set(lowered_units)) == len(cache.units)
+        assert set(lowered_units) == set(cache.units)
+        assert len(cache.units) < sum(len(entry.units) for entry in cache.entries.values())
         # a two-generation cache would have lowered these again: keys looked up
         # again after a generation with no lookup of them
         revisited = [key for key, gens in looked_up.items()
@@ -806,7 +963,7 @@ class TestSegmentCache:
     def test_a_repeated_genome_returns_its_first_entry_and_lowers_nothing(self, monkeypatch):
         cache = search_module._SegmentCache(builtin_profile("t4-like"))
         first = cache.evaluate(preset_genome("s"))
-        entries = dict(cache.entries)
+        entries, units = dict(cache.entries), dict(cache.units)
 
         def fail(*args):
             raise AssertionError("lowered a segment of a genome seen before")
@@ -816,7 +973,7 @@ class TestSegmentCache:
         again = preset_genome("s")  # equal, but another object
         assert again is not first.genome
         assert cache.evaluate(again) is first
-        assert cache.entries == entries
+        assert cache.entries == entries and cache.units == units
 
     def test_long_search_equals_full_lowering(self, monkeypatch):
         # 248 candidates, most of whose segments were lowered for an earlier
