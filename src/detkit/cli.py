@@ -46,7 +46,7 @@ from .assign import (
 )
 from .cost import DeviceProfile, builtin_profile, cost_report
 from .errors import DetkitError, InfeasibleError, ShapeError, ValidationError
-from .fields import array, column, get, integer, load_json, number, objects, string, strings, within
+from .fields import array, column, get, integer, load_json, number, objects, read_utf8, string, strings, within
 from .genome import MAX_INPUT_RES, genome_from_json, genome_to_json, preset_genome
 from .graph import build_graph
 from .losses import (
@@ -95,7 +95,7 @@ def _read(path) -> str:
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"input file not found: {p}")
-    return p.read_text()
+    return read_utf8(p, p)
 
 
 def _is_profile_file(spec: str) -> bool:

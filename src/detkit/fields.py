@@ -11,9 +11,9 @@ Each reader takes the enclosing object, the key and the object's own path
 ("" at the document root); a missing key is an error unless a default is
 given. `column` reads one field of every object in a list into one array and
 names the first bad object, e.g. `images[0].predictions[17].box`. Every
-document is parsed by `load_json`. A value rule that lives on a library type
-raises with a path relative to that type (or none); `within` puts the path of
-the enclosing document in front.
+document file is read by `read_utf8` and parsed by `load_json`. A value rule
+that lives on a library type raises with a path relative to that type (or
+none); `within` puts the path of the enclosing document in front.
 """
 from __future__ import annotations
 
@@ -22,13 +22,14 @@ import math
 import reprlib
 from contextlib import contextmanager
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["load_json", "get", "integer", "number", "string", "boolean", "integers", "strings", "objects",
-           "array", "column", "within"]
+__all__ = ["read_utf8", "load_json", "get", "integer", "number", "string", "boolean", "integers", "strings",
+           "objects", "array", "column", "within"]
 
 _REQUIRED = object()
 
@@ -38,6 +39,16 @@ _REQUIRED = object()
 _brief = reprlib.Repr()
 _brief.maxlevel = 1
 _brief.maxlist = 4
+
+
+def read_utf8(path, what) -> str:
+    """A document file's text, `what` naming it in the error. JSON is UTF-8
+    (RFC 8259 section 8.1) whatever the locale, and its line ends need no
+    translation: CR is JSON whitespace."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{what} is not UTF-8: byte {e.start} ({e.object[e.start]:#04x}): {e.reason}") from None
 
 
 def load_json(text: str, what: str):

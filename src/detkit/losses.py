@@ -158,7 +158,9 @@ def dfl(bin_probs, target_y: float) -> float:
 
 
 def giou(pred: Box, gt: Box) -> float:
-    """Generalized IoU in [-1, 1]; degenerate unions take the IoU-0 path."""
+    """Generalized IoU in [-1, 1]; degenerate unions take the IoU-0 path.
+    Finite boxes whose areas overflow a float have no finite GIoU here:
+    a ValidationError, not NaN."""
     ix = max(0.0, min(pred.x2, gt.x2) - max(pred.x1, gt.x1))
     iy = max(0.0, min(pred.y2, gt.y2) - max(pred.y1, gt.y1))
     inter = ix * iy
@@ -167,7 +169,10 @@ def giou(pred: Box, gt: Box) -> float:
     iou = inter / union if union > 0 else 0.0
     if hull <= 0:
         return iou
-    return iou - (hull - union) / hull
+    g = iou - (hull - union) / hull
+    if not math.isfinite(g):
+        raise ValidationError(f"giou is {g}: the boxes' areas overflow a float")
+    return g
 
 
 def giou_loss(pred: Box, gt: Box) -> float:

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cost import CostReport, DeviceProfile, builtin_profile, cost_report, cost_rows
+from .cost import CostReport, DeviceProfile, NodeCost, builtin_profile, cost_report, cost_rows
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
 from .genome import STACKED_KINDS, BlockSpec, DetectorGenome, genome_to_doc
@@ -473,6 +473,21 @@ def _lower_unit(gb: GraphBuilder, inputs, lower, args) -> tuple[int]:
     return (lower(gb, inputs[0], *args),)
 
 
+def _renamed(entry: _Segment, old: str, new: str) -> _Segment:
+    """A unit's entry lowered under name prefix `old`, moved to prefix `new`:
+    each cost row and the output node named under `old` plus "." take `new`
+    in its place, and every other name (a kept placeholder `input` row) stays.
+    The entry shares everything else with the original, the variance memo
+    included: a unit's numbers and graph do not depend on its names."""
+    head, cut = old + ".", len(old)
+    rows = [tuple.__new__(NodeCost, (new + row.name[cut:], *row[1:])) if row.name.startswith(head) else row
+            for row in entry.rows]
+    node = entry.out_node
+    if node.name.startswith(head):
+        node = node._replace(name=new + node.name[cut:])
+    return entry._replace(rows=rows, out_node=node)
+
+
 def _output_variance(entry: _Segment, in_variance: tuple) -> tuple:
     """A stage's or unit's output variance segments for this input variance,
     memoised in its entry. A composed stage chains its units' own memos: each
@@ -496,27 +511,34 @@ class _SegmentCache:
     A candidate's cost rows and proxy come from its `segments`. Each is looked
     up in `entries` by the segment and its input shapes. On a miss, a stage of
     a kind with repeat units (Res, Mob, ConvBnAct: `graph.stage_units`) is
-    composed from a second store, `units`, keyed by unit and input shape, in
-    which a miss lowers only that unit on a placeholder input. So `deepen`
-    lowers one new unit, `shallow` none, and `widen` re-lowers its own stage's
+    composed from a second store, `units`, keyed by unit (name prefix
+    included) and input shape. A miss there looks in `templates`, keyed by
+    what fixes a unit's numbers: its lowering, width, kernel, stride, input
+    shape and whether it keeps its input row. Only a miss there too lowers
+    the unit, on a placeholder input; otherwise its entry is the template's
+    `_renamed` to its own prefix. So `deepen` of a stage of depth >= 2 and
+    `shallow` lower no unit, and `widen` lowers its own stage's first two
     units and the next stage's first. Csp, Spp and Focus stages, the fusion
     blocks and the head are lowered whole on placeholder inputs of their
     shapes. A stage's proxy variance is looked up in its entry by the stage's
-    input variance, and a miss there chains through its units' own memos.
+    input variance, and a miss there chains through its units' own memos,
+    which a template shares with its renames.
     Rows and their latencies are concatenated in `build_graph`'s order and the
     latencies summed in that order, while FLOPs and parameters are exact
     integer sums of the per-segment and per-unit sums, so the result equals
     `evaluate_genome`'s exactly. A genome seen before returns its first entry.
 
-    Nothing is evicted: `entries`, `units` and `genomes` hold every segment,
-    unit and candidate met in the search, so memory grows with the distinct
-    ones it evaluates, as `ParetoArchive.history` does with its length.
+    Nothing is evicted: `entries`, `units`, `templates` and `genomes` hold
+    every segment, unit and candidate met in the search, so memory grows with
+    the distinct ones it evaluates, as `ParetoArchive.history` does with its
+    length.
     """
 
     def __init__(self, profile: DeviceProfile):
         self.profile = profile
         self.entries: dict = {}
         self.units: dict = {}
+        self.templates: dict = {}
         self.genomes: dict = {}
 
     def _lower(self, lower, args, shapes, keep_input: bool) -> _Segment:
@@ -541,13 +563,22 @@ class _SegmentCache:
         units = stage_units(args[0], args[1]) if lower is _lower_stage else ()
         if not units:
             return self._lower(lower, args, shapes, keep_input)
-        store, parts = self.units, []
+        store, templates, parts = self.units, self.templates, []
         (shape,) = shapes
         for unit in units:
             key = unit, shape
             part = store.get(key)
             if part is None:
-                part = store[key] = self._lower(_lower_unit, unit, (shape,), keep_input and not parts)
+                unit_lower, (out_ch, kernel, stride, prefix) = unit
+                keep = keep_input and not parts
+                form = unit_lower, out_ch, kernel, stride, shape, keep
+                template = templates.get(form)
+                if template is None:
+                    part = self._lower(_lower_unit, unit, (shape,), keep)
+                    templates[form] = prefix, part
+                else:
+                    part = _renamed(template[1], template[0], prefix)
+                store[key] = part
             parts.append(part)
             shape = part.out_shapes[0]
         rows, latencies = [], []
@@ -614,11 +645,13 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     generation, generation 0 being the initial population, and `leaders` the
     best feasible entry so far after each generation. Candidates are
     evaluated segment by segment (each backbone stage, four neck fusion
-    blocks, the head) from a store with two levels: a segment whose
+    blocks, the head) from a store with three levels: a segment whose
     arguments and input shapes were seen earlier in the search, in any
-    generation, is reused, and a new Res, Mob or ConvBnAct stage is composed
-    from its repeat units, each lowered once per search. So `deepen` lowers
-    one new unit, `shallow` none, and `widen` re-lowers the units of its
+    generation, is reused; a new Res, Mob or ConvBnAct stage is composed
+    from its repeat units; and a unit is lowered once per search for each
+    width, kernel, stride and input shape, then renamed for every other
+    repeat position it takes. So `deepen` of a stage of depth >= 2 and
+    `shallow` lower no unit, and `widen` lowers the first two units of its
     stage, the first unit of the next, whose input width follows, and the
     fusion blocks that read it if it is a pyramid tap; a change of a neck
     width in the genome re-lowers at most the blocks of that width, those

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .fields import integers, load_json, string
+from .fields import integers, load_json, read_utf8, string
 
 __all__ = [
     "Tensor4",
@@ -254,7 +254,7 @@ def load_raw_tensor(path) -> Tensor4:
 
     path = Path(path)
     sidecar = Path(str(path) + ".json")
-    doc = load_json(sidecar.read_text(), sidecar.name)
+    doc = load_json(read_utf8(sidecar, sidecar.name), sidecar.name)
     shape = tuple(integers(doc, "shape", sidecar.name, length=4))
     if min(shape) < 1:
         raise ValidationError(f"dims must be >= 1, got {list(shape)}", path=f"{sidecar.name}.shape")

@@ -2,7 +2,11 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,6 +576,53 @@ class TestInputLimits:
         assert config_hash(*assign, "--solver", "sinkhorn") != config_hash(*assign)
 
 
+class TestInputEncoding:
+    """Input documents are UTF-8 whatever the locale, and read without newline translation."""
+
+    @staticmethod
+    def non_ascii_inputs(tmp_path, note: bytes) -> tuple[Path, Path]:
+        """A profile named "t4 <note> like" and a `loss` input whose teacher
+        sidecar carries `note` in an extra key, both UTF-8 unless `note` is not."""
+        profile = tmp_path / "profile.json"
+        profile.write_bytes(json.dumps({**_PROFILE_OK, "name": "t4 NOTE like"}).encode().replace(b"NOTE", note))
+        save_raw_tensor(tmp_path / "t.bin", Tensor4(np.zeros((1, 2, 4, 4), dtype=np.float32)))
+        sidecar = tmp_path / "t.bin.json"
+        sidecar.write_bytes(sidecar.read_bytes().replace(b"{", b'{"note": "' + note + b'", ', 1))
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"components": {}, "distill": {"teacher": ["t.bin"], "student": ["t.bin"]}}))
+        return profile, pairs
+
+    def test_utf8_inputs_read_under_an_ascii_locale(self, tmp_path, tiny_genome_path):
+        profile, pairs = self.non_ascii_inputs(tmp_path, "\u2014".encode())
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0"}
+        for argv in (["cost", "--genome", str(tiny_genome_path), "--profile", str(profile)],
+                     ["loss", "--input", str(pairs)]):
+            run = subprocess.run([sys.executable, "-m", "detkit.cli", *argv], capture_output=True, env=env,
+                                 timeout=60)
+            assert run.returncode == 0, run.stderr
+            json.loads(run.stdout)
+
+    def test_a_byte_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, tiny_genome_path):
+        profile, pairs = self.non_ascii_inputs(tmp_path, b"\xff")
+        assert main(["cost", "--genome", str(tiny_genome_path), "--profile", str(profile)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {profile} is not UTF-8: byte 13 (0xff): ")
+        assert main(["loss", "--input", str(pairs)]) == 2
+        assert capsys.readouterr().err.startswith("error: t.bin.json is not UTF-8: byte 10 (0xff): ")
+
+    def test_a_crlf_genome_costs_byte_identically(self, tmp_path, tiny_genome_path):
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(tiny_genome_path.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        outputs = []
+        for genome in (tiny_genome_path, crlf):
+            code, out = run_main(["cost", "--genome", str(genome)])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 class TestScoreCommand:
     def test_score_matches_library(self, tmp_path, capsys, tiny_genome_path):
         assert main(["score", "--genome", str(tiny_genome_path)]) == 0
@@ -980,6 +1031,11 @@ LOSS_VALUE_ERRORS = [
                  id="dfl.probs-sum-1.1"),
     pytest.param({"components": {}, "distill": {"teacher": [], "student": [], "kind": "xx"}}, "distill.kind",
                  id="distill.kind=xx"),
+    # finite boxes whose areas overflow a float: no finite GIoU
+    pytest.param({"pairs": [{}, {"giou": {"pred_box": [0, 0, 1e200, 1e200], "gt_box": [0, 0, 1e200, 1e200]}}]},
+                 "pairs[1].giou", id="giou-area-overflow"),
+    pytest.param({"pairs": [{"giou": {"pred_box": [0, 0, 1e308, 1e308], "gt_box": [-1e308, -1e308, 1, 1]}}]},
+                 "pairs[0].giou", id="giou-hull-overflow"),
 ]
 
 

@@ -136,6 +136,18 @@ class TestGiou:
             assert g <= iou + 1e-12
             assert 0.0 <= giou_loss(a, b) <= 2.0
 
+    @pytest.mark.parametrize("a, b", [
+        ((0, 0, 1e200, 1e200), (0, 0, 1e200, 1e200)),
+        ((0, 0, 1e308, 1e308), (-1e308, -1e308, 1, 1)),
+    ])
+    def test_finite_boxes_whose_areas_overflow_raise(self, a, b):
+        # the result would be NaN: an error, not a silent loss of NaN
+        for pred, gt in ((a, b), (b, a)):
+            with pytest.raises(ValidationError, match="giou is nan"):
+                giou(Box(*pred), Box(*gt))
+            with pytest.raises(ValidationError, match="giou is nan"):
+                giou_loss(Box(*pred), Box(*gt))
+
     def test_degenerate_boxes_take_iou_zero_path(self):
         a = Box(1, 1, 1, 1)
         b = Box(1, 1, 1, 1)

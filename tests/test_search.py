@@ -21,7 +21,7 @@ from detkit.genome import (
     genome_to_json,
     preset_genome,
 )
-from detkit.graph import GraphBuilder, OpGraph, _lower_stage, build_graph
+from detkit.graph import GraphBuilder, OpGraph, _lower_stage, build_graph, stage_units
 from detkit.search import (
     MUTATION_OPS,
     ParetoArchive,
@@ -891,11 +891,12 @@ class TestSegmentCache:
         built, _ = self.relowered(monkeypatch, seed_genome, edited(seed_genome, edit, arg))
         assert built == expected
 
-    def test_deepen_lowers_one_new_unit(self, monkeypatch):
+    def test_deepen_lowers_no_unit(self, monkeypatch):
+        # the new last repeat is the stage's second one renamed
         seed_genome = preset_genome("s")
         mutant = edited(seed_genome, "deepen", 1)
         assert mutant.backbone[4].kind == "Res" and mutant.backbone[4].depth == 5
-        assert self.relowered(monkeypatch, seed_genome, mutant) == (["backbone.s4"], ["backbone.s4.r4"])
+        assert self.relowered(monkeypatch, seed_genome, mutant) == (["backbone.s4"], [])
 
     def test_shallow_lowers_no_unit(self, monkeypatch):
         seed_genome = preset_genome("s")
@@ -909,10 +910,16 @@ class TestSegmentCache:
         assert mutant.backbone[3].out_ch == seed_genome.backbone[3].out_ch + 8
         built, lowered = self.relowered(monkeypatch, seed_genome, mutant)
         assert built == ["backbone.s3", "backbone.s4", "neck.mid4"]
-        assert lowered == sorted([f"backbone.s3.r{r}" for r in range(8)] + ["backbone.s4.r0", "neck.mid4"])
+        # stage 3's repeats 2-7 are its repeat 1 renamed
+        assert lowered == ["backbone.s3.r0", "backbone.s3.r1", "backbone.s4.r0", "neck.mid4"]
 
     def test_each_segment_is_lowered_once_per_search(self, monkeypatch):
-        built, lowered_units, looked_up, caches = [], [], {}, []
+        built, lowered_units, renamed, looked_up, caches = [], [], [], {}, []
+        rename = search_module._renamed
+
+        def renaming(entry, old, new):
+            renamed.append(rename(entry, old, new))
+            return renamed[-1]
 
         class RecordingLookups(dict):
             def get(self, key, default=None):
@@ -941,18 +948,25 @@ class TestSegmentCache:
 
             def _lower(self, lower, args, shapes, keep_input):
                 if lower is search_module._lower_unit:
-                    lowered_units.append((args, shapes[0]))
+                    unit_lower, (out_ch, kernel, stride, _) = args
+                    lowered_units.append((unit_lower, out_ch, kernel, stride, shapes[0], keep_input))
                 return super()._lower(lower, args, shapes, keep_input)
 
         monkeypatch.setattr(search_module, "_SegmentCache", Recording)
+        monkeypatch.setattr(search_module, "_renamed", renaming)
         search(preset_genome("tiny"), make_cfg(population=8, generations=60, seed=5))
         [cache] = caches
         assert cache.evaluated == 8 * 61
         assert len(built) == len(set(built))
         assert set(built) == set(looked_up) == set(cache.entries)
-        # each repeat unit is lowered once too, however many stages it is part of
-        assert len(lowered_units) == len(set(lowered_units)) == len(cache.units)
-        assert set(lowered_units) == set(cache.units)
+        # each unit template is lowered once, however many stages and repeat
+        # positions it serves; every other unit entry is a template renamed
+        assert len(lowered_units) == len(set(lowered_units)) == len(cache.templates)
+        assert set(lowered_units) == set(cache.templates)
+        templates = {id(entry) for _, entry in cache.templates.values()}
+        assert renamed and templates.isdisjoint(map(id, renamed))
+        assert {id(entry) for entry in cache.units.values()} == templates | set(map(id, renamed))
+        assert len(cache.units) == len(templates) + len(renamed)
         assert len(cache.units) < sum(len(entry.units) for entry in cache.entries.values())
         # a two-generation cache would have lowered these again: keys looked up
         # again after a generation with no lookup of them
@@ -975,11 +989,17 @@ class TestSegmentCache:
         assert cache.evaluate(again) is first
         assert cache.entries == entries and cache.units == units
 
-    def test_long_search_equals_full_lowering(self, monkeypatch):
-        # 248 candidates, most of whose segments were lowered for an earlier
-        # generation's candidates
+    @pytest.mark.parametrize("generations, mutations, depth_max", [
+        (30, 1, 12),
+        # deep stages and two edits per child: most unit entries are renames
+        (60, 2, 24),
+    ])
+    def test_long_search_equals_full_lowering(self, monkeypatch, generations, mutations, depth_max):
+        # 248 or 488 candidates, most of whose segments were lowered for an
+        # earlier generation's candidates
         budget = 1.25 * evaluate_genome(preset_genome("s"), builtin_profile("t4-like")).latency_ms
-        cfg = make_cfg(population=8, generations=30, latency_budget_ms=budget, seed=3)
+        cfg = make_cfg(population=8, generations=generations, mutations_per_child=mutations,
+                       depth_max=depth_max, latency_budget_ms=budget, seed=3)
         got = search(preset_genome("s"), cfg)
 
         class FullLowering:
@@ -993,3 +1013,66 @@ class TestSegmentCache:
         want = search(preset_genome("s"), cfg)
         assert got.to_ndjson() == want.to_ndjson()
         assert got.history == want.history
+
+
+# name prefixes a unit template lowered as backbone.s1.r1 is renamed to: one
+# that extends it, and two that differ in their stage or repeat digits
+RENAME_PREFIXES = ["backbone.s1.r10", "backbone.s12.r1", "backbone.s0.r0"]
+
+
+class TestUnitTemplates:
+    @pytest.mark.parametrize("kind", ["Res", "Mob", "ConvBnAct"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("out_ch", [32, 48])  # with and without a width change
+    @pytest.mark.parametrize("keep_input", [False, True])
+    def test_a_renamed_unit_equals_its_own_lowering(self, kind, stride, out_ch, keep_input):
+        cache = search_module._SegmentCache(builtin_profile("x86-like"))
+        shape = (1, 32, 16, 16)
+
+        def unit(i, r):
+            spec = BlockSpec(kind, 32, out_ch, stride=stride, depth=r + 1, kernel=3)
+            lower, (width, kernel, _, prefix) = stage_units(spec, i)[r]
+            return lower, (width, kernel, stride, prefix)  # this stride at any repeat
+
+        template = cache._lower(search_module._lower_unit, unit(1, 1), (shape,), keep_input)
+        variances = [((32, 1.0),), ((32, 2.5),), ((8, 1.0), (24, 4.0))]
+        for prefix in RENAME_PREFIXES:
+            i, r = (int(part[1:]) for part in prefix.split(".")[1:])
+            got = search_module._renamed(template, "backbone.s1.r1", prefix)
+            want = cache._lower(search_module._lower_unit, unit(i, r), (shape,), keep_input)
+            assert got.rows == want.rows
+            names = [row.name for row in got.rows]
+            if keep_input:  # the placeholder keeps its name
+                assert names.pop(0) == "input"
+            assert all(name.startswith(prefix + ".") for name in names)
+            assert got.latencies == want.latencies
+            assert (got.flops, got.params) == (want.flops, want.params)
+            assert (got.out_shapes, got.out_node) == (want.out_shapes, want.out_node)
+            for variance in variances:
+                assert (search_module._output_variance(got, variance)
+                        == search_module._output_variance(want, variance))
+        # a template under a prefix it is renamed to is itself
+        again = search_module._renamed(template, "backbone.s1.r1", "backbone.s1.r1")
+        assert (again.rows, again.out_node) == (template.rows, template.out_node)
+
+    def test_every_unit_node_is_named_under_its_prefix(self):
+        # the premise of renaming: a unit names each node it emits under its
+        # own prefix plus "."
+        rng = random.Random(11)
+        genomes = [preset_genome(name) for name in ("tiny", "s")] + [random_genome(rng) for _ in range(60)]
+        checked = 0
+        for genome in genomes:
+            gb = GraphBuilder()
+            x = gb.input((1, genome.backbone[0].in_ch, *genome.input_res))
+            for i, spec in enumerate(genome.backbone):
+                units = stage_units(spec, i)
+                if not units:
+                    (x,) = _lower_stage(gb, [x], spec, i, genome.csp_hidden_ratio)
+                    continue
+                for lower, args in units:
+                    first = len(gb._nodes)
+                    x = lower(gb, x, *args)
+                    names = [node.name for node in gb._nodes[first:]]
+                    assert names and all(name.startswith(args[3] + ".") for name in names), names
+                    checked += 1
+        assert checked > 100
