@@ -44,13 +44,14 @@ print(f"\narchive: {len(archive.entries)} non-dominated genomes within "
 for entry in archive.sorted_entries():
     widths = [b.out_ch for b in entry.genome.backbone]
     print(f"  score {entry.score.value:12.1f}  latency {entry.latency_ms:6.3f} ms  "
-          f"flops {entry.cost.flops/1e9:5.2f} G  backbone widths {widths}")
+          f"flops {entry.flops/1e9:5.2f} G  backbone widths {widths}")
 
 best = archive.best
+best_report = cost_report(build_graph(best.genome), profile)  # an archive entry keeps totals only
 print(f"\nbest genome raises the proxy by "
       f"{best.score.value - archive.history[0][0][0]:.1f} over the seed")
 print(f"it uses {best.latency_ms / cfg.latency_budget_ms:.1%} of the latency budget; "
-      f"neck:head FLOPs {neck_to_head(best.cost.per_node):.1f} "
+      f"neck:head FLOPs {neck_to_head(best_report.per_node):.1f} "
       f"(seed {neck_to_head(seed_report.per_node):.1f})")
 
 rerun = search(seed_genome, cfg)

@@ -44,7 +44,7 @@ from .assign import (
     dynamic_k_assign,
     sinkhorn_assign,
 )
-from .cost import DeviceProfile, builtin_profile, cost_report
+from .cost import DeviceProfile, builtin_profile, cost_report, fold_sum
 from .errors import DetkitError, InfeasibleError, ShapeError, ValidationError
 from .fields import array, column, get, integer, load_json, number, objects, read_utf8, string, strings, within
 from .genome import MAX_INPUT_RES, genome_from_json, genome_to_json, preset_genome
@@ -267,7 +267,7 @@ def cmd_assign(args) -> int:
 
 
 def _mean(values):
-    return float(sum(values) / len(values)) if values else 0.0
+    return float(fold_sum(values) / len(values)) if values else 0.0
 
 
 def _box(spec, key: str) -> Box:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from json.encoder import encode_basestring_ascii
+from operator import add
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -36,9 +38,18 @@ __all__ = [
     "cost_rows",
     "builtin_profile",
     "BUILTIN_PROFILES",
+    "fold_sum",
 ]
 
 BYTES_PER_VALUE = 4  # float32 activations and weights
+
+
+def fold_sum(values, start=0):
+    """`values` added one by one, left to right, onto `start`: what `sum`
+    computes on CPython up to 3.11. From 3.12 a float `sum` is compensated
+    and can differ in the last bits, so every float total that reaches an
+    output is this fold and reads the same on every Python."""
+    return reduce(add, values, start)
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ class CostReport:
         if not rows:
             return CostReport(0, 0, 0 if timed else None, ())
         _, _, flops, params, _, latencies = zip(*rows)
-        return CostReport(sum(flops), sum(params), sum(latencies) if timed else None, tuple(rows))
+        return CostReport(sum(flops), sum(params), fold_sum(latencies) if timed else None, tuple(rows))
 
     def to_json(self) -> str:
         """`to_doc` exactly as `json.dumps(indent=2)` writes it, each row from

@@ -405,10 +405,7 @@ def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[
     so a segment with its input shapes determines its nodes: `search` caches
     on that pair. A stage's arguments are spec, index and Csp hidden ratio
     (None for other kinds); a stage with `stage_units` is lowered as its
-    units in order. A unit names every node it emits under its prefix plus
-    ".", so `search` caches each unit on its input shape too, and lowers
-    one unit per width, kernel, stride and input shape, renaming it for other
-    repeat positions. A
+    units in order, and `search` caches each unit on its input shape too. A
     fusion block's are its name, its resample nodes, its width, and the
     neck's style and depth; it reads the features its block fuses, a dense
     link only when its flag is on, and owns the upsample and max-pool nodes

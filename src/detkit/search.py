@@ -29,11 +29,11 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cost import CostReport, DeviceProfile, NodeCost, builtin_profile, cost_report, cost_rows
+from .cost import DeviceProfile, builtin_profile, cost_report, cost_rows, fold_sum
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
 from .genome import STACKED_KINDS, BlockSpec, DetectorGenome, genome_to_doc
-from .graph import GraphBuilder, OpGraph, OpNode, _lower_stage, build_graph, segments, stage_units
+from .graph import GraphBuilder, OpGraph, _lower_stage, build_graph, segments, stage_units
 
 __all__ = [
     "ProxyScore",
@@ -98,15 +98,14 @@ def _refine_pair(a, b):
 def _mean_variance(segs) -> float:
     """Channel-weighted mean variance of a segment list.
 
-    A single segment `(ch, v)` gives `ch * v / ch`, the same float as the two
-    sums: a one-term `sum` adds its term to 0 and has nothing to round, or to
-    compensate on Pythons whose float `sum` is compensated.
+    A single segment `(ch, v)` gives `ch * v / ch`, the same float as the
+    fold: a one-term fold adds its term to 0 and has nothing to round.
     """
     if len(segs) == 1:
         ch, v = segs[0]
         return ch * v / ch
     total = sum(ch for ch, _ in segs)
-    return sum(ch * v for ch, v in segs) / total
+    return fold_sum(ch * v for ch, v in segs) / total
 
 
 def _propagate_variance(graph: OpGraph, input_segments=None) -> list[list[tuple[int, float]]]:
@@ -170,21 +169,24 @@ def entropy_score(graph: OpGraph) -> ProxyScore:
     taps = graph.pyramid or graph.outputs
     if not taps:
         raise ValidationError("graph has no designated outputs to score")
+    nodes = graph.nodes
+    for nid in taps:
+        if nodes[nid].out_elements == 0:
+            raise ValidationError(f"{nodes[nid].name}: zero-element output cannot be scored")
     state = _propagate_variance(graph)
-    return _proxy((graph.nodes[nid], state[nid]) for nid in taps)
+    return _proxy((nodes[nid].out_shape, state[nid]) for nid in taps)
 
 
 def _proxy(pairs) -> ProxyScore:
-    """The proxy over (scored node, its variance segments) pairs, one per scale."""
-    per_scale = tuple(_scale_entropy(node, segments) for node, segments in pairs)
-    return ProxyScore(value=sum(per_scale), per_scale=per_scale)
+    """The proxy over (scored output shape, its variance segments) pairs, one per scale."""
+    per_scale = tuple(_scale_entropy(shape, segments) for shape, segments in pairs)
+    return ProxyScore(value=fold_sum(per_scale), per_scale=per_scale)
 
 
-def _scale_entropy(node, segments) -> float:
-    """Differential entropy of one Gaussian feature map with these variance segments."""
-    b, c, h, wdt = node.out_shape
-    if node.out_elements == 0:
-        raise ValidationError(f"{node.name}: zero-element output cannot be scored")
+def _scale_entropy(shape, segments) -> float:
+    """Differential entropy of one Gaussian feature map of this shape with
+    these variance segments."""
+    b, _, h, wdt = shape
     contrib = 0.0
     for ch, v in segments:
         contrib += ch * b * h * wdt * 0.5 * math.log(2.0 * math.pi * math.e * v)
@@ -372,22 +374,23 @@ _DEFAULT_MUTATION_CFG = SearchConfig(
 
 @dataclass(frozen=True)
 class ArchiveEntry:
+    """A scored and costed genome: its proxy score and the totals of its
+    `cost_report`. The per-node rows are `cost_report(build_graph(genome), profile)`."""
+
     genome: DetectorGenome
     score: ProxyScore
-    cost: CostReport
-
-    @property
-    def latency_ms(self) -> float:
-        return self.cost.latency_ms
+    flops: int
+    params: int
+    latency_ms: float
 
     def to_record(self) -> dict:
         return {
             "genome": genome_to_doc(self.genome),
             "score": self.score.value,
             "per_scale": list(self.score.per_scale),
-            "flops": self.cost.flops,
-            "params": self.cost.params,
-            "latency_ms": self.cost.latency_ms,
+            "flops": self.flops,
+            "params": self.params,
+            "latency_ms": self.latency_ms,
         }
 
 
@@ -446,23 +449,21 @@ def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEn
     graph = build_graph(genome)
     score = entropy_score(graph)
     cost = cost_report(graph, profile)
-    return ArchiveEntry(genome=genome, score=score, cost=cost)
+    return ArchiveEntry(genome, score, cost.flops, cost.params, cost.latency_ms)
 
 
 class _Segment(NamedTuple):
-    """One lowered segment or repeat unit: cost rows with their latencies,
-    FLOP and parameter sums, output shapes, the node of its first output (a
-    stage's or unit's only one), and a stage's or unit's proxy output variance
-    per input variance, filled in as the search meets each. A lowered entry
-    holds its graph and no units; a stage composed of repeat units holds their
-    entries in order and no graph."""
+    """One lowered segment or repeat unit: its cost rows' latencies in
+    lowering order, FLOP and parameter sums, output shapes, and a stage's or
+    unit's proxy output variance per input variance, filled in as the search
+    meets each. A lowered entry holds its graph and no units; a stage composed
+    of repeat units holds their entries in order and no graph. Nothing in it
+    depends on node names, so one unit entry serves every repeat position."""
 
-    rows: list
     latencies: list
     flops: int
     params: int
     out_shapes: tuple
-    out_node: OpNode
     graph: OpGraph | None
     units: tuple
     variances: dict
@@ -471,21 +472,6 @@ class _Segment(NamedTuple):
 def _lower_unit(gb: GraphBuilder, inputs, lower, args) -> tuple[int]:
     """A repeat unit `(lower, args)` of `stage_units` as a segment lowering."""
     return (lower(gb, inputs[0], *args),)
-
-
-def _renamed(entry: _Segment, old: str, new: str) -> _Segment:
-    """A unit's entry lowered under name prefix `old`, moved to prefix `new`:
-    each cost row and the output node named under `old` plus "." take `new`
-    in its place, and every other name (a kept placeholder `input` row) stays.
-    The entry shares everything else with the original, the variance memo
-    included: a unit's numbers and graph do not depend on its names."""
-    head, cut = old + ".", len(old)
-    rows = [tuple.__new__(NodeCost, (new + row.name[cut:], *row[1:])) if row.name.startswith(head) else row
-            for row in entry.rows]
-    node = entry.out_node
-    if node.name.startswith(head):
-        node = node._replace(name=new + node.name[cut:])
-    return entry._replace(rows=rows, out_node=node)
 
 
 def _output_variance(entry: _Segment, in_variance: tuple) -> tuple:
@@ -508,37 +494,34 @@ def _output_variance(entry: _Segment, in_variance: tuple) -> tuple:
 class _SegmentCache:
     """Candidate evaluation for one search, one segment at a time.
 
-    A candidate's cost rows and proxy come from its `segments`. Each is looked
-    up in `entries` by the segment and its input shapes. On a miss, a stage of
-    a kind with repeat units (Res, Mob, ConvBnAct: `graph.stage_units`) is
-    composed from a second store, `units`, keyed by unit (name prefix
-    included) and input shape. A miss there looks in `templates`, keyed by
+    A candidate's cost totals and proxy come from its `segments`. Each is
+    looked up in `entries` by the segment and its input shapes. On a miss, a
+    stage of a kind with repeat units (Res, Mob, ConvBnAct:
+    `graph.stage_units`) is composed from a second store, `units`, keyed by
     what fixes a unit's numbers: its lowering, width, kernel, stride, input
-    shape and whether it keeps its input row. Only a miss there too lowers
-    the unit, on a placeholder input; otherwise its entry is the template's
-    `_renamed` to its own prefix. So `deepen` of a stage of depth >= 2 and
-    `shallow` lower no unit, and `widen` lowers its own stage's first two
-    units and the next stage's first. Csp, Spp and Focus stages, the fusion
-    blocks and the head are lowered whole on placeholder inputs of their
-    shapes. A stage's proxy variance is looked up in its entry by the stage's
-    input variance, and a miss there chains through its units' own memos,
-    which a template shares with its renames.
-    Rows and their latencies are concatenated in `build_graph`'s order and the
-    latencies summed in that order, while FLOPs and parameters are exact
-    integer sums of the per-segment and per-unit sums, so the result equals
-    `evaluate_genome`'s exactly. A genome seen before returns its first entry.
+    shape and whether it keeps its input row. A miss there lowers the unit on
+    a placeholder input. An entry holds no names, so one unit entry serves
+    every stage and repeat position of its form: `deepen` of a stage of depth
+    >= 2 and `shallow` lower no unit, and `widen` lowers its own stage's first
+    two units and the next stage's first. Csp, Spp and Focus stages, the
+    fusion blocks and the head are lowered whole on placeholder inputs of
+    their shapes. A stage's proxy variance is looked up in its entry by the
+    stage's input variance, and a miss there chains through its units' own
+    memos.
+    Latencies are added one by one in `build_graph`'s order, while FLOPs and
+    parameters are exact integer sums of the per-segment and per-unit sums,
+    so the result equals `evaluate_genome`'s exactly. A genome seen before
+    returns its first entry.
 
-    Nothing is evicted: `entries`, `units`, `templates` and `genomes` hold
-    every segment, unit and candidate met in the search, so memory grows with
-    the distinct ones it evaluates, as `ParetoArchive.history` does with its
-    length.
+    Nothing is evicted: `entries`, `units` and `genomes` hold every segment,
+    unit and candidate met in the search, so memory grows with the distinct
+    ones it evaluates, as `ParetoArchive.history` does with its length.
     """
 
     def __init__(self, profile: DeviceProfile):
         self.profile = profile
         self.entries: dict = {}
         self.units: dict = {}
-        self.templates: dict = {}
         self.genomes: dict = {}
 
     def _lower(self, lower, args, shapes, keep_input: bool) -> _Segment:
@@ -551,9 +534,8 @@ class _SegmentCache:
         if not keep_input:
             rows = rows[len(shapes):]
         nodes = graph.nodes
-        return _Segment(rows, [r.latency_ms for r in rows], sum(r.flops for r in rows),
-                        sum(r.params for r in rows), tuple([nodes[nid].out_shape for nid in graph.outputs]),
-                        nodes[graph.outputs[0]], graph, (), {})
+        return _Segment([r.latency_ms for r in rows], sum(r.flops for r in rows), sum(r.params for r in rows),
+                        tuple([nodes[nid].out_shape for nid in graph.outputs]), graph, (), {})
 
     def _segment(self, segment, shapes) -> _Segment:
         """The entry of a segment on inputs of these shapes, not yet in
@@ -563,60 +545,49 @@ class _SegmentCache:
         units = stage_units(args[0], args[1]) if lower is _lower_stage else ()
         if not units:
             return self._lower(lower, args, shapes, keep_input)
-        store, templates, parts = self.units, self.templates, []
+        store, parts = self.units, []
         (shape,) = shapes
         for unit in units:
-            key = unit, shape
+            unit_lower, (out_ch, kernel, stride, _) = unit
+            keep = keep_input and not parts
+            key = unit_lower, out_ch, kernel, stride, shape, keep
             part = store.get(key)
             if part is None:
-                unit_lower, (out_ch, kernel, stride, prefix) = unit
-                keep = keep_input and not parts
-                form = unit_lower, out_ch, kernel, stride, shape, keep
-                template = templates.get(form)
-                if template is None:
-                    part = self._lower(_lower_unit, unit, (shape,), keep)
-                    templates[form] = prefix, part
-                else:
-                    part = _renamed(template[1], template[0], prefix)
-                store[key] = part
+                part = store[key] = self._lower(_lower_unit, unit, (shape,), keep)
             parts.append(part)
             shape = part.out_shapes[0]
-        rows, latencies = [], []
+        latencies = []
         for part in parts:
-            rows += part.rows
             latencies += part.latencies
-        last = parts[-1]
-        return _Segment(rows, latencies, sum(p.flops for p in parts), sum(p.params for p in parts),
-                        last.out_shapes, last.out_node, None, tuple(parts), {})
+        return _Segment(latencies, sum(p.flops for p in parts), sum(p.params for p in parts),
+                        parts[-1].out_shapes, None, tuple(parts), {})
 
     def evaluate(self, genome: DetectorGenome) -> ArchiveEntry:
         entry = self.genomes.get(genome)
         if entry is not None:
             return entry
         entries = self.entries
-        rows, latencies, flops, params = [], [], 0, 0
+        latency, flops, params = 0, 0, 0
         shapes = [(1, genome.backbone[0].in_ch, *genome.input_res)]  # one per feature
         variance = ((shapes[0][1], 1.0),)
-        stage_out = []  # (output node, its variance segments) per stage
+        stage_out = []  # (output shape, its variance segments) per stage
         stages, taps = len(genome.backbone), genome.pyramid_taps()
         for k, segment in enumerate(segments(genome, taps)):
             key = segment, tuple([shapes[i] for i in segment[2]])
             found = entries.get(key)
             if found is None:
                 found = entries[key] = self._segment(*key)
-            seg_rows, seg_latencies, seg_flops, seg_params, out_shapes, out_node, _, _, variances = found
-            rows += seg_rows
-            latencies += seg_latencies
+            seg_latencies, seg_flops, seg_params, out_shapes, _, _, variances = found
+            latency = fold_sum(seg_latencies, latency)
             flops += seg_flops
             params += seg_params
             shapes += out_shapes
             if k < stages:  # the stages come first
                 variance = variances.get(variance) or _output_variance(found, variance)
-                stage_out.append((out_node, variance))
+                stage_out.append((out_shapes[0], variance))
 
         entry = self.genomes[genome] = ArchiveEntry(
-            genome=genome, score=_proxy(stage_out[i] for i in taps or (stages - 1,)),
-            cost=CostReport(flops, params, sum(latencies), tuple(rows)))
+            genome, _proxy(stage_out[i] for i in taps or (stages - 1,)), flops, params, latency)
         return entry
 
 
@@ -645,21 +616,20 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     generation, generation 0 being the initial population, and `leaders` the
     best feasible entry so far after each generation. Candidates are
     evaluated segment by segment (each backbone stage, four neck fusion
-    blocks, the head) from a store with three levels: a segment whose
+    blocks, the head) from a store with two levels: a segment whose
     arguments and input shapes were seen earlier in the search, in any
-    generation, is reused; a new Res, Mob or ConvBnAct stage is composed
-    from its repeat units; and a unit is lowered once per search for each
-    width, kernel, stride and input shape, then renamed for every other
-    repeat position it takes. So `deepen` of a stage of depth >= 2 and
-    `shallow` lower no unit, and `widen` lowers the first two units of its
-    stage, the first unit of the next, whose input width follows, and the
-    fusion blocks that read it if it is a pyramid tap; a change of a neck
-    width in the genome re-lowers at most the blocks of that width, those
-    that read them, and the head. A genome seen before in the search is not
-    evaluated again. Results equal `evaluate_genome`'s exactly; memory grows
-    with the distinct segments, units and genomes the search evaluates. The
-    seed is validated here, and each child is a `mutate` of a valid genome,
-    which keeps it valid.
+    generation, is reused; and a new Res, Mob or ConvBnAct stage is composed
+    from its repeat units, each lowered once per search for each width,
+    kernel, stride and input shape and shared by every repeat position it
+    takes. So `deepen` of a stage of depth >= 2 and `shallow` lower no unit,
+    and `widen` lowers the first two units of its stage, the first unit of
+    the next, whose input width follows, and the fusion blocks that read it
+    if it is a pyramid tap; a change of a neck width in the genome re-lowers
+    at most the blocks of that width, those that read them, and the head. A
+    genome seen before in the search is not evaluated again. Results equal
+    `evaluate_genome`'s exactly; memory grows with the distinct segments,
+    units and genomes the search evaluates. The seed is validated here, and
+    each child is a `mutate` of a valid genome, which keeps it valid.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)

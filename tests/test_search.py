@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from detkit import search as search_module
-from detkit.cost import builtin_profile
+from detkit.cost import builtin_profile, fold_sum
 from detkit.errors import InfeasibleError, ValidationError
 from detkit.genome import (
     FUSION_STYLES,
@@ -21,7 +21,7 @@ from detkit.genome import (
     genome_to_json,
     preset_genome,
 )
-from detkit.graph import GraphBuilder, OpGraph, _lower_stage, build_graph, stage_units
+from detkit.graph import GraphBuilder, OpGraph, OpNode, _lower_head, _lower_stage, build_graph, stage_units
 from detkit.search import (
     MUTATION_OPS,
     ParetoArchive,
@@ -138,6 +138,14 @@ class TestEntropyScore:
         graph = build_graph(preset_genome("tiny"))
         assert entropy_score(graph) == entropy_score(graph)
 
+    def test_a_zero_element_tap_is_rejected_by_its_name(self):
+        nodes = (OpNode("input", "input", (), (1, 4, 8, 8)),
+                 OpNode("stem", "conv", (0,), (1, 8, 8, 8), kernel=3),
+                 OpNode("empty", "conv", (1,), (1, 0, 8, 8)))
+        graph = OpGraph(nodes=nodes, outputs=(2,), pyramid=(1, 2))
+        with pytest.raises(ValidationError, match="^empty: zero-element output cannot be scored"):
+            entropy_score(graph)
+
     def test_value_is_sum_of_per_scale(self):
         score = entropy_score(build_graph(preset_genome("tiny")))
         assert len(score.per_scale) == 3
@@ -158,9 +166,9 @@ def reference_entropy_score(graph: OpGraph) -> ProxyScore:
     graph whose only output is its last node, and the original taps are read."""
     everything = OpGraph(nodes=graph.nodes, outputs=(len(graph.nodes) - 1,))
     state = search_module._propagate_variance(everything)
-    per_scale = tuple(search_module._scale_entropy(graph.nodes[nid], state[nid])
+    per_scale = tuple(search_module._scale_entropy(graph.nodes[nid].out_shape, state[nid])
                       for nid in graph.pyramid or graph.outputs)
-    return ProxyScore(value=sum(per_scale), per_scale=per_scale)
+    return ProxyScore(value=fold_sum(per_scale), per_scale=per_scale)
 
 
 class TestEarlyStop:
@@ -594,7 +602,7 @@ class TestSearch:
         assert archive.entries == [entry]
         # another genome that ties on score and latency is a second point
         other = replace(g, input_res=(g.input_res[0] + 32, g.input_res[1]))
-        archive.insert(search_module.ArchiveEntry(other, entry.score, entry.cost))
+        archive.insert(search_module.ArchiveEntry(other, entry.score, entry.flops, entry.params, entry.latency_ms))
         assert [e.genome for e in archive.entries] == [g, other]
 
     @pytest.mark.parametrize("first", [0, 1])
@@ -602,7 +610,7 @@ class TestSearch:
         g = preset_genome("tiny")
         entry = evaluate_genome(g, builtin_profile("t4-like"))
         other = replace(g, input_res=(g.input_res[0] + 32, g.input_res[1]))
-        tied = [entry, search_module.ArchiveEntry(other, entry.score, entry.cost)]
+        tied = [entry, search_module.ArchiveEntry(other, entry.score, entry.flops, entry.params, entry.latency_ms)]
         if first:
             tied.reverse()
         archive = ParetoArchive()
@@ -858,21 +866,25 @@ class TestSegmentCache:
     def relowered(monkeypatch, seed_genome, mutant):
         """(segments whose entry `mutant` built anew after `seed_genome`, as
         names like "backbone.s4", "neck.out3" or "head"; the repeat units and
-        whole segments it lowered, by name prefix like "backbone.s4.r4")."""
+        whole segments it lowered, by name prefix like "backbone.s4.r4"),
+        each named from its `segments` or `stage_units` arguments."""
         built, lowered = [], []
         segment, lower = search_module._SegmentCache._segment, search_module._SegmentCache._lower
 
-        def building(self, *args):
-            entry = segment(self, *args)
-            first, second = entry.out_node.name.split(".")[:2]  # the segment's first output
-            built.append(first if first == "head" else f"{first}.{second}")
-            return entry
+        def label(lower, args):
+            if lower is search_module._lower_unit:
+                return args[1][3]  # the unit's name prefix
+            if lower is _lower_stage:
+                return f"backbone.s{args[1]}"
+            return "head" if lower is _lower_head else f"neck.{args[0]}"
 
-        def lowering(self, *args):
-            entry = lower(self, *args)
-            unit = args[0] is search_module._lower_unit
-            lowered.append(".".join(entry.graph.nodes[-1].name.split(".")[:3 if unit else 2]))
-            return entry
+        def building(self, seg, shapes):
+            built.append(label(*seg[:2]))
+            return segment(self, seg, shapes)
+
+        def lowering(self, lower_fn, args, *rest):
+            lowered.append(label(lower_fn, args))
+            return lower(self, lower_fn, args, *rest)
 
         monkeypatch.setattr(search_module._SegmentCache, "_segment", building)
         monkeypatch.setattr(search_module._SegmentCache, "_lower", lowering)
@@ -892,7 +904,7 @@ class TestSegmentCache:
         assert built == expected
 
     def test_deepen_lowers_no_unit(self, monkeypatch):
-        # the new last repeat is the stage's second one renamed
+        # the new last repeat shares the entry of the stage's second one
         seed_genome = preset_genome("s")
         mutant = edited(seed_genome, "deepen", 1)
         assert mutant.backbone[4].kind == "Res" and mutant.backbone[4].depth == 5
@@ -910,16 +922,11 @@ class TestSegmentCache:
         assert mutant.backbone[3].out_ch == seed_genome.backbone[3].out_ch + 8
         built, lowered = self.relowered(monkeypatch, seed_genome, mutant)
         assert built == ["backbone.s3", "backbone.s4", "neck.mid4"]
-        # stage 3's repeats 2-7 are its repeat 1 renamed
+        # stage 3's repeats 2-7 share the entry of its repeat 1
         assert lowered == ["backbone.s3.r0", "backbone.s3.r1", "backbone.s4.r0", "neck.mid4"]
 
     def test_each_segment_is_lowered_once_per_search(self, monkeypatch):
-        built, lowered_units, renamed, looked_up, caches = [], [], [], {}, []
-        rename = search_module._renamed
-
-        def renaming(entry, old, new):
-            renamed.append(rename(entry, old, new))
-            return renamed[-1]
+        built, lowered_units, unit_entries, looked_up, caches = [], [], [], {}, []
 
         class RecordingLookups(dict):
             def get(self, key, default=None):
@@ -947,26 +954,24 @@ class TestSegmentCache:
                 return super()._segment(segment, shapes)
 
             def _lower(self, lower, args, shapes, keep_input):
+                entry = super()._lower(lower, args, shapes, keep_input)
                 if lower is search_module._lower_unit:
                     unit_lower, (out_ch, kernel, stride, _) = args
                     lowered_units.append((unit_lower, out_ch, kernel, stride, shapes[0], keep_input))
-                return super()._lower(lower, args, shapes, keep_input)
+                    unit_entries.append(entry)
+                return entry
 
         monkeypatch.setattr(search_module, "_SegmentCache", Recording)
-        monkeypatch.setattr(search_module, "_renamed", renaming)
         search(preset_genome("tiny"), make_cfg(population=8, generations=60, seed=5))
         [cache] = caches
         assert cache.evaluated == 8 * 61
         assert len(built) == len(set(built))
         assert set(built) == set(looked_up) == set(cache.entries)
-        # each unit template is lowered once, however many stages and repeat
-        # positions it serves; every other unit entry is a template renamed
-        assert len(lowered_units) == len(set(lowered_units)) == len(cache.templates)
-        assert set(lowered_units) == set(cache.templates)
-        templates = {id(entry) for _, entry in cache.templates.values()}
-        assert renamed and templates.isdisjoint(map(id, renamed))
-        assert {id(entry) for entry in cache.units.values()} == templates | set(map(id, renamed))
-        assert len(cache.units) == len(templates) + len(renamed)
+        # each unit form is lowered once, however many stages and repeat
+        # positions it serves, and every unit entry is such a lowering
+        assert len(lowered_units) == len(set(lowered_units)) == len(cache.units)
+        assert set(lowered_units) == set(cache.units)
+        assert {id(entry) for entry in cache.units.values()} == set(map(id, unit_entries))
         assert len(cache.units) < sum(len(entry.units) for entry in cache.entries.values())
         # a two-generation cache would have lowered these again: keys looked up
         # again after a generation with no lookup of them
@@ -991,7 +996,7 @@ class TestSegmentCache:
 
     @pytest.mark.parametrize("generations, mutations, depth_max", [
         (30, 1, 12),
-        # deep stages and two edits per child: most unit entries are renames
+        # deep stages and two edits per child: most unit entries serve many repeats
         (60, 2, 24),
     ])
     def test_long_search_equals_full_lowering(self, monkeypatch, generations, mutations, depth_max):
@@ -1015,17 +1020,31 @@ class TestSegmentCache:
         assert got.history == want.history
 
 
-# name prefixes a unit template lowered as backbone.s1.r1 is renamed to: one
-# that extends it, and two that differ in their stage or repeat digits
-RENAME_PREFIXES = ["backbone.s1.r10", "backbone.s12.r1", "backbone.s0.r0"]
+# name prefixes of one unit form besides backbone.s1.r1: one that extends it,
+# and two that differ in their stage or repeat digits
+PREFIXES = ["backbone.s1.r10", "backbone.s12.r1", "backbone.s0.r0"]
 
 
-class TestUnitTemplates:
+class TestUnitStore:
+    def test_one_unit_entry_serves_every_repeat_position_of_its_form(self):
+        cache = search_module._SegmentCache(builtin_profile("t4-like"))
+        genome = preset_genome("s")
+        cache.evaluate(genome)
+        [stage] = [entry for (segment, _), entry in cache.entries.items()
+                   if segment[0] is _lower_stage and segment[1][1] == 3]
+        assert genome.backbone[3].kind == "Res" and len(stage.units) == genome.backbone[3].depth == 8
+        # repeat 0 applies the stride and the width change, repeats 1-7 are one form
+        assert stage.units[0] is not stage.units[1]
+        assert all(unit is stage.units[1] for unit in stage.units[1:])
+        assert sum(unit is stage.units[1] for unit in cache.units.values()) == 1
+
     @pytest.mark.parametrize("kind", ["Res", "Mob", "ConvBnAct"])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("out_ch", [32, 48])  # with and without a width change
     @pytest.mark.parametrize("keep_input", [False, True])
-    def test_a_renamed_unit_equals_its_own_lowering(self, kind, stride, out_ch, keep_input):
+    def test_a_unit_lowers_to_the_same_entry_under_every_prefix(self, kind, stride, out_ch, keep_input):
+        # the premise of a name-free store: a unit's numbers and graph, but
+        # for its node names, do not depend on its name prefix
         cache = search_module._SegmentCache(builtin_profile("x86-like"))
         shape = (1, 32, 16, 16)
 
@@ -1034,29 +1053,22 @@ class TestUnitTemplates:
             lower, (width, kernel, _, prefix) = stage_units(spec, i)[r]
             return lower, (width, kernel, stride, prefix)  # this stride at any repeat
 
-        template = cache._lower(search_module._lower_unit, unit(1, 1), (shape,), keep_input)
+        first = cache._lower(search_module._lower_unit, unit(1, 1), (shape,), keep_input)
         variances = [((32, 1.0),), ((32, 2.5),), ((8, 1.0), (24, 4.0))]
-        for prefix in RENAME_PREFIXES:
+        for prefix in PREFIXES:
             i, r = (int(part[1:]) for part in prefix.split(".")[1:])
-            got = search_module._renamed(template, "backbone.s1.r1", prefix)
-            want = cache._lower(search_module._lower_unit, unit(i, r), (shape,), keep_input)
-            assert got.rows == want.rows
-            names = [row.name for row in got.rows]
-            if keep_input:  # the placeholder keeps its name
-                assert names.pop(0) == "input"
-            assert all(name.startswith(prefix + ".") for name in names)
-            assert got.latencies == want.latencies
-            assert (got.flops, got.params) == (want.flops, want.params)
-            assert (got.out_shapes, got.out_node) == (want.out_shapes, want.out_node)
+            other = cache._lower(search_module._lower_unit, unit(i, r), (shape,), keep_input)
+            assert other.graph.nodes[-1].name.startswith(prefix + ".")
+            assert (other.latencies, other.flops, other.params, other.out_shapes) == (
+                first.latencies, first.flops, first.params, first.out_shapes)
+            assert [node[1:] for node in other.graph.nodes] == [node[1:] for node in first.graph.nodes]
+            assert other.graph.outputs == first.graph.outputs
             for variance in variances:
-                assert (search_module._output_variance(got, variance)
-                        == search_module._output_variance(want, variance))
-        # a template under a prefix it is renamed to is itself
-        again = search_module._renamed(template, "backbone.s1.r1", "backbone.s1.r1")
-        assert (again.rows, again.out_node) == (template.rows, template.out_node)
+                assert (search_module._output_variance(other, variance)
+                        == search_module._output_variance(first, variance))
 
     def test_every_unit_node_is_named_under_its_prefix(self):
-        # the premise of renaming: a unit names each node it emits under its
+        # `stage_units`' contract: a unit names each node it emits under its
         # own prefix plus "."
         rng = random.Random(11)
         genomes = [preset_genome(name) for name in ("tiny", "s")] + [random_genome(rng) for _ in range(60)]
