@@ -36,7 +36,8 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .genome import DetectorGenome
 
-__all__ = ["OpNode", "OpGraph", "GraphBuilder", "build_graph", "segments", "stage_units"]
+__all__ = ["OpNode", "OpGraph", "GraphBuilder", "build_graph", "segments", "stage_segments",
+           "neck_segments", "stage_units"]
 
 ACT = "silu"
 
@@ -346,18 +347,27 @@ def _fusion_rows(extra_upsample: bool, extra_downsample: bool) -> tuple:
     return tuple(rows)
 
 
-def _fusion_block(gb: GraphBuilder, inputs, name: str, resamples, width: int, style: str,
-                  depth: int) -> tuple[int]:
-    """Lower neck block `name`: resample its inputs, then fuse them to `width`."""
+def _fusion_entry(gb: GraphBuilder, inputs, name: str, resamples, width: int, style: str) -> tuple[int]:
+    """The entry of neck block `name`: resample its inputs, concatenate them
+    and project to the block's stem (for style "Conv", its one merge conv,
+    which is the whole block). The entry is the only part that reads the
+    block's input widths."""
     prefix = f"neck.{name}"
     inputs = [x if r is None else (gb.upsample if r.startswith("up") else gb.maxpool)(x, name=f"neck.{r}")
               for x, r in zip(inputs, resamples)]
     cat = gb.concat(inputs, name=f"{prefix}.concat_in") if len(inputs) > 1 else inputs[0]
     if style == "Conv":
         return (gb.conv(cat, width, name=f"{prefix}.merge", kernel=3),)
+    return (gb.conv(cat, neck_hidden_width(width), name=f"{prefix}.stem", kernel=1),)
+
+
+def _fusion_body(gb: GraphBuilder, inputs, name: str, width: int, style: str, depth: int) -> tuple[int]:
+    """The body of a non-"Conv" neck block `name` on its stem: the residual
+    chain, the aggregation and the output conv to `width`."""
+    prefix = f"neck.{name}"
+    (stem,) = inputs
     rep = style in ("CspReparam", "CspReparamElan")
     hid = neck_hidden_width(width)
-    stem = gb.conv(cat, hid, name=f"{prefix}.stem", kernel=1)
     parts = [stem]
     y = stem
     for r in range(depth):
@@ -369,6 +379,16 @@ def _fusion_block(gb: GraphBuilder, inputs, name: str, resamples, width: int, st
     agg = parts if style == "CspReparamElan" else [stem, y]
     cat_out = gb.concat(agg, name=f"{prefix}.concat_agg")
     return (gb.conv(cat_out, width, name=f"{prefix}.out", kernel=1),)
+
+
+def _fusion_block(gb: GraphBuilder, inputs, name: str, resamples, width: int, style: str,
+                  depth: int) -> tuple[int]:
+    """Lower neck block `name`: its `_fusion_entry`, then, but for style
+    "Conv", its `_fusion_body`."""
+    outputs = _fusion_entry(gb, inputs, name, resamples, width, style)
+    if style == "Conv":
+        return outputs
+    return _fusion_body(gb, outputs, name, width, style, depth)
 
 
 # --- head ----------------------------------------------------------------------
@@ -396,7 +416,8 @@ def _lower_head(gb: GraphBuilder, inputs, head, num_classes: int):
 def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[tuple]:
     """A genome's segments in lowering order: each backbone stage, then the
     neck's four fusion blocks (mid4, out3, out4, out5) and the head, if
-    present; `taps` is `genome.pyramid_taps()`.
+    present; `taps` is `genome.pyramid_taps()`. The list is
+    `stage_segments(genome)` followed by `neck_segments`.
 
     A segment is `(lower, args, reads)`: `lower(gb, inputs, *args)` emits it
     on the input ids `inputs` and returns its output ids, and `reads` indexes
@@ -409,20 +430,34 @@ def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[
     fusion block's are its name, its resample nodes, its width, and the
     neck's style and depth; it reads the features its block fuses, a dense
     link only when its flag is on, and owns the upsample and max-pool nodes
-    in front of it. So a change to the stride-32 width w5 re-lowers out5 and
-    the head, and no other block.
+    in front of it. It is lowered as its entry (`_fusion_entry`, the only
+    part that reads its input widths) and its body (`_fusion_body`), and
+    `search` caches each part on its input shapes too. So a change to the
+    stride-32 width w5 re-lowers out5 and the head, and no other block.
     """
-    found = [(_lower_stage, (spec, i, genome.csp_hidden_ratio if spec.kind == "Csp" else None), (i,))
-             for i, spec in enumerate(genome.backbone)]
-    neck = genome.neck
-    if neck is not None:
-        n = len(genome.backbone)
-        feature = [t + 1 for t in taps] + list(range(n + 1, n + 1 + len(_FUSION_TEMPLATE)))
-        found += [(_fusion_block, (name, resamples, neck.widths[w], neck.fusion_style, neck.depth),
-                   tuple([feature[f] for f in reads]))
-                  for name, w, resamples, reads in _fusion_rows(neck.extra_upsample, neck.extra_downsample)]
-        if genome.head is not None:
-            found.append((_lower_head, (genome.head, genome.num_classes), (n + 2, n + 3, n + 4)))
+    return stage_segments(genome) + neck_segments(genome.neck, genome.head, genome.num_classes, taps,
+                                                  len(genome.backbone))
+
+
+def stage_segments(genome: DetectorGenome) -> list[tuple]:
+    """The backbone stages' `segments`, in order."""
+    return [(_lower_stage, (spec, i, genome.csp_hidden_ratio if spec.kind == "Csp" else None), (i,))
+            for i, spec in enumerate(genome.backbone)]
+
+
+def neck_segments(neck, head, num_classes: int, taps: tuple[int, int, int] | None, stages: int) -> list[tuple]:
+    """The neck's and head's `segments` (none without a neck) after `stages`
+    backbone stages with pyramid `taps`. They depend on nothing else of the
+    genome, so a search, whose mutations edit the backbone alone, builds
+    them once."""
+    if neck is None:
+        return []
+    feature = [t + 1 for t in taps] + list(range(stages + 1, stages + 1 + len(_FUSION_TEMPLATE)))
+    found = [(_fusion_block, (name, resamples, neck.widths[w], neck.fusion_style, neck.depth),
+              tuple([feature[f] for f in reads]))
+             for name, w, resamples, reads in _fusion_rows(neck.extra_upsample, neck.extra_downsample)]
+    if head is not None:
+        found.append((_lower_head, (head, num_classes), (stages + 2, stages + 3, stages + 4)))
     return found
 
 

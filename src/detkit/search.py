@@ -33,7 +33,8 @@ from .cost import DeviceProfile, builtin_profile, cost_report, cost_rows, fold_s
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
 from .genome import STACKED_KINDS, BlockSpec, DetectorGenome, genome_to_doc
-from .graph import GraphBuilder, OpGraph, _lower_stage, build_graph, segments, stage_units
+from .graph import (GraphBuilder, OpGraph, _fusion_block, _fusion_body, _fusion_entry, _lower_stage, build_graph,
+                    neck_segments, stage_segments, stage_units)
 
 __all__ = [
     "ProxyScore",
@@ -453,11 +454,12 @@ def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEn
 
 
 class _Segment(NamedTuple):
-    """One lowered segment or repeat unit: its cost rows' latencies in
-    lowering order, FLOP and parameter sums, output shapes, and a stage's or
-    unit's proxy output variance per input variance, filled in as the search
-    meets each. A lowered entry holds its graph and no units; a stage composed
-    of repeat units holds their entries in order and no graph. Nothing in it
+    """One lowered segment, repeat unit or fusion block part: its cost rows'
+    latencies in lowering order, FLOP and parameter sums, output shapes, and a
+    stage's or unit's proxy output variance per input variance, filled in as
+    the search meets each. A lowered entry holds its graph and no units; a
+    stage composed of repeat units, or a fusion block composed of its entry
+    and body, holds their entries in order and no graph. Nothing in it
     depends on node names, so one unit entry serves every repeat position."""
 
     latencies: list
@@ -494,34 +496,47 @@ def _output_variance(entry: _Segment, in_variance: tuple) -> tuple:
 class _SegmentCache:
     """Candidate evaluation for one search, one segment at a time.
 
-    A candidate's cost totals and proxy come from its `segments`. Each is
-    looked up in `entries` by the segment and its input shapes. On a miss, a
-    stage of a kind with repeat units (Res, Mob, ConvBnAct:
-    `graph.stage_units`) is composed from a second store, `units`, keyed by
-    what fixes a unit's numbers: its lowering, width, kernel, stride, input
-    shape and whether it keeps its input row. A miss there lowers the unit on
-    a placeholder input. An entry holds no names, so one unit entry serves
-    every stage and repeat position of its form: `deepen` of a stage of depth
-    >= 2 and `shallow` lower no unit, and `widen` lowers its own stage's first
-    two units and the next stage's first. Csp, Spp and Focus stages, the
-    fusion blocks and the head are lowered whole on placeholder inputs of
-    their shapes. A stage's proxy variance is looked up in its entry by the
-    stage's input variance, and a miss there chains through its units' own
-    memos.
-    Latencies are added one by one in `build_graph`'s order, while FLOPs and
-    parameters are exact integer sums of the per-segment and per-unit sums,
-    so the result equals `evaluate_genome`'s exactly. A genome seen before
-    returns its first entry.
+    A candidate's cost totals and proxy come from its `segments`: its own
+    stage segments, then the neck's and head's, which `necks` builds once per
+    neck, head, class count, taps and stage count, so in a search they are
+    the same objects for every candidate. Each segment is looked up in
+    `entries` by the segment and its input shapes. On a miss, a stage of a
+    kind with repeat units (Res, Mob, ConvBnAct: `graph.stage_units`) and a
+    fusion block are composed from a second store, `units`, keyed by what
+    fixes a part's numbers:
+    - a repeat unit: its lowering, width, kernel, stride, input shape and
+      whether it keeps its input row;
+    - a fusion block's entry (`graph._fusion_entry`): its resample nodes,
+      width, style and input shapes;
+    - a fusion block's body (`graph._fusion_body`, none for style "Conv"):
+      its width, style, depth and stem shape.
+    A miss there lowers the part on placeholder inputs. An entry holds no
+    names, so one unit entry serves every stage and repeat position of its
+    form: `deepen` of a stage of depth >= 2 and `shallow` lower no unit, and
+    `widen` lowers its own stage's first two units and the next stage's
+    first. A widened pyramid tap re-lowers the entries of the blocks that
+    read it, not their bodies. Csp, Spp and Focus stages and the head are
+    lowered whole on placeholder inputs of their shapes. A stage's proxy
+    variance is looked up in its entry by the stage's input variance, and a
+    miss there chains through its units' own memos; fusion blocks do not
+    enter the proxy.
+    Latencies are added one by one in `build_graph`'s order (a block's entry
+    rows, then its body's), while FLOPs and parameters are exact integer
+    sums of the per-segment and per-part sums, so the result equals
+    `evaluate_genome`'s exactly. A genome seen before returns its first
+    entry.
 
-    Nothing is evicted: `entries`, `units` and `genomes` hold every segment,
-    unit and candidate met in the search, so memory grows with the distinct
-    ones it evaluates, as `ParetoArchive.history` does with its length.
+    Nothing is evicted: `entries`, `units`, `necks` and `genomes` hold every
+    segment, part, neck and candidate met in the search, so memory grows
+    with the distinct ones it evaluates, as `ParetoArchive.history` does
+    with its length.
     """
 
     def __init__(self, profile: DeviceProfile):
         self.profile = profile
         self.entries: dict = {}
         self.units: dict = {}
+        self.necks: dict = {}
         self.genomes: dict = {}
 
     def _lower(self, lower, args, shapes, keep_input: bool) -> _Segment:
@@ -537,25 +552,41 @@ class _SegmentCache:
         return _Segment([r.latency_ms for r in rows], sum(r.flops for r in rows), sum(r.params for r in rows),
                         tuple([nodes[nid].out_shape for nid in graph.outputs]), graph, (), {})
 
+    def _part(self, key, lower, args, shapes, keep_input: bool) -> _Segment:
+        """The repeat unit or fusion block part stored in `units` under
+        `key`, lowering `lower(gb, inputs, *args)` on placeholder inputs of
+        these shapes if it is missing."""
+        part = self.units.get(key)
+        if part is None:
+            part = self.units[key] = self._lower(lower, args, shapes, keep_input)
+        return part
+
     def _segment(self, segment, shapes) -> _Segment:
         """The entry of a segment on inputs of these shapes, not yet in
         `entries`. Only stage 0, which reads feature 0, keeps its input row."""
         lower, args, reads = segment
-        keep_input = reads == (0,)
-        units = stage_units(args[0], args[1]) if lower is _lower_stage else ()
-        if not units:
-            return self._lower(lower, args, shapes, keep_input)
-        store, parts = self.units, []
-        (shape,) = shapes
-        for unit in units:
-            unit_lower, (out_ch, kernel, stride, _) = unit
-            keep = keep_input and not parts
-            key = unit_lower, out_ch, kernel, stride, shape, keep
-            part = store.get(key)
-            if part is None:
-                part = store[key] = self._lower(_lower_unit, unit, (shape,), keep)
-            parts.append(part)
-            shape = part.out_shapes[0]
+        if lower is _fusion_block:
+            name, resamples, width, style, depth = args
+            parts = [self._part((_fusion_entry, resamples, width, style, shapes),
+                                _fusion_entry, (name, resamples, width, style), shapes, False)]
+            if style != "Conv":
+                stem = parts[0].out_shapes
+                parts.append(self._part((_fusion_body, width, style, depth, stem[0]),
+                                        _fusion_body, (name, width, style, depth), stem, False))
+        else:
+            keep_input = reads == (0,)
+            units = stage_units(args[0], args[1]) if lower is _lower_stage else ()
+            if not units:
+                return self._lower(lower, args, shapes, keep_input)
+            parts = []
+            (shape,) = shapes
+            for unit in units:
+                unit_lower, (out_ch, kernel, stride, _) = unit
+                keep = keep_input and not parts
+                part = self._part((unit_lower, out_ch, kernel, stride, shape, keep),
+                                  _lower_unit, unit, (shape,), keep)
+                parts.append(part)
+                shape = part.out_shapes[0]
         latencies = []
         for part in parts:
             latencies += part.latencies
@@ -572,7 +603,11 @@ class _SegmentCache:
         variance = ((shapes[0][1], 1.0),)
         stage_out = []  # (output shape, its variance segments) per stage
         stages, taps = len(genome.backbone), genome.pyramid_taps()
-        for k, segment in enumerate(segments(genome, taps)):
+        neck_key = genome.neck, genome.head, genome.num_classes, taps, stages
+        neck = self.necks.get(neck_key)
+        if neck is None:
+            neck = self.necks[neck_key] = neck_segments(*neck_key)
+        for k, segment in enumerate(stage_segments(genome) + neck):
             key = segment, tuple([shapes[i] for i in segment[2]])
             found = entries.get(key)
             if found is None:
@@ -616,26 +651,37 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     generation, generation 0 being the initial population, and `leaders` the
     best feasible entry so far after each generation. Candidates are
     evaluated segment by segment (each backbone stage, four neck fusion
-    blocks, the head) from a store with two levels: a segment whose
-    arguments and input shapes were seen earlier in the search, in any
-    generation, is reused; and a new Res, Mob or ConvBnAct stage is composed
-    from its repeat units, each lowered once per search for each width,
-    kernel, stride and input shape and shared by every repeat position it
-    takes. So `deepen` of a stage of depth >= 2 and `shallow` lower no unit,
-    and `widen` lowers the first two units of its stage, the first unit of
-    the next, whose input width follows, and the fusion blocks that read it
-    if it is a pyramid tap; a change of a neck width in the genome re-lowers
-    at most the blocks of that width, those that read them, and the head. A
-    genome seen before in the search is not evaluated again. Results equal
-    `evaluate_genome`'s exactly; memory grows with the distinct segments,
-    units and genomes the search evaluates. The seed is validated here, and
-    each child is a `mutate` of a valid genome, which keeps it valid.
+    blocks, the head; the neck's and head's segments are built once) from a
+    store with two levels: a segment whose arguments and input shapes were
+    seen earlier in the search, in any generation, is reused; and a new Res,
+    Mob or ConvBnAct stage is composed from its repeat units, each lowered
+    once per search for each width, kernel, stride and input shape and
+    shared by every repeat position it takes, as a new fusion block is
+    composed from its entry (resampling, concat and stem), lowered once per
+    search for each form and input shapes, and its body (residual chain,
+    aggregation, output conv), lowered once for each form and stem shape.
+    So `deepen` of a stage of depth >= 2 and `shallow` lower no unit, and
+    `widen` lowers the first two units of its stage, the first unit of the
+    next, whose input width follows, and, if it is a pyramid tap, the
+    entries of the fusion blocks that read it; a change of a neck width in
+    the genome re-lowers at most the blocks of that width, those that read
+    them, and the head. A genome seen before in the search is not evaluated
+    again. Results equal `evaluate_genome`'s exactly; memory grows with the
+    distinct segments, parts and genomes the search evaluates. The seed is
+    validated here, and each child is a `mutate` of a valid genome, which
+    keeps it valid. A seed whose modeled latency overflows (a profile rate
+    out of range) raises `ValidationError`, whatever the budget.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)
     cache = _SegmentCache(cfg.device_profile)
 
     seed_entry = cache.evaluate(seed_genome)
+    # a profile rate so small (or overhead so large) that the latency overflows
+    # is an input fault, whatever the budget
+    if not math.isfinite(seed_entry.latency_ms):
+        raise ValidationError(f"the seed genome's latency is not finite ({seed_entry.latency_ms} ms): "
+                              "a rate or overhead is out of range", path="device_profile")
     if seed_entry.latency_ms > cfg.latency_budget_ms:
         raise InfeasibleError(
             f"seed genome is infeasible: latency {seed_entry.latency_ms:.4f} ms "

@@ -43,6 +43,10 @@ def search_config_path(tmp_path):
     return path
 
 
+# rates so slow that the s genome's modeled latency overflows
+OVERFLOWING_PROFILE = {"name": "x", "flops_per_ms": 1e-300, "bytes_per_ms": 1, "per_op_overhead_ms": 0}
+
+
 def single_conv_genome_doc():
     return {
         "schema_version": 1,
@@ -374,6 +378,21 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: device_profile.{where}: "), err
 
+    # a profile so slow that the s seed's modeled latency overflows to inf
+    @pytest.mark.parametrize("budget", [100.0, "inf"])
+    def test_overflowing_profile_exits_2_whatever_the_budget(self, tmp_path, capsys, search_config_path,
+                                                             budget):
+        space, cfg = tmp_path / "s.json", tmp_path / "overflow.json"
+        space.write_text(genome_to_json(preset_genome("s")))
+        cfg.write_text(json.dumps({**json.loads(search_config_path.read_text()),
+                                   "device_profile": OVERFLOWING_PROFILE, "latency_budget_ms": budget}))
+        out = tmp_path / "x.ndjson"
+        assert main(["search", "--space", str(space), "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: device_profile: the seed genome's latency is not finite (inf ms): "
+            "a rate or overhead is out of range\n")
+
     @settings(max_examples=100, deadline=None)
     @given(config=search_configs())
     def test_fuzzed_configs_exit_0_2_or_3(self, tmp_path_factory, config):
@@ -440,8 +459,9 @@ class TestCostCommand:
     # rates so slow that the s genome's rows overflow, and rows that are finite but sum to inf
     @pytest.mark.parametrize("profile", [
         {"name": "slow", "flops_per_ms": 1e-300, "bytes_per_ms": 1e9},
+        OVERFLOWING_PROFILE,
         {"name": "busy", "flops_per_ms": 1e9, "bytes_per_ms": 1e9, "per_op_overhead_ms": 1e307},
-    ], ids=["rows-overflow", "sum-overflows"])
+    ], ids=["rows-overflow", "search-overflow-profile", "sum-overflows"])
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_overflowing_latency_exits_2_in_either_format(self, tmp_path, capsys, profile, fmt):
         genome = tmp_path / "s.json"

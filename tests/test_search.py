@@ -21,7 +21,19 @@ from detkit.genome import (
     genome_to_json,
     preset_genome,
 )
-from detkit.graph import GraphBuilder, OpGraph, OpNode, _lower_head, _lower_stage, build_graph, stage_units
+from detkit.graph import (
+    GraphBuilder,
+    OpGraph,
+    OpNode,
+    _fusion_block,
+    _fusion_body,
+    _fusion_entry,
+    _lower_head,
+    _lower_stage,
+    build_graph,
+    segments,
+    stage_units,
+)
 from detkit.search import (
     MUTATION_OPS,
     ParetoArchive,
@@ -159,6 +171,62 @@ class TestEntropyScore:
         score = entropy_score(build_graph(SCORE_CASES[case]()))
         got = {"case": case, "value": score.value, "per_scale": list(score.per_scale)}
         assert got == golden_scores()[case], f"proxy score of {case} drifted from tests/golden/scores.ndjson"
+
+
+def res_only_mutants() -> list[DetectorGenome]:
+    """`s` and a chain of its mutants that keep every stacked stage a Res stage."""
+    rng = random.Random(2)
+    cfg = make_cfg(mutation_ops=("widen", "narrow", "deepen", "shallow"))
+    genomes = [preset_genome("s")]
+    for _ in range(24):
+        genomes.append(mutate(genomes[-1], rng, cfg))
+    return genomes
+
+
+def res_units_above(genome: DetectorGenome, stage: int) -> int:
+    return sum(b.depth for b in genome.backbone[:stage + 1] if b.kind == "Res")
+
+
+class TestProxyClosedForm:
+    """At fan-in-scaled init a conv passes on its input's mean variance and a
+    Res unit's add doubles it, so on a Res-only backbone the score is
+    sum over taps t of elements_t * 1/2 * (ln 2 pi e + D_t ln 2), D_t the Res
+    units above tap t: the width of a stage that is not a tap does not count."""
+
+    def test_each_tap_variance_is_two_to_the_res_units_above_it(self):
+        genomes = res_only_mutants()
+        assert [res_units_above(genomes[0], t) for t in genomes[0].pyramid_taps()] == [7, 15, 19]
+        assert len(set(genomes)) > 15
+        for genome in genomes:
+            graph = build_graph(genome)
+            state = search_module._propagate_variance(graph)
+            for t, nid in zip(genome.pyramid_taps(), graph.pyramid):
+                assert state[nid] == [(graph.nodes[nid].out_shape[1], 2.0 ** res_units_above(genome, t))]
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_deepen_adds_elements_ln2_over_2_at_each_downstream_tap(self, stage):
+        for genome in res_only_mutants()[::4]:
+            blocks = list(genome.backbone)
+            blocks[stage] = replace(blocks[stage], depth=blocks[stage].depth + 1)
+            graph = build_graph(genome)
+            before, after = entropy_score(graph), entropy_score(build_graph(genome.with_backbone(blocks)))
+            for t, nid, old, new in zip(genome.pyramid_taps(), graph.pyramid, before.per_scale, after.per_scale):
+                if t < stage:
+                    assert new == old
+                else:
+                    assert math.isclose(new - old, graph.nodes[nid].out_elements * math.log(2.0) / 2,
+                                        rel_tol=1e-12)
+
+    @pytest.mark.parametrize("stage", [0, 1, 4])  # not a tap of s: its taps are stages 2, 3 and 5
+    @pytest.mark.parametrize("step", [8, -8])
+    def test_a_width_edit_of_a_non_tap_stage_leaves_the_score_bit_identical(self, stage, step):
+        for genome in res_only_mutants()[::4]:
+            blocks = list(genome.backbone)
+            blocks[stage] = replace(blocks[stage], out_ch=blocks[stage].out_ch + step)
+            blocks[stage + 1] = replace(blocks[stage + 1], in_ch=blocks[stage].out_ch)
+            edited = genome.with_backbone(blocks)
+            assert edited.pyramid_taps() == (2, 3, 5)
+            assert entropy_score(build_graph(edited)) == entropy_score(build_graph(genome))
 
 
 def reference_entropy_score(graph: OpGraph) -> ProxyScore:
@@ -866,8 +934,9 @@ class TestSegmentCache:
     def relowered(monkeypatch, seed_genome, mutant):
         """(segments whose entry `mutant` built anew after `seed_genome`, as
         names like "backbone.s4", "neck.out3" or "head"; the repeat units and
-        whole segments it lowered, by name prefix like "backbone.s4.r4"),
-        each named from its `segments` or `stage_units` arguments."""
+        whole segments and fusion block parts it lowered, by name prefix like
+        "backbone.s4.r4" or "neck.mid4.entry"), each named from its
+        `segments` or `stage_units` arguments."""
         built, lowered = [], []
         segment, lower = search_module._SegmentCache._segment, search_module._SegmentCache._lower
 
@@ -876,6 +945,8 @@ class TestSegmentCache:
                 return args[1][3]  # the unit's name prefix
             if lower is _lower_stage:
                 return f"backbone.s{args[1]}"
+            if lower is _fusion_entry or lower is _fusion_body:
+                return f"neck.{args[0]}.{'entry' if lower is _fusion_entry else 'body'}"
             return "head" if lower is _lower_head else f"neck.{args[0]}"
 
         def building(self, seg, shapes):
@@ -922,11 +993,12 @@ class TestSegmentCache:
         assert mutant.backbone[3].out_ch == seed_genome.backbone[3].out_ch + 8
         built, lowered = self.relowered(monkeypatch, seed_genome, mutant)
         assert built == ["backbone.s3", "backbone.s4", "neck.mid4"]
-        # stage 3's repeats 2-7 share the entry of its repeat 1
-        assert lowered == ["backbone.s3.r0", "backbone.s3.r1", "backbone.s4.r0", "neck.mid4"]
+        # stage 3's repeats 2-7 share the entry of its repeat 1, and mid4's
+        # body reads its stem, whose width does not follow the tap's
+        assert lowered == ["backbone.s3.r0", "backbone.s3.r1", "backbone.s4.r0", "neck.mid4.entry"]
 
     def test_each_segment_is_lowered_once_per_search(self, monkeypatch):
-        built, lowered_units, unit_entries, looked_up, caches = [], [], [], {}, []
+        built, lowered_parts, part_entries, looked_up, caches = [], [], [], {}, []
 
         class RecordingLookups(dict):
             def get(self, key, default=None):
@@ -955,10 +1027,20 @@ class TestSegmentCache:
 
             def _lower(self, lower, args, shapes, keep_input):
                 entry = super()._lower(lower, args, shapes, keep_input)
+                # each part's form: what fixes its numbers, with no name
                 if lower is search_module._lower_unit:
                     unit_lower, (out_ch, kernel, stride, _) = args
-                    lowered_units.append((unit_lower, out_ch, kernel, stride, shapes[0], keep_input))
-                    unit_entries.append(entry)
+                    form = unit_lower, out_ch, kernel, stride, shapes[0], keep_input
+                elif lower is _fusion_entry:
+                    _, resamples, width, style = args
+                    form = lower, resamples, width, style, tuple(shapes)
+                elif lower is _fusion_body:
+                    _, width, style, depth = args
+                    form = lower, width, style, depth, shapes[0]
+                else:
+                    return entry
+                lowered_parts.append(form)
+                part_entries.append(entry)
                 return entry
 
         monkeypatch.setattr(search_module, "_SegmentCache", Recording)
@@ -967,12 +1049,18 @@ class TestSegmentCache:
         assert cache.evaluated == 8 * 61
         assert len(built) == len(set(built))
         assert set(built) == set(looked_up) == set(cache.entries)
-        # each unit form is lowered once, however many stages and repeat
-        # positions it serves, and every unit entry is such a lowering
-        assert len(lowered_units) == len(set(lowered_units)) == len(cache.units)
-        assert set(lowered_units) == set(cache.units)
-        assert {id(entry) for entry in cache.units.values()} == set(map(id, unit_entries))
+        # each repeat unit and fusion entry and body form is lowered once,
+        # however many stages, repeat positions and blocks it serves, and
+        # every stored part is such a lowering
+        assert len(lowered_parts) == len(set(lowered_parts)) == len(cache.units)
+        assert set(lowered_parts) == set(cache.units)
+        assert {id(entry) for entry in cache.units.values()} == set(map(id, part_entries))
         assert len(cache.units) < sum(len(entry.units) for entry in cache.entries.values())
+        assert {form[0] for form in lowered_parts} >= {_fusion_entry, _fusion_body}
+        fusion_blocks = [entry for (segment, _), entry in cache.entries.items() if segment[0] is _fusion_block]
+        # a block's body outlives edits of the taps its entry reads
+        assert (len({id(entry.units[1]) for entry in fusion_blocks})
+                < len({id(entry.units[0]) for entry in fusion_blocks}) <= len(fusion_blocks))
         # a two-generation cache would have lowered these again: keys looked up
         # again after a generation with no lookup of them
         revisited = [key for key, gens in looked_up.items()
@@ -994,18 +1082,24 @@ class TestSegmentCache:
         assert cache.evaluate(again) is first
         assert cache.entries == entries and cache.units == units
 
-    @pytest.mark.parametrize("generations, mutations, depth_max", [
-        (30, 1, 12),
+    @pytest.mark.parametrize("generations, mutations, depth_max, neck", [
+        (30, 1, 12, {}),
         # deep stages and two edits per child: most unit entries serve many repeats
-        (60, 2, 24),
+        (60, 2, 24, {}),
+        # the other fusion styles: a Conv block has an entry and no body
+        (30, 1, 12, {"fusion_style": "Conv"}),
+        (30, 1, 12, {"fusion_style": "Csp", "extra_upsample": True}),
+        (30, 1, 12, {"fusion_style": "CspReparam"}),
     ])
-    def test_long_search_equals_full_lowering(self, monkeypatch, generations, mutations, depth_max):
+    def test_long_search_equals_full_lowering(self, monkeypatch, generations, mutations, depth_max, neck):
         # 248 or 488 candidates, most of whose segments were lowered for an
         # earlier generation's candidates
-        budget = 1.25 * evaluate_genome(preset_genome("s"), builtin_profile("t4-like")).latency_ms
+        seed_genome = preset_genome("s")
+        seed_genome = replace(seed_genome, neck=replace(seed_genome.neck, **neck))
+        budget = 1.25 * evaluate_genome(seed_genome, builtin_profile("t4-like")).latency_ms
         cfg = make_cfg(population=8, generations=generations, mutations_per_child=mutations,
                        depth_max=depth_max, latency_budget_ms=budget, seed=3)
-        got = search(preset_genome("s"), cfg)
+        got = search(seed_genome, cfg)
 
         class FullLowering:
             def __init__(self, profile):
@@ -1015,9 +1109,38 @@ class TestSegmentCache:
                 return evaluate_genome(genome, self.profile)
 
         monkeypatch.setattr(search_module, "_SegmentCache", FullLowering)
-        want = search(preset_genome("s"), cfg)
+        want = search(seed_genome, cfg)
         assert got.to_ndjson() == want.to_ndjson()
         assert got.history == want.history
+
+
+class TestFusionParts:
+    @pytest.mark.parametrize("style", FUSION_STYLES)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("extra_upsample", [False, True])
+    @pytest.mark.parametrize("extra_downsample", [False, True])
+    def test_a_block_from_its_entry_and_body_equals_its_whole_lowering(self, style, depth, extra_upsample,
+                                                                      extra_downsample):
+        genome = preset_genome("s")
+        genome = replace(genome, neck=replace(genome.neck, fusion_style=style, depth=depth,
+                                              extra_upsample=extra_upsample,
+                                              extra_downsample=extra_downsample))
+        cache = search_module._SegmentCache(builtin_profile("x86-like"))
+        gb = GraphBuilder()
+        features = [gb.input((1, genome.backbone[0].in_ch, *genome.input_res))]
+        blocks = 0
+        for segment in segments(genome, genome.pyramid_taps()):
+            lower, args, reads = segment
+            if lower is _fusion_block:
+                shapes = tuple(gb.shape(features[i]) for i in reads)
+                whole = cache._lower(lower, args, shapes, False)
+                parts = cache._segment(segment, shapes)
+                assert len(parts.units) == (1 if style == "Conv" else 2)  # entry, then body
+                assert (parts.latencies, parts.flops, parts.params, parts.out_shapes) == (
+                    whole.latencies, whole.flops, whole.params, whole.out_shapes)
+                blocks += 1
+            features += lower(gb, [features[i] for i in reads], *args)
+        assert blocks == 4
 
 
 # name prefixes of one unit form besides backbone.s1.r1: one that extends it,
