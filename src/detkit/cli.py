@@ -44,7 +44,7 @@ from .assign import (
     dynamic_k_assign,
     sinkhorn_assign,
 )
-from .cost import DeviceProfile, builtin_profile, cost_report, fold_sum
+from .cost import DeviceProfile, _latency_cell, builtin_profile, cost_report, fold_sum
 from .errors import DetkitError, InfeasibleError, ShapeError, ValidationError
 from .fields import array, column, get, integer, load_json, number, objects, read_utf8, string, strings, within
 from .genome import MAX_INPUT_RES, genome_from_json, genome_to_json, preset_genome
@@ -159,7 +159,8 @@ def cmd_search(args) -> int:
 
     if args.history:
         rows = ["generation,best_score,best_latency_ms"] + [
-            f"{gen},{e.score.value:.6f},{e.latency_ms:.6f}" for gen, e in enumerate(archive.leaders)]
+            f"{gen},{e.score.value:.6f},{_latency_cell(e.latency_ms, 6, 16)}"
+            for gen, e in enumerate(archive.leaders)]
         _emit(args.history, args, inputs, text="\n".join(rows) + "\n", seed=cfg.seed)
     print(f"wrote {len(archive.entries)} archive entries to {args.out}", file=sys.stderr)
     return EXIT_OK

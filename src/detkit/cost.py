@@ -125,17 +125,19 @@ def _json_number(x: float | None) -> str:
     return "null" if x is None else int.__repr__(x)
 
 
-def _latency_cell(x: float | None) -> str:
-    """A latency for the table's 10-character column: `.4f` where that fits,
-    else scientific with at most four digits, as many as fit in 9 characters
-    and so leave a space before the column."""
+def _latency_cell(x: float | None, digits: int = 4, width: int = 10) -> str:
+    """A latency for a column of `width` characters: fixed-point with `digits`
+    decimals where that fits, else scientific with at most `digits` digits, as
+    many as fit in `width - 1` characters and so leave a space before the
+    column. The table's column is 10 wide at 4 digits."""
     if x is None:
         return "-"
-    text = f"{x:.4f}"
-    if len(text) <= 10:
+    text = f"{x:.{digits}f}"
+    if len(text) <= width:
         return text
-    digits = 4 - (len(f"{x:.4e}") - 9)  # a three-digit exponent or a minus sign costs one each
-    return f"{x:.{max(0, digits)}e}"
+    # a three-digit exponent or a minus sign costs one digit each
+    fit = digits - max(0, len(f"{x:.{digits}e}") - (width - 1))
+    return f"{x:.{max(0, fit)}e}"
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,8 @@ def _clamp01(x, name: str):
     return x
 
 
-def _safe_log(x):
-    return np.log(np.maximum(x, LOG_EPS))
+def _safe_log(x, out=None):
+    return np.log(np.maximum(x, LOG_EPS, out=out), out=out)
 
 
 def qfl(pred_prob, target_q, beta_focal: float = QFL_BETA):
@@ -237,9 +237,9 @@ def align_project(student: Tensor4, teacher_shape, proj: ConvParams) -> Tensor4:
 _CWD_BLOCK = 1 << 15
 
 
-def _channel_distributions(feat: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _channel_softmax(feat: np.ndarray, temps: np.ndarray) -> np.ndarray:
     """Per-channel softmax over all batch x spatial positions of (x - mean)/T,
-    and its clamped log; both are (C, N*H*W), computed in place."""
+    (C, N*H*W), computed in place on one float64 copy."""
     c = feat.shape[1]
     p = feat.transpose(1, 0, 2, 3).astype(np.float64, order="C").reshape(c, -1)
     p -= p.mean(axis=1, keepdims=True)
@@ -247,8 +247,7 @@ def _channel_distributions(feat: np.ndarray, temps: np.ndarray) -> tuple[np.ndar
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    log_p = np.maximum(p, LOG_EPS)
-    return p, np.log(log_p, out=log_p)
+    return p
 
 
 def cwd_loss(teacher: Tensor4, student: Tensor4) -> float:
@@ -278,9 +277,11 @@ def cwd_loss(teacher: Tensor4, student: Tensor4) -> float:
         t = teacher.data[:, block]
         _, t_std = channel_stats(Tensor4(t))
         temps[block] = np.maximum(t_std, STD_FLOOR)
-        p, log_p = _channel_distributions(t, temps[block])
-        log_q = _channel_distributions(student.data[:, block], temps[block])[1]
-        log_p -= log_q
+        p = _channel_softmax(t, temps[block])
+        log_p = _safe_log(p, out=np.empty_like(p))
+        # only the student's log is read, so it overwrites its softmax
+        q = _channel_softmax(student.data[:, block], temps[block])
+        log_p -= _safe_log(q, out=q)
         log_p *= p
         kl[block] = log_p.sum(axis=1)
     return float(np.mean(temps**2 * kl))

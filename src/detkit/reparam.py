@@ -104,7 +104,8 @@ def rep_branches_forward(x: Tensor4, branches: RepBranchParams) -> Tensor4:
     """Multi-branch (training view) forward: sum of the branch outputs."""
     y3 = branches.bn3.apply(conv2d_forward(x, branches.conv3))
     y1 = branches.bn1.apply(conv2d_forward(x, branches.conv1))
-    out = y3.data.astype(np.float64) + y1.data.astype(np.float64)
-    if branches.identity_bn is not None:
-        out += branches.identity_bn.apply(x).data.astype(np.float64)
-    return Tensor4(out.astype(np.float32))
+    out = np.add(y3.data, y1.data, dtype=np.float64)
+    if branches.identity_bn is None:
+        return Tensor4(out.astype(np.float32))
+    # the identity branch is added in float64 and the sum rounded once, into the result
+    return Tensor4(np.add(out, branches.identity_bn.apply(x).data, out=np.empty_like(y3.data)))

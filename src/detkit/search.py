@@ -29,7 +29,9 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cost import DeviceProfile, builtin_profile, cost_report, cost_rows, fold_sum
+# `build_graph` and `cost_report` are not called here but stay module attributes,
+# where the benchmark's tracer wraps them (perfbench/spans.py)
+from .cost import DeviceProfile, _latency_cell, builtin_profile, cost_report, cost_rows, fold_sum
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
 from .genome import STACKED_KINDS, BlockSpec, DetectorGenome, genome_to_doc
@@ -444,15 +446,6 @@ class ParetoArchive:
 # --- search loop ------------------------------------------------------------------
 
 
-def evaluate_genome(genome: DetectorGenome, profile: DeviceProfile) -> ArchiveEntry:
-    """Pure candidate evaluation: lower the whole genome, score, cost. `search`
-    reaches the same entry segment by segment (`_SegmentCache`)."""
-    graph = build_graph(genome)
-    score = entropy_score(graph)
-    cost = cost_report(graph, profile)
-    return ArchiveEntry(genome, score, cost.flops, cost.params, cost.latency_ms)
-
-
 class _Segment(NamedTuple):
     """One lowered segment, repeat unit or fusion block part: its cost rows'
     latencies in lowering order, FLOP and parameter sums, output shapes, and a
@@ -522,9 +515,10 @@ class _SegmentCache:
     enter the proxy.
     Latencies are added one by one in `build_graph`'s order (a block's entry
     rows, then its body's), while FLOPs and parameters are exact integer
-    sums of the per-segment and per-part sums, so the result equals
-    `evaluate_genome`'s exactly. A genome seen before returns its first
-    entry.
+    sums of the per-segment and per-part sums, so the result equals that
+    of lowering, scoring and costing the whole genome (`reference_evaluate`
+    in tests/test_search.py) exactly. A genome seen before returns its
+    first entry.
 
     Nothing is evicted: `entries`, `units`, `necks` and `genomes` hold every
     segment, part, neck and candidate met in the search, so memory grows
@@ -666,11 +660,13 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     entries of the fusion blocks that read it; a change of a neck width in
     the genome re-lowers at most the blocks of that width, those that read
     them, and the head. A genome seen before in the search is not evaluated
-    again. Results equal `evaluate_genome`'s exactly; memory grows with the
-    distinct segments, parts and genomes the search evaluates. The seed is
-    validated here, and each child is a `mutate` of a valid genome, which
-    keeps it valid. A seed whose modeled latency overflows (a profile rate
-    out of range) raises `ValidationError`, whatever the budget.
+    again. Results equal those of lowering every candidate whole
+    (`reference_evaluate` in tests/test_search.py) exactly; memory grows
+    with the distinct segments, parts and genomes the search evaluates. The
+    seed is validated here, and each child is a `mutate` of a valid genome,
+    which keeps it valid. A seed whose modeled latency overflows (a profile
+    rate out of range) raises `ValidationError`, whatever the budget; a
+    child whose latency overflows is infeasible, whatever the budget.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)
@@ -697,7 +693,8 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
             entries = [cache.evaluate(g) for g in _offspring(population, rng, cfg)]
         record = []
         for entry in entries:
-            feasible = entry.latency_ms <= cfg.latency_budget_ms
+            # an overflowed latency is infeasible under any budget, "inf" included
+            feasible = entry.latency_ms <= cfg.latency_budget_ms and math.isfinite(entry.latency_ms)
             record.append((entry.score.value, entry.latency_ms, feasible))
             if feasible:
                 population.append(entry)
@@ -708,6 +705,6 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
         del population[cfg.population:]
         # selection is elitist, so the head is the best feasible entry so far
         archive.leaders.append(population[0])
-        log.info("generation=%d best_score=%.6f best_latency_ms=%.4f",
-                 gen, population[0].score.value, population[0].latency_ms)
+        log.info("generation=%d best_score=%.6f best_latency_ms=%s",
+                 gen, population[0].score.value, _latency_cell(population[0].latency_ms, 4, 16))
     return archive

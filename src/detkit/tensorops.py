@@ -7,11 +7,16 @@ the cross-correlation convention (no kernel flip) and supports only odd kernels
 with symmetric padding; it runs as one float64 GEMM per kernel tap, batched
 over groups, and sums the taps in tap order. At stride 1 a tap's operand is a
 contiguous slice of the zero-padded input, flattened onto the padded width,
-not a copy; the output is computed on that grid and cropped once. Its pixels
-are summed in blocks of 2^12 (a 1x1 kernel in one block), so the accumulator
-and the product buffer stay cache-sized; every output pixel sees the same
-GEMMs and additions in the same order whatever the block. A stride above 1
-copies each tap's strided window and runs as one block.
+not a copy; the output is computed on that grid and cropped once. Only a
+kernel wider than 1 reads past the padded rows, into one spare zero row, so an
+unpadded 1-wide kernel reads a plain float64 copy of the input. Its pixels
+are summed in blocks of 2^12 (a 1x1 kernel in one block, with no product
+buffer), so the accumulator and the product buffer stay cache-sized; every
+output pixel sees the same GEMMs and additions in the same order whatever the
+block. A stride above 1 copies each tap's strided window and runs as one
+block. Each float32 result (conv plus bias, batchnorm) is written once,
+rounded from the float64 values as they are stored, with no full-size float64
+copy of the output.
 """
 from __future__ import annotations
 
@@ -133,8 +138,8 @@ class BnParams:
         scale = (self.gamma.astype(np.float64)
                  / np.sqrt(self.running_var.astype(np.float64) + self.epsilon))
         shift = self.beta.astype(np.float64) - self.running_mean.astype(np.float64) * scale
-        out = x.data.astype(np.float64) * scale[None, :, None, None] + shift[None, :, None, None]
-        return Tensor4(out.astype(np.float32))
+        out = np.multiply(x.data, scale[None, :, None, None], dtype=np.float64)
+        return Tensor4(np.add(out, shift[None, :, None, None], out=np.empty_like(x.data)))
 
 
 # output pixels per block of a stride-1 conv over which the taps are summed,
@@ -164,10 +169,15 @@ def conv2d_forward(x: Tensor4, p: ConvParams) -> Tensor4:
     # at stride 1 the output is computed on the padded input's width: output
     # pixel (r, q) sits at r * grid_w + q, and tap (i, j) reads the flattened
     # input from offset i * grid_w + j on; the last tap runs kw - 1 values past
-    # the padded rows, into one spare zero row
+    # the padded rows, into one spare zero row, so only kw > 1 needs that row,
+    # and an unpadded input with no spare row is one float64 copy, not zero-filled
     grid_w = w + 2 * pad if s == 1 else w_out
-    xg = np.zeros((n, g, c // g, h + 2 * pad + (s == 1), w + 2 * pad))
-    xg[..., pad:pad + h, pad:pad + w] = x.data.reshape(n, g, c // g, h, w)
+    spare = s == 1 and kw > 1
+    if pad == 0 and not spare:
+        xg = x.data.astype(np.float64).reshape(n, g, c // g, h, w)
+    else:
+        xg = np.zeros((n, g, c // g, h + 2 * pad + spare, w + 2 * pad))
+        xg[..., pad:pad + h, pad:pad + w] = x.data.reshape(n, g, c // g, h, w)
     flat = xg.reshape(n, g, c // g, -1)
     pixels = h_out * grid_w
     block = min(_TAP_BLOCK, pixels) if s == 1 and kh * kw > 1 else pixels
@@ -175,7 +185,8 @@ def conv2d_forward(x: Tensor4, p: ConvParams) -> Tensor4:
     taps = np.ascontiguousarray(
         p.weights.astype(np.float64).reshape(g, p.out_ch // g, c // g, kh, kw).transpose(3, 4, 0, 1, 2))
     out = np.empty((n, g, p.out_ch // g, pixels))
-    prod = np.empty((n, g, p.out_ch // g, block))
+    # a 1x1 kernel's one tap writes the accumulator itself, so it needs no product buffer
+    prod = np.empty((n, g, p.out_ch // g, block if kh * kw > 1 else 0))
     for start in range(0, pixels, block):
         stop = min(start + block, pixels)
         acc, tmp = out[..., start:stop], prod[..., :stop - start]
@@ -191,9 +202,10 @@ def conv2d_forward(x: Tensor4, p: ConvParams) -> Tensor4:
                     np.matmul(taps[i, j], cols, out=acc)
                 else:
                     acc += np.matmul(taps[i, j], cols, out=tmp)
+    # the bias is added in float64 and each sum rounded to float32 once, as it is written
     out = out.reshape(n, p.out_ch, h_out, grid_w)[..., :w_out]
-    out += p.bias.astype(np.float64)[None, :, None, None]
-    return Tensor4(out.astype(np.float32))
+    res = np.empty((n, p.out_ch, h_out, w_out), dtype=np.float32)
+    return Tensor4(np.add(out, p.bias.astype(np.float64)[:, None, None], out=res))
 
 
 def fold_batchnorm(conv: ConvParams, bn: BnParams) -> ConvParams:

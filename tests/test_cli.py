@@ -2,6 +2,8 @@ import contextlib
 import gc
 import io
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +20,10 @@ from detkit.assign import GroundTruthArrays, PredictionArrays, align_cost, dynam
 from detkit.cli import main
 from detkit.genome import genome_from_json, genome_to_json, preset_genome
 from detkit.cost import builtin_profile
-from detkit.search import MUTATION_OPS, SearchConfig, evaluate_genome, search
+from detkit.search import MUTATION_OPS, SearchConfig, search
 from detkit.tensorops import Tensor4, save_raw_tensor
+
+from test_search import reference_evaluate
 
 
 @pytest.fixture
@@ -282,7 +286,7 @@ class TestSearchCommand:
                              ids=[f"{n}-seed{s}-m{m}" for n, s, m in HISTORY_CASES])
     def test_history_equals_the_reference_rebuild(self, tmp_path, name, seed, mutations):
         genome = preset_genome(name)
-        budget = (1.25 * evaluate_genome(genome, builtin_profile("t4-like")).latency_ms
+        budget = (1.25 * reference_evaluate(genome, builtin_profile("t4-like")).latency_ms
                   if name == "s" else "inf")
         doc = {"population": 8, "generations": 8, "mutations_per_child": mutations,
                "latency_budget_ms": budget, "seed": seed}
@@ -392,6 +396,44 @@ class TestSearchCommand:
         assert capsys.readouterr().err == (
             "error: device_profile: the seed genome's latency is not finite (inf ms): "
             "a rate or overhead is out of range\n")
+
+    # tiny's seed costs ~2.4e307 ms at this profile, so widened children run to
+    # hundreds of digits and, by 150 generations, overflow to inf
+    def _widen_only_overflow_search(self, tmp_path, caplog, generations):
+        space, cfg = tmp_path / "tiny.json", tmp_path / "overflow.json"
+        space.write_text(genome_to_json(preset_genome("tiny")))
+        doc = {"population": 4, "generations": generations, "mutations_per_child": 1,
+               "latency_budget_ms": "inf", "seed": 0, "mutation_ops": ["widen"],
+               "device_profile": OVERFLOWING_PROFILE}
+        cfg.write_text(json.dumps(doc))
+        out, hist = tmp_path / "archive.ndjson", tmp_path / "hist.csv"
+        caplog.set_level(logging.INFO, logger="detkit.search")
+        code = main(["search", "--space", str(space), "--config", str(cfg), "--out", str(out),
+                     "--history", str(hist)])
+        logged = [m.rsplit("best_latency_ms=", 1)[1] for m in caplog.messages if "best_latency_ms=" in m]
+        leaders = search(preset_genome("tiny"), SearchConfig.from_json(json.dumps(doc))).leaders
+        return code, out, hist.read_text().splitlines(), logged, leaders
+
+    def test_overflowed_children_are_infeasible_under_an_inf_budget(self, tmp_path, caplog):
+        code, out, hist, logged, leaders = self._widen_only_overflow_search(tmp_path, caplog, 150)
+        assert code == 0
+        records = [strict_json(line) for line in out.read_text().splitlines()[1:]]
+        assert records and all(math.isfinite(r["latency_ms"]) for r in records)
+        assert all(math.isfinite(e.latency_ms) for e in leaders)
+        assert len(logged) == 151 and "inf" not in logged
+        assert len(hist) == 152 and max(map(len, hist)) <= 80
+
+    def test_huge_latencies_print_in_scientific_form(self, tmp_path, caplog):
+        code, out, hist, logged, leaders = self._widen_only_overflow_search(tmp_path, caplog, 80)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 138
+        assert max(leaders, key=lambda e: e.latency_ms).latency_ms > 1e300
+        # 4 digits in the log and 6 in the history, each at most 16 characters
+        for gen, (text, row, leader) in enumerate(zip(logged, hist[1:], leaders)):
+            cell = row.split(",")[2]
+            assert row.startswith(f"{gen},{leader.score.value:.6f},")
+            assert (text, cell) == (f"{leader.latency_ms:.4e}", f"{leader.latency_ms:.6e}")
+            assert len(text) <= 16 and len(cell) <= 16
 
     @settings(max_examples=100, deadline=None)
     @given(config=search_configs())
@@ -949,7 +991,7 @@ class TestPausedSearch:
 
     def test_no_collection_runs_during_the_search(self, tmp_path, monkeypatch):
         genome = preset_genome("s")
-        budget = 1.25 * evaluate_genome(genome, builtin_profile("t4-like")).latency_ms
+        budget = 1.25 * reference_evaluate(genome, builtin_profile("t4-like")).latency_ms
         space, config = tmp_path / "space.json", tmp_path / "search.json"
         space.write_text(genome_to_json(genome))
         config.write_text(json.dumps({"population": 16, "generations": 10, "mutations_per_child": 1,
@@ -977,7 +1019,7 @@ class TestPausedSearch:
 
     def test_a_paused_search_leaves_no_cyclic_garbage(self):
         genome = preset_genome("s")
-        budget = 1.25 * evaluate_genome(genome, builtin_profile("t4-like")).latency_ms
+        budget = 1.25 * reference_evaluate(genome, builtin_profile("t4-like")).latency_ms
         cfg = SearchConfig(population=16, generations=10, mutations_per_child=1,
                            latency_budget_ms=budget, seed=0, device_profile=builtin_profile("t4-like"))
         with collector(False):

@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detkit.cost import (
     BUILTIN_PROFILES,
@@ -11,6 +13,7 @@ from detkit.cost import (
     CostReport,
     DeviceProfile,
     NodeCost,
+    _latency_cell,
     _node_latency,
     builtin_profile,
     cost_report,
@@ -316,6 +319,37 @@ class TestToTable:
         lines = report.to_table().splitlines()
         assert {len(line) for line in lines} == {len(lines[0])}
         assert lines[2].endswith(cell) and lines[-1].endswith(cell)
+
+
+class TestLatencyCell:
+    # the search's INFO line (4 digits) and `--history` (6 digits) use a 16-wide cell
+    @settings(max_examples=300, deadline=None)
+    @given(latency=st.floats(0, 1e8, exclude_max=True))
+    def test_latencies_below_1e8_keep_their_fixed_point_text(self, latency):
+        assert _latency_cell(latency, 4, 16) == f"{latency:.4f}"
+        assert _latency_cell(latency, 6, 16) == f"{latency:.6f}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(latency=st.floats(allow_nan=False), digits=st.sampled_from([4, 6]), width=st.sampled_from([10, 16]))
+    def test_a_cell_fits_its_width(self, latency, digits, width):
+        cell = _latency_cell(latency, digits, width)
+        assert len(cell) <= width
+        if len(f"{latency:.{digits}f}") > width:
+            # scientific, with the most digits (up to `digits`) that leave a space before the column
+            shown = [d for d in range(digits + 1) if f"{latency:.{d}e}" == cell]
+            assert shown and len(cell) < width
+            assert shown[0] == digits or len(f"{latency:.{shown[0] + 1}e}") >= width
+
+    @pytest.mark.parametrize("latency, digits, cell", [
+        (99999999.99994, 6, "99999999.999940"),
+        (2.41023e307, 4, "2.4102e+307"),
+        (1.5422318e308, 6, "1.542232e+308"),
+        (-1.5e300, 6, "-1.500000e+300"),
+        (math.inf, 6, "inf"),
+        (None, 6, "-"),
+    ])
+    def test_wide_latencies_turn_scientific_at_width_16(self, latency, digits, cell):
+        assert _latency_cell(latency, digits, 16) == cell
 
 
 def _mutated_genomes(count, seed=0):

@@ -5,6 +5,8 @@ from detkit.errors import ShapeError, ValidationError
 from detkit.reparam import RepBranchParams, rep_branches_forward, reparam_fold
 from detkit.tensorops import BnParams, ConvParams, Tensor4, conv2d_forward, fold_batchnorm
 
+from test_tensorops import two_pass_bn_apply
+
 
 def make_bn(rng, ch):
     return BnParams(
@@ -30,6 +32,28 @@ def make_branches(rng, in_ch, out_ch, stride=1, identity=False):
         conv1=conv1, bn1=make_bn(rng, out_ch),
         identity_bn=make_bn(rng, out_ch) if identity else None,
     )
+
+
+def reference_branches_forward(x: Tensor4, branches: RepBranchParams) -> np.ndarray:
+    """The former rep_branches_forward, kept as the exact reference: each
+    branch rounded to float32, the branches summed in float64 from float64
+    copies and the sum rounded once."""
+    y3 = two_pass_bn_apply(conv2d_forward(x, branches.conv3).data, branches.bn3)
+    y1 = two_pass_bn_apply(conv2d_forward(x, branches.conv1).data, branches.bn1)
+    out = y3.astype(np.float64) + y1.astype(np.float64)
+    if branches.identity_bn is not None:
+        out += two_pass_bn_apply(x.data, branches.identity_bn).astype(np.float64)
+    return out.astype(np.float32)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("stride, identity", [(1, False), (1, True), (2, False)])
+def test_branch_forward_equals_the_two_pass_reference(batch, stride, identity):
+    rng = np.random.default_rng(4 * batch + 2 * stride + identity)
+    branches = make_branches(rng, 6, 6, stride=stride, identity=identity)
+    x = Tensor4((3 * rng.standard_normal((batch, 6, 17, 19))).astype(np.float32))
+    got = rep_branches_forward(x, branches).data
+    assert got.dtype == np.float32 and np.array_equal(got, reference_branches_forward(x, branches))
 
 
 def test_zero_1x1_no_identity_equals_bn_folded_conv3():

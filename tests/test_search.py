@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from detkit import search as search_module
-from detkit.cost import builtin_profile, fold_sum
+from detkit.cost import builtin_profile, cost_report, fold_sum
 from detkit.errors import InfeasibleError, ValidationError
 from detkit.genome import (
     FUSION_STYLES,
@@ -36,11 +36,11 @@ from detkit.graph import (
 )
 from detkit.search import (
     MUTATION_OPS,
+    ArchiveEntry,
     ParetoArchive,
     ProxyScore,
     SearchConfig,
     entropy_score,
-    evaluate_genome,
     mutate,
     search,
 )
@@ -395,6 +395,14 @@ class TestVarianceOracle:
             assert state == reference_propagate_variance(graph, input_segments)
 
 
+def reference_evaluate(genome: DetectorGenome, profile) -> ArchiveEntry:
+    """Whole-genome evaluation, the oracle of the search's segment-by-segment
+    one: lower the genome whole, score it and cost it."""
+    graph = build_graph(genome)
+    cost = cost_report(graph, profile)
+    return ArchiveEntry(genome, entropy_score(graph), cost.flops, cost.params, cost.latency_ms)
+
+
 def reference_mutate(genome: DetectorGenome, rng: random.Random, cfg: SearchConfig,
                      rejected: list | None = None) -> DetectorGenome:
     """`mutate` as it was written with a full `DetectorGenome.validate` of
@@ -608,7 +616,7 @@ class TestSearch:
 
     def test_archive_within_budget_and_best_beats_generation0(self):
         g = preset_genome("tiny")
-        seed_latency = evaluate_genome(g, builtin_profile("t4-like")).latency_ms
+        seed_latency = reference_evaluate(g, builtin_profile("t4-like")).latency_ms
         cfg = make_cfg(population=6, generations=20, seed=123,
                        latency_budget_ms=1.25 * seed_latency)
         archive = search(g, cfg)
@@ -639,19 +647,19 @@ class TestSearch:
             if w > cfg.width_max:
                 break
             reachable.append(single_stage_space(width=w))
-        scored = [(evaluate_genome(g, cfg.device_profile).score.value, g) for g in reachable]
+        scored = [(reference_evaluate(g, cfg.device_profile).score.value, g) for g in reachable]
         best_score, best_genome = max(scored, key=lambda t: t[0])
         assert archive.best.genome == best_genome
         assert archive.best.score.value == pytest.approx(best_score)
 
     def test_pareto_insert_keeps_nondominated(self):
         g = preset_genome("tiny")
-        e1 = evaluate_genome(g, builtin_profile("t4-like"))
+        e1 = reference_evaluate(g, builtin_profile("t4-like"))
         wider = g.with_backbone(
             replace(b, out_ch=b.out_ch + 8) if i == len(g.backbone) - 1 else b
             for i, b in enumerate(g.backbone)
         )
-        e2 = evaluate_genome(wider, builtin_profile("t4-like"))
+        e2 = reference_evaluate(wider, builtin_profile("t4-like"))
         archive = ParetoArchive()
         archive.insert(e1)
         archive.insert(e2)
@@ -662,11 +670,11 @@ class TestSearch:
 
     def test_pareto_insert_keeps_a_genome_once(self):
         g = preset_genome("tiny")
-        entry = evaluate_genome(g, builtin_profile("t4-like"))
+        entry = reference_evaluate(g, builtin_profile("t4-like"))
         archive = ParetoArchive()
         archive.insert(entry)
         # the same genome built again: an equal, not identical, object
-        archive.insert(evaluate_genome(replace(g), builtin_profile("t4-like")))
+        archive.insert(reference_evaluate(replace(g), builtin_profile("t4-like")))
         assert archive.entries == [entry]
         # another genome that ties on score and latency is a second point
         other = replace(g, input_res=(g.input_res[0] + 32, g.input_res[1]))
@@ -676,7 +684,7 @@ class TestSearch:
     @pytest.mark.parametrize("first", [0, 1])
     def test_tied_entries_keep_insertion_order(self, first):
         g = preset_genome("tiny")
-        entry = evaluate_genome(g, builtin_profile("t4-like"))
+        entry = reference_evaluate(g, builtin_profile("t4-like"))
         other = replace(g, input_res=(g.input_res[0] + 32, g.input_res[1]))
         tied = [entry, search_module.ArchiveEntry(other, entry.score, entry.flops, entry.params, entry.latency_ms)]
         if first:
@@ -690,7 +698,7 @@ class TestSearch:
 
     def test_leaders_are_the_best_so_far(self):
         g = preset_genome("tiny")
-        seed_latency = evaluate_genome(g, builtin_profile("t4-like")).latency_ms
+        seed_latency = reference_evaluate(g, builtin_profile("t4-like")).latency_ms
         cfg = make_cfg(population=6, generations=12, seed=5, latency_budget_ms=1.25 * seed_latency)
         archive = search(g, cfg)
         assert len(archive.leaders) == len(archive.history) == cfg.generations + 1
@@ -701,7 +709,7 @@ class TestSearch:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_archive_lists_each_genome_once(self, seed):
         # `s`, pop 16, gen 10 at 1.25x its latency: children repeat genomes
-        budget = 1.25 * evaluate_genome(preset_genome("s"), builtin_profile("t4-like")).latency_ms
+        budget = 1.25 * reference_evaluate(preset_genome("s"), builtin_profile("t4-like")).latency_ms
         archive = search(preset_genome("s"), make_cfg(population=16, generations=10,
                                                       latency_budget_ms=budget, seed=seed))
         genomes = [genome_to_json(e.genome) for e in archive.entries]
@@ -714,7 +722,7 @@ class TestSearch:
         # 1 - 0.5**2 = 0.75 for size-2 tournaments, 0.5 for a rank-blind pick
         monkeypatch.setattr(search_module, "_mutated", lambda genome, rng, cfg: genome)
         cfg = make_cfg(population=16)
-        entries = sorted((evaluate_genome(single_stage_space(width=8 * (k + 1)), cfg.device_profile)
+        entries = sorted((reference_evaluate(single_stage_space(width=8 * (k + 1)), cfg.device_profile)
                           for k in range(16)), key=search_module._rank_key)
         assert len({e.score.value for e in entries}) == 16
         top_half = {id(e.genome) for e in entries[:8]}
@@ -743,7 +751,7 @@ def random_walk_best(seed_genome: DetectorGenome, cfg: SearchConfig, evaluations
 class TestSearchQuality:
     def s_config(self, seed):
         """`s` at a budget of 1.25x its latency, pop 16, gen 10: 176 evaluations."""
-        budget = 1.25 * evaluate_genome(preset_genome("s"), builtin_profile("t4-like")).latency_ms
+        budget = 1.25 * reference_evaluate(preset_genome("s"), builtin_profile("t4-like")).latency_ms
         return make_cfg(population=16, generations=10, latency_budget_ms=budget, seed=seed)
 
     def test_evolution_beats_a_random_walk(self):
@@ -911,7 +919,7 @@ class TestSegmentCache:
                 headless += genome.head is None
                 if genome.head is not None:
                     head_depths.add(genome.head.head_depth)
-            assert cache.evaluate(genome) == evaluate_genome(genome, profile), genome
+            assert cache.evaluate(genome) == reference_evaluate(genome, profile), genome
         assert kinds == {"Mob", "Res", "Csp", "Focus", "Spp", "ConvBnAct"}
         assert styles == set(FUSION_STYLES) and head_depths == {0, 1, 2}
         assert neckless and headless
@@ -1096,7 +1104,7 @@ class TestSegmentCache:
         # earlier generation's candidates
         seed_genome = preset_genome("s")
         seed_genome = replace(seed_genome, neck=replace(seed_genome.neck, **neck))
-        budget = 1.25 * evaluate_genome(seed_genome, builtin_profile("t4-like")).latency_ms
+        budget = 1.25 * reference_evaluate(seed_genome, builtin_profile("t4-like")).latency_ms
         cfg = make_cfg(population=8, generations=generations, mutations_per_child=mutations,
                        depth_max=depth_max, latency_budget_ms=budget, seed=3)
         got = search(seed_genome, cfg)
@@ -1106,7 +1114,7 @@ class TestSegmentCache:
                 self.profile = profile
 
             def evaluate(self, genome):
-                return evaluate_genome(genome, self.profile)
+                return reference_evaluate(genome, self.profile)
 
         monkeypatch.setattr(search_module, "_SegmentCache", FullLowering)
         want = search(seed_genome, cfg)

@@ -92,6 +92,15 @@ def tap_copy_conv2d(x, p):
     return out.astype(np.float32)
 
 
+def two_pass_bn_apply(x, bn):
+    """The former BnParams.apply, kept as the exact reference: a float64 copy
+    of the input, scaled and shifted in two passes, then rounded to float32."""
+    scale = bn.gamma.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + bn.epsilon)
+    shift = bn.beta.astype(np.float64) - bn.running_mean.astype(np.float64) * scale
+    out = x.astype(np.float64) * scale[None, :, None, None] + shift[None, :, None, None]
+    return out.astype(np.float32)
+
+
 def rand_conv(rng, in_ch, out_ch, k, stride=1, padding=None, groups=1):
     if padding is None:
         padding = k // 2
@@ -203,6 +212,15 @@ class TestConv2d:
         p = rand_conv(rng, 4, 6, k, stride=stride, padding=padding, groups=groups)
         assert np.array_equal(conv2d_forward(Tensor4(x), p).data, tap_copy_conv2d(x, p))
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_unpadded_1x1_equals_tap_copy_reference(self, stride):
+        # the one tap reads a plain float64 copy of the input: no zero-filled
+        # padded copy, no spare row and no product buffer
+        rng = np.random.default_rng(40 + stride)
+        x = rng.standard_normal((2, 4, 33, 40)).astype(np.float32)
+        p = rand_conv(rng, 4, 6, 1, stride=stride, padding=0, groups=2)
+        assert np.array_equal(conv2d_forward(Tensor4(x), p).data, tap_copy_conv2d(x, p))
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_small_blocks_equal_tap_copy_reference(self, data):
@@ -249,6 +267,21 @@ class TestConv2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValidationError, match="odd"):
             ConvParams(np.zeros((1, 1, 2, 2)), np.zeros(1))
+
+
+class TestBnApply:
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_equals_two_pass_reference(self, batch):
+        # one float64 product, and the shifted sum rounded once into the result
+        rng = np.random.default_rng(batch)
+        x = (3 * rng.standard_normal((batch, 5, 17, 19))).astype(np.float32)
+        bn = rand_bn(rng, 5)
+        got = bn.apply(Tensor4(x)).data
+        assert got.dtype == np.float32 and np.array_equal(got, two_pass_bn_apply(x, bn))
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="channels"):
+            rand_bn(np.random.default_rng(0), 4).apply(Tensor4(np.zeros((1, 3, 2, 2), dtype=np.float32)))
 
 
 class TestFoldBatchnorm:
