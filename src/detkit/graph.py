@@ -26,6 +26,12 @@ convs each, and aggregates. Style "Conv" is a single 3x3 merge;
 concatenates the stem and every intermediate unit. Reparam styles mark their
 3x3 convs as foldable multi-branch units (rep=True); the deploy-view cost is
 identical to the plain style, which is the point of folding.
+
+Parts. Every lowering here is a part: `lower(gb, inputs, prefix, *args)`
+emits its nodes on the input ids `inputs`, names each under `prefix` (but
+for a fusion entry's resample nodes, see `_fusion_entry`) and returns its
+output ids. Apart from the names, its nodes depend only on `args` and its
+input shapes. A segment (see `segments`) is a chain of parts.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ from .errors import ValidationError
 from .genome import DetectorGenome
 
 __all__ = ["OpNode", "OpGraph", "GraphBuilder", "build_graph", "segments", "stage_segments",
-           "neck_segments", "stage_units"]
+           "neck_segments", "stage_parts"]
 
 ACT = "silu"
 
@@ -206,18 +212,19 @@ class GraphBuilder:
 # --- backbone stage lowerings -------------------------------------------------
 
 
-def _conv_unit(gb: GraphBuilder, x: int, out_ch: int, kernel: int, stride: int, prefix: str) -> int:
-    return gb.conv(x, out_ch, name=f"{prefix}.conv", kernel=kernel, stride=stride)
+def _conv_unit(gb: GraphBuilder, inputs, prefix: str, out_ch: int, kernel: int, stride: int) -> tuple[int]:
+    return (gb.conv(inputs[0], out_ch, name=f"{prefix}.conv", kernel=kernel, stride=stride),)
 
 
-def _lower_focus(gb: GraphBuilder, x: int, spec, prefix: str) -> int:
-    x = gb.space_to_depth(x, name=f"{prefix}.s2d")
-    return gb.conv(x, spec.out_ch, name=f"{prefix}.conv", kernel=spec.kernel, stride=1)
+def _lower_focus(gb: GraphBuilder, inputs, prefix: str, spec, _hidden_ratio) -> tuple[int]:
+    x = gb.space_to_depth(inputs[0], name=f"{prefix}.s2d")
+    return (gb.conv(x, spec.out_ch, name=f"{prefix}.conv", kernel=spec.kernel, stride=1),)
 
 
-def _res_unit(gb: GraphBuilder, x: int, out_ch: int, kernel: int, stride: int, prefix: str) -> int:
+def _res_unit(gb: GraphBuilder, inputs, prefix: str, out_ch: int, kernel: int, stride: int) -> tuple[int]:
     # residual bottleneck: 1x1 reduce, kxk spatial, 1x1 expand; projection
     # shortcut on the shape-changing first repeat
+    (x,) = inputs
     hid = _round8(out_ch * 0.75)
     y = gb.conv(x, hid, name=f"{prefix}.conv1", kernel=1)
     y = gb.conv(y, hid, name=f"{prefix}.conv2", kernel=kernel, stride=stride)
@@ -226,42 +233,30 @@ def _res_unit(gb: GraphBuilder, x: int, out_ch: int, kernel: int, stride: int, p
         shortcut = x
     else:
         shortcut = gb.conv(x, out_ch, name=f"{prefix}.proj", kernel=1, stride=stride, act=None)
-    return gb.add([y, shortcut], name=f"{prefix}.add", act=ACT)
+    return (gb.add([y, shortcut], name=f"{prefix}.add", act=ACT),)
 
 
-def _mob_unit(gb: GraphBuilder, x: int, out_ch: int, kernel: int, stride: int, prefix: str) -> int:
+def _mob_unit(gb: GraphBuilder, inputs, prefix: str, out_ch: int, kernel: int, stride: int) -> tuple[int]:
     # inverted residual: 1x1 expand, kxk depthwise, 1x1 project
+    (x,) = inputs
     exp = _round8(out_ch * 2.0)
     y = gb.conv(x, exp, name=f"{prefix}.expand", kernel=1)
     y = gb.conv(y, exp, name=f"{prefix}.dw", kernel=kernel, stride=stride, groups=exp)
     y = gb.conv(y, out_ch, name=f"{prefix}.project", kernel=1, act=None)
     if stride == 1 and gb.shape(x)[1] == out_ch:
-        return gb.add([y, x], name=f"{prefix}.add")
-    return y
+        return (gb.add([y, x], name=f"{prefix}.add"),)
+    return (y,)
 
 
 # the stage kinds lowered as `depth` repeat units, the first applying the
-# stage stride and the in->out channel change
+# stage stride and the in->out channel change; a unit's args are (out_ch, kernel, stride)
 _UNIT_LOWERING = {"ConvBnAct": _conv_unit, "Res": _res_unit, "Mob": _mob_unit}
 
 
-def stage_units(spec, i: int) -> tuple:
-    """Backbone stage i's repeat units in lowering order, as `(lower, args)`:
-    `lower(gb, x, *args)` emits one repeat on input node x and returns its
-    output node. The arguments are the stage's out_ch and kernel, this
-    repeat's stride and its name prefix `backbone.s{i}.r{r}`, so a unit with
-    its input shape determines its nodes, whatever the stage's depth. A stage
-    kind lowered whole (Csp, Spp, Focus) has no units: ()."""
-    unit = _UNIT_LOWERING.get(spec.kind)
-    if unit is None:
-        return ()
-    return tuple([(unit, (spec.out_ch, spec.kernel, spec.stride if r == 0 else 1, f"backbone.s{i}.r{r}"))
-                  for r in range(spec.depth)])
-
-
-def _lower_csp_stage(gb: GraphBuilder, x: int, spec, prefix: str, hidden_ratio: float) -> int:
+def _lower_csp_stage(gb: GraphBuilder, inputs, prefix: str, spec, hidden_ratio: float) -> tuple[int]:
     # cross-stage partial: downsample conv, two 1x1 stems, a chain of
     # 1x1 + kxk residual bottlenecks on one path, merge by concat + 1x1
+    (x,) = inputs
     if spec.stride == 2:
         x = gb.conv(x, spec.out_ch, name=f"{prefix}.down", kernel=spec.kernel, stride=2)
     elif spec.in_ch != spec.out_ch:
@@ -276,42 +271,36 @@ def _lower_csp_stage(gb: GraphBuilder, x: int, spec, prefix: str, hidden_ratio: 
         z = gb.conv(z, hid, name=f"{p}.conv2", kernel=spec.kernel)
         y = gb.add([z, y], name=f"{p}.add")
     cat = gb.concat([y, bypass], name=f"{prefix}.concat")
-    return gb.conv(cat, spec.out_ch, name=f"{prefix}.merge", kernel=1)
+    return (gb.conv(cat, spec.out_ch, name=f"{prefix}.merge", kernel=1),)
 
 
-def _lower_spp(gb: GraphBuilder, x: int, spec, prefix: str) -> int:
+def _lower_spp(gb: GraphBuilder, inputs, prefix: str, spec, _hidden_ratio) -> tuple[int]:
     # chained stride-1 pools over a reduced width, then re-expand
     hid = _round8(spec.in_ch * 0.5)
-    y = gb.conv(x, hid, name=f"{prefix}.reduce", kernel=1)
+    y = gb.conv(inputs[0], hid, name=f"{prefix}.reduce", kernel=1)
     p1 = gb.maxpool(y, name=f"{prefix}.pool1", kernel=spec.kernel, stride=1)
     p2 = gb.maxpool(p1, name=f"{prefix}.pool2", kernel=spec.kernel, stride=1)
     p3 = gb.maxpool(p2, name=f"{prefix}.pool3", kernel=spec.kernel, stride=1)
     cat = gb.concat([y, p1, p2, p3], name=f"{prefix}.concat")
-    return gb.conv(cat, spec.out_ch, name=f"{prefix}.expand", kernel=1)
+    return (gb.conv(cat, spec.out_ch, name=f"{prefix}.expand", kernel=1),)
 
 
-# the stage kinds lowered whole, other than Csp, which also reads the genome's hidden ratio
-_STAGE_LOWERING = {
-    "Focus": _lower_focus,
-    "Spp": _lower_spp,
-}
+# the stage kinds lowered whole; a stage's args are (spec, hidden ratio), the ratio None but for Csp
+_STAGE_LOWERING = {"Csp": _lower_csp_stage, "Focus": _lower_focus, "Spp": _lower_spp}
 
 
-def _lower_stage(gb: GraphBuilder, inputs, spec, i: int, csp_hidden_ratio: float | None) -> tuple[int]:
-    """Lower backbone stage i reading its one input node, unit by unit where
-    the kind has `stage_units`; returns the stage's output node."""
-    (x,) = inputs
-    units = stage_units(spec, i)
-    if units:
-        for unit, args in units:
-            x = unit(gb, x, *args)
-        return (x,)
-    if spec.kind == "Csp":
-        return (_lower_csp_stage(gb, x, spec, f"backbone.s{i}", csp_hidden_ratio),)
+def stage_parts(spec, i: int, hidden_ratio: float | None) -> tuple:
+    """Backbone stage i's parts in lowering order, as `(lower, prefix, args)`:
+    its repeat units `backbone.s{i}.r{r}`, or for a kind lowered whole (Csp,
+    Spp, Focus) the one stage `backbone.s{i}`."""
+    unit = _UNIT_LOWERING.get(spec.kind)
+    if unit is not None:
+        return tuple([(unit, f"backbone.s{i}.r{r}", (spec.out_ch, spec.kernel, spec.stride if r == 0 else 1))
+                      for r in range(spec.depth)])
     lower = _STAGE_LOWERING.get(spec.kind)
     if lower is None:
         raise ValidationError(f"unsupported block kind {spec.kind!r}", path=f"backbone[{i}].kind")
-    return (lower(gb, x, spec, f"backbone.s{i}"),)
+    return ((lower, f"backbone.s{i}", (spec, hidden_ratio)),)
 
 
 # --- neck ---------------------------------------------------------------------
@@ -347,12 +336,12 @@ def _fusion_rows(extra_upsample: bool, extra_downsample: bool) -> tuple:
     return tuple(rows)
 
 
-def _fusion_entry(gb: GraphBuilder, inputs, name: str, resamples, width: int, style: str) -> tuple[int]:
-    """The entry of neck block `name`: resample its inputs, concatenate them
-    and project to the block's stem (for style "Conv", its one merge conv,
-    which is the whole block). The entry is the only part that reads the
-    block's input widths."""
-    prefix = f"neck.{name}"
+def _fusion_entry(gb: GraphBuilder, inputs, prefix: str, resamples, width: int, style: str) -> tuple[int]:
+    """The entry of a neck block: resample its inputs, concatenate them and
+    project to the block's stem (for style "Conv", its one merge conv, which
+    is the whole block). The entry is the only part that reads the block's
+    input widths. Its resample nodes are named `neck.{resample}`, not under
+    `prefix`: a resample node such as `up_c5` is named for what it reads."""
     inputs = [x if r is None else (gb.upsample if r.startswith("up") else gb.maxpool)(x, name=f"neck.{r}")
               for x, r in zip(inputs, resamples)]
     cat = gb.concat(inputs, name=f"{prefix}.concat_in") if len(inputs) > 1 else inputs[0]
@@ -361,10 +350,9 @@ def _fusion_entry(gb: GraphBuilder, inputs, name: str, resamples, width: int, st
     return (gb.conv(cat, neck_hidden_width(width), name=f"{prefix}.stem", kernel=1),)
 
 
-def _fusion_body(gb: GraphBuilder, inputs, name: str, width: int, style: str, depth: int) -> tuple[int]:
-    """The body of a non-"Conv" neck block `name` on its stem: the residual
-    chain, the aggregation and the output conv to `width`."""
-    prefix = f"neck.{name}"
+def _fusion_body(gb: GraphBuilder, inputs, prefix: str, width: int, style: str, depth: int) -> tuple[int]:
+    """The body of a non-"Conv" neck block on its stem: the residual chain,
+    the aggregation and the output conv to `width`."""
     (stem,) = inputs
     rep = style in ("CspReparam", "CspReparamElan")
     hid = neck_hidden_width(width)
@@ -381,33 +369,37 @@ def _fusion_body(gb: GraphBuilder, inputs, name: str, width: int, style: str, de
     return (gb.conv(cat_out, width, name=f"{prefix}.out", kernel=1),)
 
 
-def _fusion_block(gb: GraphBuilder, inputs, name: str, resamples, width: int, style: str,
-                  depth: int) -> tuple[int]:
-    """Lower neck block `name`: its `_fusion_entry`, then, but for style
+def _fusion_parts(name: str, resamples, width: int, style: str, depth: int) -> tuple:
+    """Neck block `name`'s parts: its `_fusion_entry`, then, but for style
     "Conv", its `_fusion_body`."""
-    outputs = _fusion_entry(gb, inputs, name, resamples, width, style)
+    prefix = f"neck.{name}"
+    entry = (_fusion_entry, prefix, (resamples, width, style))
     if style == "Conv":
-        return outputs
-    return _fusion_body(gb, outputs, name, width, style, depth)
+        return (entry,)
+    return entry, (_fusion_body, prefix, (width, style, depth))
 
 
 # --- head ----------------------------------------------------------------------
 
 
-def _lower_head(gb: GraphBuilder, inputs, head, num_classes: int):
+def _lower_head(gb: GraphBuilder, inputs, prefix: str, head, num_classes: int) -> tuple[int, ...]:
     outputs = []
     for level, feat in zip((3, 4, 5), inputs):
         width = gb.shape(feat)[1]
         cls_in = reg_in = feat
         for d in range(head.head_depth):
-            cls_in = gb.conv(cls_in, width, name=f"head.p{level}.cls_tower{d}", kernel=3)
-            reg_in = gb.conv(reg_in, width, name=f"head.p{level}.reg_tower{d}", kernel=3)
-        cls = gb.conv(cls_in, num_classes, name=f"head.p{level}.cls", kernel=1,
+            cls_in = gb.conv(cls_in, width, name=f"{prefix}.p{level}.cls_tower{d}", kernel=3)
+            reg_in = gb.conv(reg_in, width, name=f"{prefix}.p{level}.reg_tower{d}", kernel=3)
+        cls = gb.conv(cls_in, num_classes, name=f"{prefix}.p{level}.cls", kernel=1,
                       bias=True, norm=False, act=None)
-        reg = gb.conv(reg_in, 4 * head.reg_bins, name=f"head.p{level}.reg", kernel=1,
+        reg = gb.conv(reg_in, 4 * head.reg_bins, name=f"{prefix}.p{level}.reg", kernel=1,
                       bias=True, norm=False, act=None)
         outputs.extend([cls, reg])
     return tuple(outputs)
+
+
+def _head_parts(head, num_classes: int) -> tuple:
+    return ((_lower_head, "head", (head, num_classes)),)
 
 
 # --- entry point ----------------------------------------------------------------
@@ -419,21 +411,16 @@ def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[
     present; `taps` is `genome.pyramid_taps()`. The list is
     `stage_segments(genome)` followed by `neck_segments`.
 
-    A segment is `(lower, args, reads)`: `lower(gb, inputs, *args)` emits it
-    on the input ids `inputs` and returns its output ids, and `reads` indexes
-    its input features (0 is the graph input, then every segment's outputs in
-    order). A lowering reads nothing but its arguments and its inputs' shapes,
-    so a segment with its input shapes determines its nodes: `search` caches
-    on that pair. A stage's arguments are spec, index and Csp hidden ratio
-    (None for other kinds); a stage with `stage_units` is lowered as its
-    units in order, and `search` caches each unit on its input shape too. A
-    fusion block's are its name, its resample nodes, its width, and the
-    neck's style and depth; it reads the features its block fuses, a dense
-    link only when its flag is on, and owns the upsample and max-pool nodes
-    in front of it. It is lowered as its entry (`_fusion_entry`, the only
-    part that reads its input widths) and its body (`_fusion_body`), and
-    `search` caches each part on its input shapes too. So a change to the
-    stride-32 width w5 re-lowers out5 and the head, and no other block.
+    A segment is `(parts, args, reads)`: `parts(*args)` lists its parts,
+    `(lower, prefix, args)` in lowering order (see "Parts" in the module
+    docstring), which `build_graph` chains, each part reading the
+    previous one's outputs, the first the segment's input features; `reads`
+    indexes those features (0 is the graph input, then every segment's
+    outputs in order). A stage's parts are `stage_parts`; a fusion block's
+    are `_fusion_parts` of its name, resample nodes, width and the neck's
+    style and depth, and it reads the features its block fuses, a dense link
+    only when its flag is on. How `search` stores segments and parts is
+    described in `detkit.search._SegmentCache`.
     """
     return stage_segments(genome) + neck_segments(genome.neck, genome.head, genome.num_classes, taps,
                                                   len(genome.backbone))
@@ -441,7 +428,7 @@ def segments(genome: DetectorGenome, taps: tuple[int, int, int] | None) -> list[
 
 def stage_segments(genome: DetectorGenome) -> list[tuple]:
     """The backbone stages' `segments`, in order."""
-    return [(_lower_stage, (spec, i, genome.csp_hidden_ratio if spec.kind == "Csp" else None), (i,))
+    return [(stage_parts, (spec, i, genome.csp_hidden_ratio if spec.kind == "Csp" else None), (i,))
             for i, spec in enumerate(genome.backbone)]
 
 
@@ -453,11 +440,11 @@ def neck_segments(neck, head, num_classes: int, taps: tuple[int, int, int] | Non
     if neck is None:
         return []
     feature = [t + 1 for t in taps] + list(range(stages + 1, stages + 1 + len(_FUSION_TEMPLATE)))
-    found = [(_fusion_block, (name, resamples, neck.widths[w], neck.fusion_style, neck.depth),
+    found = [(_fusion_parts, (name, resamples, neck.widths[w], neck.fusion_style, neck.depth),
               tuple([feature[f] for f in reads]))
              for name, w, resamples, reads in _fusion_rows(neck.extra_upsample, neck.extra_downsample)]
     if head is not None:
-        found.append((_lower_head, (head, num_classes), (stages + 2, stages + 3, stages + 4)))
+        found.append((_head_parts, (head, num_classes), (stages + 2, stages + 3, stages + 4)))
     return found
 
 
@@ -473,8 +460,10 @@ def build_graph(genome: DetectorGenome, input_res: tuple[int, int] | None = None
     gb = GraphBuilder()
     features = [gb.input((1, genome.backbone[0].in_ch, res[0], res[1]))]
     taps = genome.pyramid_taps()
-    for lower, args, reads in segments(genome, taps):
-        outputs = lower(gb, [features[i] for i in reads], *args)
+    for parts, args, reads in segments(genome, taps):
+        outputs = [features[i] for i in reads]
+        for lower, prefix, part_args in parts(*args):
+            outputs = lower(gb, outputs, prefix, *part_args)
         features += outputs
     if genome.neck is not None and genome.head is None:
         outputs = features[-3:]  # the neck's out3, out4 and out5

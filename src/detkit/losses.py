@@ -113,7 +113,8 @@ class DistillSchedule:
 
 def _clamp01(x, name: str):
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0) or np.any(x > 1):
+    # written so that NaN, which compares false, fails
+    if not (np.all(x >= 0) and np.all(x <= 1)):
         raise ValidationError(f"{name} must lie in [0, 1]")
     return x
 
@@ -143,9 +144,10 @@ def dfl(bin_probs, target_y: float) -> float:
     p = np.asarray(bin_probs, dtype=np.float64).reshape(-1)
     if p.size < 1:
         raise ValidationError("bin_probs must be non-empty")
-    if np.any(p < 0):
+    # both checks written so that NaN, which compares false, fails
+    if not np.all(p >= 0):
         raise ValidationError("bin probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-6:
+    if not abs(p.sum() - 1.0) <= 1e-6:
         raise ValidationError(f"bin probabilities must sum to 1, got {p.sum():.8f}")
     y = float(target_y)
     if not 0.0 <= y <= p.size - 1:

@@ -35,8 +35,7 @@ from .cost import DeviceProfile, _latency_cell, builtin_profile, cost_report, co
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
 from .genome import STACKED_KINDS, BlockSpec, DetectorGenome, genome_to_doc
-from .graph import (GraphBuilder, OpGraph, _fusion_block, _fusion_body, _fusion_entry, _lower_stage, build_graph,
-                    neck_segments, stage_segments, stage_units)
+from .graph import GraphBuilder, OpGraph, build_graph, neck_segments, stage_segments
 
 __all__ = [
     "ProxyScore",
@@ -447,13 +446,13 @@ class ParetoArchive:
 
 
 class _Segment(NamedTuple):
-    """One lowered segment, repeat unit or fusion block part: its cost rows'
-    latencies in lowering order, FLOP and parameter sums, output shapes, and a
-    stage's or unit's proxy output variance per input variance, filled in as
-    the search meets each. A lowered entry holds its graph and no units; a
-    stage composed of repeat units, or a fusion block composed of its entry
-    and body, holds their entries in order and no graph. Nothing in it
-    depends on node names, so one unit entry serves every repeat position."""
+    """One lowered part or composed segment: its cost rows' latencies in
+    lowering order, FLOP and parameter sums, output shapes, and a stage's
+    or part's proxy output variance per input variance, filled in as the
+    search meets each. A lowered part holds its graph and no units; a
+    segment of several parts holds their entries in order and no graph.
+    Nothing in it depends on node names, so one part entry serves every
+    position of its form."""
 
     latencies: list
     flops: int
@@ -464,15 +463,10 @@ class _Segment(NamedTuple):
     variances: dict
 
 
-def _lower_unit(gb: GraphBuilder, inputs, lower, args) -> tuple[int]:
-    """A repeat unit `(lower, args)` of `stage_units` as a segment lowering."""
-    return (lower(gb, inputs[0], *args),)
-
-
 def _output_variance(entry: _Segment, in_variance: tuple) -> tuple:
-    """A stage's or unit's output variance segments for this input variance,
-    memoised in its entry. A composed stage chains its units' own memos: each
-    unit's output is the next one's input, as in the stage's one graph."""
+    """A stage's or part's output variance segments for this input variance,
+    memoised in its entry. A composed stage chains its parts' own memos: each
+    part's output is the next one's input, as in the stage's one graph."""
     variance = entry.variances.get(in_variance)
     if variance is None:
         if entry.units:
@@ -493,32 +487,26 @@ class _SegmentCache:
     stage segments, then the neck's and head's, which `necks` builds once per
     neck, head, class count, taps and stage count, so in a search they are
     the same objects for every candidate. Each segment is looked up in
-    `entries` by the segment and its input shapes. On a miss, a stage of a
-    kind with repeat units (Res, Mob, ConvBnAct: `graph.stage_units`) and a
-    fusion block are composed from a second store, `units`, keyed by what
-    fixes a part's numbers:
-    - a repeat unit: its lowering, width, kernel, stride, input shape and
-      whether it keeps its input row;
-    - a fusion block's entry (`graph._fusion_entry`): its resample nodes,
-      width, style and input shapes;
-    - a fusion block's body (`graph._fusion_body`, none for style "Conv"):
-      its width, style, depth and stem shape.
-    A miss there lowers the part on placeholder inputs. An entry holds no
-    names, so one unit entry serves every stage and repeat position of its
-    form: `deepen` of a stage of depth >= 2 and `shallow` lower no unit, and
-    `widen` lowers its own stage's first two units and the next stage's
-    first. A widened pyramid tap re-lowers the entries of the blocks that
-    read it, not their bodies. Csp, Spp and Focus stages and the head are
-    lowered whole on placeholder inputs of their shapes. A stage's proxy
-    variance is looked up in its entry by the stage's input variance, and a
-    miss there chains through its units' own memos; fusion blocks do not
-    enter the proxy.
-    Latencies are added one by one in `build_graph`'s order (a block's entry
-    rows, then its body's), while FLOPs and parameters are exact integer
-    sums of the per-segment and per-part sums, so the result equals that
-    of lowering, scoring and costing the whole genome (`reference_evaluate`
-    in tests/test_search.py) exactly. A genome seen before returns its
-    first entry.
+    `entries` by the segment and its input shapes. On a miss, it is composed
+    from its parts (`graph.segments`: a Res, Mob or ConvBnAct stage's repeat
+    units, a Csp, Spp or Focus stage whole, a fusion block's entry and body,
+    the head), each looked up in a second store, `units`, by its form: its
+    lowering, its arguments, its input shapes and whether it keeps its input
+    row (only the first part of stage 0, which reads the graph input, does).
+    A miss there lowers the part on placeholder inputs. A part's name prefix
+    is not in its form and its entry holds no names, so one entry serves
+    every position of its form: `deepen` of a stage of depth >= 2 and
+    `shallow` lower no part, `widen` lowers its own stage's first two units
+    and the next stage's first, and a widened pyramid tap re-lowers the
+    entries of the blocks that read it, not their bodies. A one-part
+    segment's entry is its part. A stage's proxy variance is looked up in
+    its entry by the stage's input variance, and a miss there chains through
+    its parts' own memos; fusion blocks do not enter the proxy.
+    Latencies are added one by one in `build_graph`'s order, while FLOPs and
+    parameters are exact integer sums of the per-segment and per-part sums,
+    so the result equals that of lowering, scoring and costing the whole
+    genome (`reference_evaluate` in tests/test_search.py) exactly. A genome
+    seen before returns its first entry.
 
     Nothing is evicted: `entries`, `units`, `necks` and `genomes` hold every
     segment, part, neck and candidate met in the search, so memory grows
@@ -533,12 +521,12 @@ class _SegmentCache:
         self.necks: dict = {}
         self.genomes: dict = {}
 
-    def _lower(self, lower, args, shapes, keep_input: bool) -> _Segment:
-        """Lower `lower(gb, inputs, *args)` on placeholder inputs of these
-        shapes. The placeholders keep their cost rows only when `keep_input`:
-        the one input is then the graph input."""
+    def _lower(self, lower, prefix: str, args, shapes, keep_input: bool) -> _Segment:
+        """Lower the part `lower(gb, inputs, prefix, *args)` on placeholder
+        inputs of these shapes. The placeholders keep their cost rows only
+        when `keep_input`: the one input is then the graph input."""
         gb = GraphBuilder()
-        graph = gb.finish(outputs=lower(gb, [gb.input(shape) for shape in shapes], *args))
+        graph = gb.finish(outputs=lower(gb, [gb.input(shape) for shape in shapes], prefix, *args))
         rows = cost_rows(graph, self.profile)
         if not keep_input:
             rows = rows[len(shapes):]
@@ -546,46 +534,27 @@ class _SegmentCache:
         return _Segment([r.latency_ms for r in rows], sum(r.flops for r in rows), sum(r.params for r in rows),
                         tuple([nodes[nid].out_shape for nid in graph.outputs]), graph, (), {})
 
-    def _part(self, key, lower, args, shapes, keep_input: bool) -> _Segment:
-        """The repeat unit or fusion block part stored in `units` under
-        `key`, lowering `lower(gb, inputs, *args)` on placeholder inputs of
-        these shapes if it is missing."""
-        part = self.units.get(key)
-        if part is None:
-            part = self.units[key] = self._lower(lower, args, shapes, keep_input)
-        return part
-
     def _segment(self, segment, shapes) -> _Segment:
         """The entry of a segment on inputs of these shapes, not yet in
-        `entries`. Only stage 0, which reads feature 0, keeps its input row."""
-        lower, args, reads = segment
-        if lower is _fusion_block:
-            name, resamples, width, style, depth = args
-            parts = [self._part((_fusion_entry, resamples, width, style, shapes),
-                                _fusion_entry, (name, resamples, width, style), shapes, False)]
-            if style != "Conv":
-                stem = parts[0].out_shapes
-                parts.append(self._part((_fusion_body, width, style, depth, stem[0]),
-                                        _fusion_body, (name, width, style, depth), stem, False))
-        else:
-            keep_input = reads == (0,)
-            units = stage_units(args[0], args[1]) if lower is _lower_stage else ()
-            if not units:
-                return self._lower(lower, args, shapes, keep_input)
-            parts = []
-            (shape,) = shapes
-            for unit in units:
-                unit_lower, (out_ch, kernel, stride, _) = unit
-                keep = keep_input and not parts
-                part = self._part((unit_lower, out_ch, kernel, stride, shape, keep),
-                                  _lower_unit, unit, (shape,), keep)
-                parts.append(part)
-                shape = part.out_shapes[0]
+        `entries`: its parts chained from the `units` store."""
+        parts_of, args, reads = segment
+        keep_input = reads == (0,)
+        units = self.units
+        parts = []
+        for lower, prefix, part_args in parts_of(*args):
+            key = lower, part_args, shapes, keep_input
+            part = units.get(key)
+            if part is None:
+                part = units[key] = self._lower(lower, prefix, part_args, shapes, keep_input)
+            parts.append(part)
+            shapes, keep_input = part.out_shapes, False
+        if len(parts) == 1:
+            return parts[0]
         latencies = []
         for part in parts:
             latencies += part.latencies
         return _Segment(latencies, sum(p.flops for p in parts), sum(p.params for p in parts),
-                        parts[-1].out_shapes, None, tuple(parts), {})
+                        shapes, None, tuple(parts), {})
 
     def evaluate(self, genome: DetectorGenome) -> ArchiveEntry:
         entry = self.genomes.get(genome)
@@ -644,29 +613,16 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     `history` records (score, latency, feasible) per evaluated candidate per
     generation, generation 0 being the initial population, and `leaders` the
     best feasible entry so far after each generation. Candidates are
-    evaluated segment by segment (each backbone stage, four neck fusion
-    blocks, the head; the neck's and head's segments are built once) from a
-    store with two levels: a segment whose arguments and input shapes were
-    seen earlier in the search, in any generation, is reused; and a new Res,
-    Mob or ConvBnAct stage is composed from its repeat units, each lowered
-    once per search for each width, kernel, stride and input shape and
-    shared by every repeat position it takes, as a new fusion block is
-    composed from its entry (resampling, concat and stem), lowered once per
-    search for each form and input shapes, and its body (residual chain,
-    aggregation, output conv), lowered once for each form and stem shape.
-    So `deepen` of a stage of depth >= 2 and `shallow` lower no unit, and
-    `widen` lowers the first two units of its stage, the first unit of the
-    next, whose input width follows, and, if it is a pyramid tap, the
-    entries of the fusion blocks that read it; a change of a neck width in
-    the genome re-lowers at most the blocks of that width, those that read
-    them, and the head. A genome seen before in the search is not evaluated
-    again. Results equal those of lowering every candidate whole
-    (`reference_evaluate` in tests/test_search.py) exactly; memory grows
-    with the distinct segments, parts and genomes the search evaluates. The
-    seed is validated here, and each child is a `mutate` of a valid genome,
-    which keeps it valid. A seed whose modeled latency overflows (a profile
-    rate out of range) raises `ValidationError`, whatever the budget; a
-    child whose latency overflows is infeasible, whatever the budget.
+    evaluated segment by segment from a store that lives for this call
+    (`_SegmentCache`, whose docstring describes what it reuses), and a
+    genome seen before in the search is not evaluated again. Results equal
+    those of lowering every candidate whole (`reference_evaluate` in
+    tests/test_search.py) exactly; memory grows with the distinct segments,
+    parts and genomes the search evaluates. The seed is validated here, and
+    each child is a `mutate` of a valid genome, which keeps it valid. A seed
+    whose modeled latency overflows (a profile rate out of range) raises
+    `ValidationError`, whatever the budget; a child whose latency overflows
+    is infeasible, whatever the budget.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)

@@ -52,6 +52,16 @@ class TestQfl:
         with pytest.raises(ValidationError):
             qfl(1.2, 0.5)
 
+    # NaN compares false to every bound, so a check written as "x < 0 or x > 1" lets it through
+    @pytest.mark.parametrize("pred, target, name", [
+        (math.nan, 0.5, "pred_prob"), (0.5, math.nan, "target_q"),
+        (np.array([0.5, math.nan]), np.array([0.5, 0.5]), "pred_prob"),
+        (np.array([0.5, 0.5]), np.array([math.nan, 0.5]), "target_q"),
+    ])
+    def test_rejects_nan(self, pred, target, name):
+        with pytest.raises(ValidationError, match=rf"^{name} must lie in \[0, 1\]"):
+            qfl(pred, target)
+
 
 class TestDfl:
     def test_integer_target_concentrated_bin_is_zero(self):
@@ -101,6 +111,17 @@ class TestDfl:
     def test_simplex_enforced(self):
         with pytest.raises(ValidationError, match="sum"):
             dfl(np.full(4, 0.3), 1.0)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5, math.nan], [math.nan, 0.5, 0.5], [math.nan] * 3])
+    def test_nan_bin_probability_rejected(self, probs):
+        # NaN compares false, so checks written as "p < 0" and
+        # "abs(sum - 1) > 1e-6" pass it: the first input then scores 0.693
+        with pytest.raises(ValidationError, match="^bin probabilities must be non-negative"):
+            dfl(probs, 0.5)
+
+    def test_infinite_bin_probability_rejected(self):
+        with pytest.raises(ValidationError, match="^bin probabilities must sum to 1"):
+            dfl([0.5, 0.5, math.inf], 0.5)
 
 
 class TestGiou:

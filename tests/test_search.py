@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib.util
 import json
@@ -25,14 +26,15 @@ from detkit.graph import (
     GraphBuilder,
     OpGraph,
     OpNode,
-    _fusion_block,
     _fusion_body,
     _fusion_entry,
+    _fusion_parts,
+    _head_parts,
     _lower_head,
-    _lower_stage,
     build_graph,
+    neck_hidden_width,
     segments,
-    stage_units,
+    stage_parts,
 )
 from detkit.search import (
     MUTATION_OPS,
@@ -79,6 +81,15 @@ def make_cfg(**kw):
     )
     base.update(kw)
     return SearchConfig(**base)
+
+
+def chained(gb: GraphBuilder, inputs, prefix, parts):
+    """`parts` lowered in order on `gb`, each reading the previous one's
+    outputs, as `build_graph` lowers a segment; a part itself, so the search
+    store can lower a whole segment in one graph."""
+    for lower, part_prefix, args in parts:
+        inputs = lower(gb, inputs, part_prefix, *args)
+    return inputs
 
 
 class TestEntropyScore:
@@ -217,6 +228,27 @@ class TestProxyClosedForm:
                     assert math.isclose(new - old, graph.nodes[nid].out_elements * math.log(2.0) / 2,
                                         rel_tol=1e-12)
 
+    @pytest.mark.parametrize("kernel", [1, 5, 7])
+    def test_a_kernel_edit_of_any_stage_leaves_the_score_bit_identical(self, kernel):
+        # the proxy is blind to kernel size: at fan-in init a conv passes on
+        # its input's mean variance whatever its kernel, and an odd kernel
+        # keeps every shape, though it moves the modeled latency. A proxy
+        # that sees kernel size is to change this test in the open.
+        profile = builtin_profile("t4-like")
+        genomes = res_only_mutants()
+        assert genomes[0] == preset_genome("s")
+        moved = 0
+        for genome in genomes:
+            graph = build_graph(genome)
+            score, latency = entropy_score(graph), cost_report(graph, profile).latency_ms
+            for stage in range(len(genome.backbone)):
+                blocks = list(genome.backbone)
+                blocks[stage] = replace(blocks[stage], kernel=kernel)
+                edited = build_graph(genome.with_backbone(blocks))
+                assert entropy_score(edited) == score
+                moved += cost_report(edited, profile).latency_ms != latency
+        assert moved >= len(genomes) * (len(genomes[0].backbone) - 1)
+
     @pytest.mark.parametrize("stage", [0, 1, 4])  # not a tap of s: its taps are stages 2, 3 and 5
     @pytest.mark.parametrize("step", [8, -8])
     def test_a_width_edit_of_a_non_tap_stage_leaves_the_score_bit_identical(self, stage, step):
@@ -337,7 +369,7 @@ class TestVarianceOracle:
             x = gb.input((1, 32, 16, 16))
             spec = BlockSpec(kind, 32, out_ch, stride=stride, depth=1 if kind in ("Focus", "Spp") else 2,
                              kernel=5 if kind == "Spp" else 3)
-            graph = gb.finish(outputs=_lower_stage(gb, [x], spec, 1, 0.5 if kind == "Csp" else None))
+            graph = gb.finish(outputs=chained(gb, [x], None, stage_parts(spec, 1, 0.5 if kind == "Csp" else None)))
             got = search_module._propagate_variance(graph, input_segments)
             assert got == reference_propagate_variance(graph, input_segments)
 
@@ -941,29 +973,20 @@ class TestSegmentCache:
     @staticmethod
     def relowered(monkeypatch, seed_genome, mutant):
         """(segments whose entry `mutant` built anew after `seed_genome`, as
-        names like "backbone.s4", "neck.out3" or "head"; the repeat units and
-        whole segments and fusion block parts it lowered, by name prefix like
-        "backbone.s4.r4" or "neck.mid4.entry"), each named from its
-        `segments` or `stage_units` arguments."""
+        names like "backbone.s4", "neck.out3" or "head"; the parts it lowered,
+        by their name prefix like "backbone.s4.r4" or "neck.mid4"). A segment
+        is named by its first part's prefix less a repeat unit's ".r{r}"."""
         built, lowered = [], []
         segment, lower = search_module._SegmentCache._segment, search_module._SegmentCache._lower
 
-        def label(lower, args):
-            if lower is search_module._lower_unit:
-                return args[1][3]  # the unit's name prefix
-            if lower is _lower_stage:
-                return f"backbone.s{args[1]}"
-            if lower is _fusion_entry or lower is _fusion_body:
-                return f"neck.{args[0]}.{'entry' if lower is _fusion_entry else 'body'}"
-            return "head" if lower is _lower_head else f"neck.{args[0]}"
-
         def building(self, seg, shapes):
-            built.append(label(*seg[:2]))
+            parts, args, _ = seg
+            built.append(parts(*args)[0][1].split(".r")[0])
             return segment(self, seg, shapes)
 
-        def lowering(self, lower_fn, args, *rest):
-            lowered.append(label(lower_fn, args))
-            return lower(self, lower_fn, args, *rest)
+        def lowering(self, lower_fn, prefix, *rest):
+            lowered.append(prefix)
+            return lower(self, lower_fn, prefix, *rest)
 
         monkeypatch.setattr(search_module._SegmentCache, "_segment", building)
         monkeypatch.setattr(search_module._SegmentCache, "_lower", lowering)
@@ -1001,9 +1024,10 @@ class TestSegmentCache:
         assert mutant.backbone[3].out_ch == seed_genome.backbone[3].out_ch + 8
         built, lowered = self.relowered(monkeypatch, seed_genome, mutant)
         assert built == ["backbone.s3", "backbone.s4", "neck.mid4"]
-        # stage 3's repeats 2-7 share the entry of its repeat 1, and mid4's
+        # stage 3's repeats 2-7 share the entry of its repeat 1; of mid4's
+        # entry and body only the entry, which reads the tap, is lowered: the
         # body reads its stem, whose width does not follow the tap's
-        assert lowered == ["backbone.s3.r0", "backbone.s3.r1", "backbone.s4.r0", "neck.mid4.entry"]
+        assert lowered == ["backbone.s3.r0", "backbone.s3.r1", "backbone.s4.r0", "neck.mid4"]
 
     def test_each_segment_is_lowered_once_per_search(self, monkeypatch):
         built, lowered_parts, part_entries, looked_up, caches = [], [], [], {}, []
@@ -1033,21 +1057,10 @@ class TestSegmentCache:
                 built.append((segment, shapes))
                 return super()._segment(segment, shapes)
 
-            def _lower(self, lower, args, shapes, keep_input):
-                entry = super()._lower(lower, args, shapes, keep_input)
-                # each part's form: what fixes its numbers, with no name
-                if lower is search_module._lower_unit:
-                    unit_lower, (out_ch, kernel, stride, _) = args
-                    form = unit_lower, out_ch, kernel, stride, shapes[0], keep_input
-                elif lower is _fusion_entry:
-                    _, resamples, width, style = args
-                    form = lower, resamples, width, style, tuple(shapes)
-                elif lower is _fusion_body:
-                    _, width, style, depth = args
-                    form = lower, width, style, depth, shapes[0]
-                else:
-                    return entry
-                lowered_parts.append(form)
+            def _lower(self, lower, prefix, args, shapes, keep_input):
+                entry = super()._lower(lower, prefix, args, shapes, keep_input)
+                # each part's form, the store key: what fixes its numbers, with no name
+                lowered_parts.append((lower, args, shapes, keep_input))
                 part_entries.append(entry)
                 return entry
 
@@ -1057,15 +1070,16 @@ class TestSegmentCache:
         assert cache.evaluated == 8 * 61
         assert len(built) == len(set(built))
         assert set(built) == set(looked_up) == set(cache.entries)
-        # each repeat unit and fusion entry and body form is lowered once,
-        # however many stages, repeat positions and blocks it serves, and
-        # every stored part is such a lowering
+        # each part form is lowered once, however many stages, repeat
+        # positions and blocks it serves, and every stored part is such a
+        # lowering; a one-part segment's entry is its part
         assert len(lowered_parts) == len(set(lowered_parts)) == len(cache.units)
         assert set(lowered_parts) == set(cache.units)
         assert {id(entry) for entry in cache.units.values()} == set(map(id, part_entries))
-        assert len(cache.units) < sum(len(entry.units) for entry in cache.entries.values())
-        assert {form[0] for form in lowered_parts} >= {_fusion_entry, _fusion_body}
-        fusion_blocks = [entry for (segment, _), entry in cache.entries.items() if segment[0] is _fusion_block]
+        assert all(id(entry) in set(map(id, part_entries)) for entry in cache.entries.values() if not entry.units)
+        assert len(cache.units) < sum(len(entry.units) or 1 for entry in cache.entries.values())
+        assert {form[0] for form in lowered_parts} >= {_fusion_entry, _fusion_body, _lower_head}
+        fusion_blocks = [entry for (segment, _), entry in cache.entries.items() if segment[0] is _fusion_parts]
         # a block's body outlives edits of the taps its entry reads
         assert (len({id(entry.units[1]) for entry in fusion_blocks})
                 < len({id(entry.units[0]) for entry in fusion_blocks}) <= len(fusion_blocks))
@@ -1138,22 +1152,56 @@ class TestFusionParts:
         features = [gb.input((1, genome.backbone[0].in_ch, *genome.input_res))]
         blocks = 0
         for segment in segments(genome, genome.pyramid_taps()):
-            lower, args, reads = segment
-            if lower is _fusion_block:
+            parts, args, reads = segment
+            if parts is _fusion_parts:
                 shapes = tuple(gb.shape(features[i]) for i in reads)
-                whole = cache._lower(lower, args, shapes, False)
-                parts = cache._segment(segment, shapes)
-                assert len(parts.units) == (1 if style == "Conv" else 2)  # entry, then body
-                assert (parts.latencies, parts.flops, parts.params, parts.out_shapes) == (
+                # the block's parts chained on one graph
+                whole = cache._lower(chained, None, (parts(*args),), shapes, False)
+                composed = cache._segment(segment, shapes)
+                assert len(composed.units) == (0 if style == "Conv" else 2)  # a Conv block is its entry
+                assert (composed.latencies, composed.flops, composed.params, composed.out_shapes) == (
                     whole.latencies, whole.flops, whole.params, whole.out_shapes)
                 blocks += 1
-            features += lower(gb, [features[i] for i in reads], *args)
+            features += chained(gb, [features[i] for i in reads], None, parts(*args))
         assert blocks == 4
 
 
-# name prefixes of one unit form besides backbone.s1.r1: one that extends it,
-# and two that differ in their stage or repeat digits
-PREFIXES = ["backbone.s1.r10", "backbone.s12.r1", "backbone.s0.r0"]
+HEAD = HeadConfig(head_depth=2, reg_bins=8)
+
+
+def part_forms() -> list[tuple]:
+    """(lower, args, input shapes) of one part of every kind: repeat units
+    with and without a stride and a width change, whole stages, fusion
+    entries and bodies of every style, and the head."""
+    forms = []
+    in_shape = (1, 32, 16, 16)
+    for kind in ("Res", "Mob", "ConvBnAct", "Csp", "Focus", "Spp"):
+        for stride in (1, 2):
+            for out_ch in (32, 48):
+                if (kind, stride) in (("Focus", 1), ("Spp", 2)):
+                    continue
+                spec = BlockSpec(kind, 32, out_ch, stride=stride, depth=1 if kind in ("Focus", "Spp") else 2,
+                                 kernel=5 if kind == "Spp" else 3)
+                lower, _, args = stage_parts(spec, 1, 0.5 if kind == "Csp" else None)[-1]
+                if kind in ("Res", "Mob", "ConvBnAct"):
+                    args = args[:2] + (stride,)  # this stride at any repeat
+                forms.append((lower, args, (in_shape,)))
+    entry_shapes = ((1, 64, 16, 16), (1, 128, 8, 8), (1, 32, 32, 32))
+    for style in FUSION_STYLES:
+        for lower, _, args in _fusion_parts("mid4", (None, "up_c5", "down_c3"), 64, style, 2):
+            forms.append((lower, args, entry_shapes if lower is _fusion_entry else
+                          ((1, neck_hidden_width(64), 16, 16),)))
+    [(lower, _, args)] = _head_parts(HEAD, 3)
+    forms.append((lower, args, ((1, 48, 32, 32), (1, 64, 16, 16), (1, 96, 8, 8))))
+    return forms
+
+
+PART_FORMS = part_forms()
+
+# name prefixes of one part form besides backbone.s1.r1: one that extends it,
+# two that differ in their stage or repeat digits, and those of a whole
+# stage, a fusion block and the head
+PREFIXES = ["backbone.s1.r10", "backbone.s12.r1", "backbone.s0.r0", "backbone.s3", "neck.out5", "head"]
 
 
 class TestUnitStore:
@@ -1162,33 +1210,38 @@ class TestUnitStore:
         genome = preset_genome("s")
         cache.evaluate(genome)
         [stage] = [entry for (segment, _), entry in cache.entries.items()
-                   if segment[0] is _lower_stage and segment[1][1] == 3]
+                   if segment[0] is stage_parts and segment[1][1] == 3]
         assert genome.backbone[3].kind == "Res" and len(stage.units) == genome.backbone[3].depth == 8
         # repeat 0 applies the stride and the width change, repeats 1-7 are one form
         assert stage.units[0] is not stage.units[1]
         assert all(unit is stage.units[1] for unit in stage.units[1:])
         assert sum(unit is stage.units[1] for unit in cache.units.values()) == 1
 
-    @pytest.mark.parametrize("kind", ["Res", "Mob", "ConvBnAct"])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("out_ch", [32, 48])  # with and without a width change
+    def test_whole_stages_of_one_form_share_an_entry_across_positions(self):
+        # two equal Csp stages in a row: stages 2 and 3 are one form on one input shape
+        genome = preset_genome("tiny")
+        width = genome.backbone[1].out_ch
+        csp = BlockSpec("Csp", width, width, stride=1, depth=2, kernel=3)
+        genome = genome.with_backbone(genome.backbone[:2] + (csp, csp) + genome.backbone[2:])
+        genome.validate()
+        cache = search_module._SegmentCache(builtin_profile("t4-like"))
+        cache.evaluate(genome)
+        stages = [entry for (segment, _), entry in cache.entries.items()
+                  if segment[0] is stage_parts and segment[1][1] in (2, 3)]
+        assert len(stages) == 2 and stages[0] is stages[1]
+
+    @pytest.mark.parametrize("form", PART_FORMS, ids=[f"{lower.__name__}-{i}" for i, (lower, _, _) in
+                                                      enumerate(PART_FORMS)])
     @pytest.mark.parametrize("keep_input", [False, True])
-    def test_a_unit_lowers_to_the_same_entry_under_every_prefix(self, kind, stride, out_ch, keep_input):
-        # the premise of a name-free store: a unit's numbers and graph, but
+    def test_a_part_lowers_to_the_same_entry_under_every_prefix(self, form, keep_input):
+        # the premise of a name-free store: a part's numbers and graph, but
         # for its node names, do not depend on its name prefix
         cache = search_module._SegmentCache(builtin_profile("x86-like"))
-        shape = (1, 32, 16, 16)
-
-        def unit(i, r):
-            spec = BlockSpec(kind, 32, out_ch, stride=stride, depth=r + 1, kernel=3)
-            lower, (width, kernel, _, prefix) = stage_units(spec, i)[r]
-            return lower, (width, kernel, stride, prefix)  # this stride at any repeat
-
-        first = cache._lower(search_module._lower_unit, unit(1, 1), (shape,), keep_input)
+        lower, args, shapes = form
+        first = cache._lower(lower, "backbone.s1.r1", args, shapes, keep_input)
         variances = [((32, 1.0),), ((32, 2.5),), ((8, 1.0), (24, 4.0))]
         for prefix in PREFIXES:
-            i, r = (int(part[1:]) for part in prefix.split(".")[1:])
-            other = cache._lower(search_module._lower_unit, unit(i, r), (shape,), keep_input)
+            other = cache._lower(lower, prefix, args, shapes, keep_input)
             assert other.graph.nodes[-1].name.startswith(prefix + ".")
             assert (other.latencies, other.flops, other.params, other.out_shapes) == (
                 first.latencies, first.flops, first.params, first.out_shapes)
@@ -1198,24 +1251,34 @@ class TestUnitStore:
                 assert (search_module._output_variance(other, variance)
                         == search_module._output_variance(first, variance))
 
-    def test_every_unit_node_is_named_under_its_prefix(self):
-        # `stage_units`' contract: a unit names each node it emits under its
-        # own prefix plus "."
+    def test_every_part_node_is_named_under_its_prefix(self):
+        # the part rule: a part names each node it emits under its own prefix
+        # plus ".", but for a fusion entry's resample nodes, which are named
+        # for what they read ("neck.up_c5", "neck.down_out3") and are shared
+        # by no other block
         rng = random.Random(11)
         genomes = [preset_genome(name) for name in ("tiny", "s")] + [random_genome(rng) for _ in range(60)]
-        checked = 0
+        checked = collections.Counter()
         for genome in genomes:
             gb = GraphBuilder()
-            x = gb.input((1, genome.backbone[0].in_ch, *genome.input_res))
-            for i, spec in enumerate(genome.backbone):
-                units = stage_units(spec, i)
-                if not units:
-                    (x,) = _lower_stage(gb, [x], spec, i, genome.csp_hidden_ratio)
-                    continue
-                for lower, args in units:
+            features = [gb.input((1, genome.backbone[0].in_ch, *genome.input_res))]
+            for parts, args, reads in segments(genome, genome.pyramid_taps()):
+                outputs = [features[i] for i in reads]
+                for lower, prefix, part_args in parts(*args):
                     first = len(gb._nodes)
-                    x = lower(gb, x, *args)
-                    names = [node.name for node in gb._nodes[first:]]
-                    assert names and all(name.startswith(args[3] + ".") for name in names), names
-                    checked += 1
-        assert checked > 100
+                    outputs = lower(gb, outputs, prefix, *part_args)
+                    nodes = gb._nodes[first:]
+                    if lower is _fusion_entry:
+                        resampled = [node for node in nodes if not node.name.startswith(prefix + ".")]
+                        assert all(node.kind in ("upsample", "maxpool")
+                                   and node.name.startswith(("neck.up_", "neck.down_")) for node in resampled)
+                        nodes = [node for node in nodes if node not in resampled]
+                    names = [node.name for node in nodes]
+                    assert names and all(name.startswith(prefix + ".") for name in names), names
+                    checked[lower.__name__] += 1
+                features += outputs
+            # the chain is `build_graph`'s lowering
+            assert gb._nodes == list(build_graph(genome).nodes)
+        assert set(checked) == {"_res_unit", "_mob_unit", "_conv_unit", "_lower_csp_stage", "_lower_focus",
+                                "_lower_spp", "_fusion_entry", "_fusion_body", "_lower_head"}
+        assert sum(checked.values()) > 100
