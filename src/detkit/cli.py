@@ -14,10 +14,10 @@ Every input document is read through `detkit.fields`, so one rule decides
 what a valid field is and every error names its path. Exit codes: 0 ok, 2
 input/config error, 3 infeasible search, 4 internal error.
 Every output *file* gets a `<file>.manifest.json` sidecar recording the
-command, a hash of its options (all but the output paths) and input files,
-the seed, the toolkit version, and timestamps; JSON and NDJSON outputs name
-it. Keeping timestamps in the sidecar is what lets seeded runs produce
-byte-identical primary outputs.
+command, a hash of its options (all but the output paths) and of each input
+file as it is read, the seed, the toolkit version, and timestamps; JSON and
+NDJSON outputs name it. Keeping timestamps in the sidecar is what lets seeded
+runs produce byte-identical primary outputs.
 """
 from __future__ import annotations
 
@@ -72,41 +72,28 @@ EXIT_INTERNAL = 4
 _NOT_FINITE = "the result is not finite: an input value is out of range"
 
 
-def _manifest_json(args, input_paths, seed) -> str:
-    # every parsed option but the output paths, then every input file
-    options = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "history")}
-    digest = hashlib.sha256(json.dumps(options, sort_keys=True).encode())
-    for path in input_paths:
-        digest.update(str(path).encode())
-        digest.update(Path(path).read_bytes())
-    return json.dumps(
-        {
-            "command": args.command,
-            "config_hash": digest.hexdigest(),
-            "seed": seed,
-            "version": __version__,
-            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        },
-        indent=2,
-    ) + "\n"
+# the running command's `config_hash`, while it runs and writes a manifest:
+# `main` starts it over the options, and `_read_bytes` adds each input file
+_digest = None
+
+
+def _read_bytes(path, field: str | None = None) -> bytes:
+    """The one way an input file is read. Its path and bytes go into the
+    running command's `config_hash` before the caller decodes them. A missing
+    file, or a directory, is an input error; `field` names the document field
+    that gave the path."""
+    try:
+        data = Path(path).read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise ValidationError(f"input file not found: {path}", path=field) from None
+    if _digest is not None:
+        _digest.update(str(path).encode())
+        _digest.update(data)
+    return data
 
 
 def _read(path) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"input file not found: {p}")
-    return read_utf8(p, p)
-
-
-def _is_profile_file(spec: str) -> bool:
-    """Whether `--profile` names a JSON file rather than a built-in profile."""
-    return Path(spec).exists()
-
-
-def _load_profile(spec: str) -> DeviceProfile:
-    if _is_profile_file(spec):
-        return DeviceProfile.from_json(_read(spec))
-    return builtin_profile(spec)
+    return read_utf8(_read_bytes(path), path)
 
 
 def _parse_res(raw: str) -> tuple[int, int]:
@@ -120,11 +107,11 @@ def _parse_res(raw: str) -> tuple[int, int]:
     return res
 
 
-def _emit(out: str | None, args, inputs, *, doc: dict | None = None,
+def _emit(out: str | None, args, *, doc: dict | None = None,
           records: list | None = None, text: str | None = None, seed: int | None = None) -> None:
     """Write one primary output, given as a JSON `doc`, NDJSON `records` or
     plain `text`, to `out` or to stdout. A file gets a `<file>.manifest.json`
-    sidecar hashing the command's options `args` and its input files `inputs`;
+    sidecar hashing the command's options `args` and the input files it read;
     a doc names it in a trailing "manifest" key, records in a leading
     {"manifest": ...} line."""
     ref = None if out is None else Path(out).name + ".manifest.json"
@@ -139,7 +126,13 @@ def _emit(out: str | None, args, inputs, *, doc: dict | None = None,
     if out is None:
         sys.stdout.write(text)
         return
-    Path(out + ".manifest.json").write_text(_manifest_json(args, inputs, seed))
+    Path(out + ".manifest.json").write_text(json.dumps({
+        "command": args.command,
+        "config_hash": _digest.hexdigest(),
+        "seed": seed,
+        "version": __version__,
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }, indent=2) + "\n")
     Path(out).write_text(text)
 
 
@@ -153,15 +146,14 @@ def cmd_search(args) -> int:
     # collection would traverse more of it, and the search makes no cycles
     with _collector_paused():
         archive = search(genome, cfg)
-    inputs = [args.space, args.config]
-    _emit(args.out, args, inputs, records=[e.to_record() for e in archive.sorted_entries()],
+    _emit(args.out, args, records=[e.to_record() for e in archive.sorted_entries()],
           seed=cfg.seed)
 
     if args.history:
         rows = ["generation,best_score,best_latency_ms"] + [
             f"{gen},{e.score.value:.6f},{_latency_cell(e.latency_ms, 6, 16)}"
             for gen, e in enumerate(archive.leaders)]
-        _emit(args.history, args, inputs, text="\n".join(rows) + "\n", seed=cfg.seed)
+        _emit(args.history, args, text="\n".join(rows) + "\n", seed=cfg.seed)
     print(f"wrote {len(archive.entries)} archive entries to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -169,23 +161,23 @@ def cmd_search(args) -> int:
 def cmd_cost(args) -> int:
     genome = genome_from_json(_read(args.genome))
     res = _parse_res(args.res) if args.res else None
-    profile = _load_profile(args.profile)
+    profile = (DeviceProfile.from_json(_read(args.profile)) if Path(args.profile).exists()
+               else builtin_profile(args.profile))
     report = cost_report(build_graph(genome, input_res=res), profile, strict=args.strict)
     # rows are non-negative, so a finite total means finite rows, in either format
     if report.latency_ms is not None and not math.isfinite(report.latency_ms):
         raise ValidationError(_NOT_FINITE)
-    inputs = [args.genome] + ([args.profile] if _is_profile_file(args.profile) else [])
     if args.format == "table":
-        _emit(args.out, args, inputs, text=report.to_table())
+        _emit(args.out, args, text=report.to_table())
     else:
-        _emit(args.out, args, inputs, doc=report.to_doc())
+        _emit(args.out, args, doc=report.to_doc())
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
     genome = genome_from_json(_read(args.genome))
     score = entropy_score(build_graph(genome))
-    _emit(args.out, args, [args.genome], doc={"value": score.value, "per_scale": list(score.per_scale)})
+    _emit(args.out, args, doc={"value": score.value, "per_scale": list(score.per_scale)})
     return EXIT_OK
 
 
@@ -263,7 +255,7 @@ def cmd_assign(args) -> int:
             "soft_labels": [s for s in result.soft_labels],
             "warnings": list(result.warnings),
         })
-    _emit(args.out, args, [args.input], records=records)
+    _emit(args.out, args, records=records)
     return EXIT_OK
 
 
@@ -329,8 +321,10 @@ def cmd_loss(args) -> int:
         teacher_files, student_files = strings(spec, "teacher", "distill"), strings(spec, "student", "distill")
         kind = string(spec, "kind", "distill", "cwd")
         try:
-            teacher = [load_raw_tensor(base / f) for f in teacher_files]
-            student = [load_raw_tensor(base / f) for f in student_files]
+            teacher = [load_raw_tensor(base / f, functools.partial(_read_bytes, field=f"distill.teacher[{i}]"))
+                       for i, f in enumerate(teacher_files)]
+            student = [load_raw_tensor(base / f, functools.partial(_read_bytes, field=f"distill.student[{i}]"))
+                       for i, f in enumerate(student_files)]
             with within("distill"):
                 distill = distill_loss(teacher, student, kind=kind)
         except ShapeError as e:  # the tensors' shapes come from the input files
@@ -338,7 +332,7 @@ def cmd_loss(args) -> int:
 
     breakdown = loss_breakdown((q, d, g), weights, distill=distill,
                                epoch=epoch, schedule=schedule)
-    _emit(args.out, args, [args.input], doc={
+    _emit(args.out, args, doc={
         "qfl": breakdown.qfl,
         "dfl": breakdown.dfl,
         "giou": breakdown.giou,
@@ -385,7 +379,7 @@ def cmd_fold(args) -> int:
                                               identity_bn=identity_bn))
     except ShapeError as e:  # every shape comes from the block document
         raise ValidationError(str(e), path="block") from None
-    _emit(args.out, args, [args.block], doc={
+    _emit(args.out, args, doc={
         "weight": folded.weights.tolist(),
         "bias": folded.bias.tolist(),
         "kernel": 3,
@@ -396,7 +390,7 @@ def cmd_fold(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    _emit(args.out, args, [], text=genome_to_json(preset_genome(args.name)))
+    _emit(args.out, args, text=genome_to_json(preset_genome(args.name)))
     return EXIT_OK
 
 
@@ -456,9 +450,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    global _digest
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if args.out is not None:  # every parsed option but the output paths; input files follow as read
+        options = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "history")}
+        _digest = hashlib.sha256(json.dumps(options, sort_keys=True).encode())
     try:
         return args.fn(args)
     except InfeasibleError as e:
@@ -470,6 +467,8 @@ def main(argv=None) -> int:
     except DetkitError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        _digest = None
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ Each reader takes the enclosing object, the key and the object's own path
 ("" at the document root); a missing key is an error unless a default is
 given. `column` reads one field of every object in a list into one array and
 names the first bad object, e.g. `images[0].predictions[17].box`. Every
-document file is read by `read_utf8` and parsed by `load_json`. A value rule
-that lives on a library type raises with a path relative to that type (or
-none); `within` puts the path of the enclosing document in front.
+document file's bytes are decoded by `read_utf8` and parsed by `load_json`.
+A value rule that lives on a library type raises with a path relative to
+that type (or none); `within` puts the path of the enclosing document in
+front.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import math
 import reprlib
 from contextlib import contextmanager
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -41,12 +41,12 @@ _brief.maxlevel = 1
 _brief.maxlist = 4
 
 
-def read_utf8(path, what) -> str:
-    """A document file's text, `what` naming it in the error. JSON is UTF-8
-    (RFC 8259 section 8.1) whatever the locale, and its line ends need no
-    translation: CR is JSON whitespace."""
+def read_utf8(data: bytes, what) -> str:
+    """A document file's bytes as text, `what` naming the file in the error.
+    JSON is UTF-8 (RFC 8259 section 8.1) whatever the locale, and its line
+    ends need no translation: CR is JSON whitespace."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ValidationError(f"{what} is not UTF-8: byte {e.start} ({e.object[e.start]:#04x}): {e.reason}") from None
 

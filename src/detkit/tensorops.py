@@ -21,6 +21,7 @@ copy of the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -251,22 +252,21 @@ _RAW_LAYOUT = {"dtype": "float32", "byte_order": "little", "order": "C"}
 def save_raw_tensor(path, x: Tensor4) -> None:
     """Write little-endian float32 raw data plus a `<path>.json` shape sidecar."""
     import json
-    from pathlib import Path
 
-    path = Path(path)
     x.data.astype("<f4").tofile(path)
     sidecar = {"shape": list(x.dims), **_RAW_LAYOUT}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-def load_raw_tensor(path) -> Tensor4:
-    """Read a tensor written by save_raw_tensor."""
+def load_raw_tensor(path, read=Path.read_bytes) -> Tensor4:
+    """Read a tensor written by save_raw_tensor: the raw data, then its
+    sidecar, each file's bytes given by `read(Path)`. The data's length must
+    be exactly that of the sidecar's shape."""
     import math
-    from pathlib import Path
 
-    path = Path(path)
-    sidecar = Path(str(path) + ".json")
-    doc = load_json(read_utf8(sidecar, sidecar.name), sidecar.name)
+    path, sidecar = Path(path), Path(str(path) + ".json")
+    raw = read(path)
+    doc = load_json(read_utf8(read(sidecar), sidecar.name), sidecar.name)
     shape = tuple(integers(doc, "shape", sidecar.name, length=4))
     if min(shape) < 1:
         raise ValidationError(f"dims must be >= 1, got {list(shape)}", path=f"{sidecar.name}.shape")
@@ -275,7 +275,7 @@ def load_raw_tensor(path) -> Tensor4:
         if value != expected:
             raise ValidationError(f"only {expected!r} is supported, got {value!r}",
                                   path=f"{sidecar.name}.{key}")
-    data = np.fromfile(path, dtype="<f4")
-    if data.size != math.prod(shape):
-        raise ShapeError(f"raw file holds {data.size} values, sidecar shape {shape} needs {math.prod(shape)}")
-    return Tensor4(data.reshape(shape))
+    if len(raw) != (size := 4 * math.prod(shape)):
+        raise ShapeError(f"{path.name} holds {len(raw)} bytes, sidecar shape {shape} needs {size}")
+    # a float32 copy, so the tensor is writable and does not keep the file's bytes alive
+    return Tensor4(np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape))

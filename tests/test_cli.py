@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import logging
@@ -683,6 +685,107 @@ class TestInputEncoding:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestInputFiles:
+    """Every input file reaches the command, and its manifest, through one
+    reader: read once, hashed as read, in read order."""
+
+    @staticmethod
+    def inputs(tmp_path, tiny_genome_path) -> dict[str, tuple[list, list]]:
+        """Per command: an argv without `--out`, and the input files it reads in order."""
+        profile, images, config = tmp_path / "profile.json", tmp_path / "images.json", tmp_path / "search.json"
+        profile.write_text(json.dumps(_PROFILE_OK))
+        images.write_text(json.dumps(_image([_pred()], [_gt()])))
+        config.write_text(json.dumps({"population": 4, "generations": 2, "mutations_per_child": 1,
+                                      "latency_budget_ms": "inf", "seed": 0}))
+        rng = np.random.default_rng(0)
+        for name in ("t.bin", "s.bin"):
+            save_raw_tensor(tmp_path / name, Tensor4(rng.standard_normal((1, 2, 4, 4)).astype(np.float32)))
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"components": {}, "distill": {"teacher": ["t.bin"], "student": ["s.bin"]}}))
+        tensors = [tmp_path / name for name in ("t.bin", "t.bin.json", "s.bin", "s.bin.json")]
+        return {
+            "cost": (["cost", "--genome", str(tiny_genome_path), "--profile", str(profile)],
+                     [tiny_genome_path, profile]),
+            "assign": (["assign", "--input", str(images)], [images]),
+            "search": (["search", "--space", str(tiny_genome_path), "--config", str(config)],
+                       [config, tiny_genome_path]),
+            "loss": (["loss", "--input", str(pairs)], [pairs, *tensors]),
+        }
+
+    @pytest.mark.parametrize("command", ["cost", "assign", "search", "loss"])
+    def test_config_hash_is_the_options_then_each_file_as_read(self, tmp_path, tiny_genome_path, command):
+        argv, files = self.inputs(tmp_path, tiny_genome_path)[command]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        options = {k: v for k, v in vars(cli._build_parser().parse_args(argv + ["--out", "x"])).items()
+                   if k not in ("fn", "out", "history")}
+        digest = hashlib.sha256(json.dumps(options, sort_keys=True).encode())
+        for path in files:
+            digest.update(str(path).encode())
+            digest.update(path.read_bytes())
+        assert json.loads((tmp_path / "out.manifest.json").read_text())["config_hash"] == digest.hexdigest()
+
+    @pytest.mark.parametrize("command", ["cost", "assign", "search", "loss"])
+    def test_each_file_is_read_once_and_dropped_once_decoded(self, tmp_path, tiny_genome_path,
+                                                             monkeypatch, command):
+        argv, files = self.inputs(tmp_path, tiny_genome_path)[command]
+        reads, kept, refs = collections.Counter(), [], []
+        read_bytes, emit = Path.read_bytes, cli._emit
+
+        def counted(path):
+            reads[str(path)] += 1
+            kept.append(read_bytes(path))
+            return kept[-1]
+
+        def emitted(*args, **kwargs):
+            # a control that only `kept` holds: an input's bytes held by no one
+            # else have its reference count when the output is written
+            kept.append(bytes(bytearray(16)))
+            refs.append([sys.getrefcount(data) for data in kept])
+            return emit(*args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        monkeypatch.setattr(cli, "_emit", emitted)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert reads == {str(path): 1 for path in files}
+        assert len(refs) == 1 and len(set(refs[0])) == 1, refs
+
+    def test_a_rewritten_tensor_changes_the_loss_manifest(self, tmp_path, tiny_genome_path):
+        argv, _ = self.inputs(tmp_path, tiny_genome_path)["loss"]
+        hashes = []
+        for fill in (0.0, 1.0):
+            save_raw_tensor(tmp_path / "t.bin", Tensor4(np.full((1, 2, 4, 4), fill, dtype=np.float32)))
+            assert main([*argv, "--out", str(tmp_path / "loss.json")]) == 0
+            hashes.append(json.loads((tmp_path / "loss.json.manifest.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize("argv", [["cost", "--genome", "{dir}"], ["assign", "--input", "{dir}"],
+                                      ["cost", "--genome", "{genome}", "--profile", "{dir}"]],
+                             ids=["genome", "input", "profile"])
+    def test_a_directory_is_not_found(self, tmp_path, capsys, tiny_genome_path, argv):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        assert main([arg.format(dir=directory, genome=tiny_genome_path) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: input file not found: {directory}\n"
+
+    @pytest.mark.parametrize("missing, where", [("t.bin", "distill.teacher[0]"),
+                                                ("s.bin.json", "distill.student[0]")])
+    def test_a_missing_tensor_file_names_its_field(self, tmp_path, capsys, tiny_genome_path, missing, where):
+        argv, _ = self.inputs(tmp_path, tiny_genome_path)["loss"]
+        (tmp_path / missing).unlink()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {where}: input file not found: {tmp_path / missing}\n"
+
+    @pytest.mark.parametrize("size", [127, 129, 0])
+    def test_a_raw_tensor_of_the_wrong_length_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                                      tiny_genome_path, size):
+        argv, _ = self.inputs(tmp_path, tiny_genome_path)["loss"]
+        (tmp_path / "t.bin").write_bytes(bytes(size))  # the sidecar's (1, 2, 4, 4) needs 128
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: distill: t.bin holds {size} bytes, sidecar shape (1, 2, 4, 4) needs 128\n")
 
 
 class TestScoreCommand:

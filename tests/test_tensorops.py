@@ -394,6 +394,23 @@ class TestRawTensorIO:
         with pytest.raises(ShapeError):
             load_raw_tensor(path)
 
+    def test_a_partial_value_is_a_size_mismatch_naming_the_file(self, tmp_path):
+        path = tmp_path / "feat.bin"
+        save_raw_tensor(path, Tensor4(np.zeros((1, 2, 4, 4), dtype=np.float32)))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ShapeError, match=r"^feat\.bin holds 129 bytes, sidecar shape \(1, 2, 4, 4\) needs 128$"):
+            load_raw_tensor(path)
+
+    def test_both_files_are_read_through_the_given_reader(self, tmp_path):
+        x = Tensor4(np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2))
+        path = tmp_path / "feat.bin"
+        save_raw_tensor(path, x)
+        reads = []
+        back = load_raw_tensor(path, lambda p: reads.append(p) or p.read_bytes())
+        assert reads == [path, tmp_path / "feat.bin.json"]
+        np.testing.assert_array_equal(back.data, x.data)
+        assert back.data.flags.writeable
+
 
 def test_tensor4_validation():
     with pytest.raises(ShapeError):
