@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .cost import DeviceProfile, _latency_cell, builtin_profile, cost_report, cost_rows, fold_sum
 from .errors import InfeasibleError, ValidationError
 from .fields import boolean, get, integer, load_json, number, strings
-from .genome import STACKED_KINDS, BlockSpec, DetectorGenome, genome_to_doc
+from .genome import MAX_CHANNELS, MAX_DEPTH, STACKED_KINDS, BlockSpec, DetectorGenome, genome_to_doc
 from .graph import GraphBuilder, OpGraph, build_graph, neck_segments, stage_segments
 
 __all__ = [
@@ -290,24 +290,23 @@ def _allowed_swap_kinds(genome: DetectorGenome, cfg: SearchConfig) -> tuple[str,
     return ("Res",) if _stacked_depth(genome) < cfg.scale_rule_depth else ("Csp",)
 
 
-def _edit(genome: DetectorGenome, op: str, rng: random.Random, cfg: SearchConfig) -> tuple | None:
-    """One draw of `op` on a valid genome: the edited backbone and the specs
-    the edit put in it, or None when the draw is out of bounds or has nothing
-    to edit. A width edit also sets the next stage's in_ch, so the chain holds."""
+def _edit(genome: DetectorGenome, op: str, rng: random.Random, cfg: SearchConfig) -> list | None:
+    """One draw of `op` on a valid genome: the edited backbone, or None when
+    the draw is out of bounds or has nothing to edit. The bounds are the
+    config's, capped at the genome's own maxima, so every edit returned is
+    valid. A width edit also sets the next stage's in_ch, so the chain holds."""
     blocks = list(genome.backbone)
     if op in ("widen", "narrow"):
         i = rng.randrange(len(blocks))
-        step = cfg.width_step if op == "widen" else -cfg.width_step
         b = blocks[i]
-        new_w = b.out_ch + step
-        if not cfg.width_min <= new_w <= cfg.width_max:
+        new_w = b.out_ch + (cfg.width_step if op == "widen" else -cfg.width_step)
+        if not cfg.width_min <= new_w <= min(cfg.width_max, MAX_CHANNELS):
             return None
         blocks[i] = BlockSpec(b.kind, b.in_ch, new_w, b.stride, b.depth, b.kernel)
-        if i + 1 == len(blocks):
-            return blocks, (blocks[i],)
-        c = blocks[i + 1]
-        blocks[i + 1] = BlockSpec(c.kind, new_w, c.out_ch, c.stride, c.depth, c.kernel)
-        return blocks, (blocks[i], blocks[i + 1])
+        if i + 1 < len(blocks):
+            c = blocks[i + 1]
+            blocks[i + 1] = BlockSpec(c.kind, new_w, c.out_ch, c.stride, c.depth, c.kernel)
+        return blocks
     if op in ("deepen", "shallow"):
         candidates = [i for i, b in enumerate(blocks) if b.kind in _DEPTH_KINDS]
         if not candidates:
@@ -315,10 +314,10 @@ def _edit(genome: DetectorGenome, op: str, rng: random.Random, cfg: SearchConfig
         i = candidates[rng.randrange(len(candidates))]
         b = blocks[i]
         new_d = b.depth + (1 if op == "deepen" else -1)
-        if not 1 <= new_d <= cfg.depth_max:
+        if not 1 <= new_d <= min(cfg.depth_max, MAX_DEPTH):
             return None
         blocks[i] = BlockSpec(b.kind, b.in_ch, b.out_ch, b.stride, new_d, b.kernel)
-        return blocks, (blocks[i],)
+        return blocks
     if op == "swap_kind":
         candidates = [i for i, b in enumerate(blocks) if b.kind in STACKED_KINDS]
         if not candidates:
@@ -330,7 +329,7 @@ def _edit(genome: DetectorGenome, op: str, rng: random.Random, cfg: SearchConfig
             return None
         blocks[i] = BlockSpec(options[rng.randrange(len(options))], b.in_ch, b.out_ch, b.stride, b.depth,
                               b.kernel)
-        return blocks, (blocks[i],)
+        return blocks
     raise ValidationError(f"unknown mutation op {op!r}")
 
 
@@ -338,29 +337,22 @@ def mutate(genome: DetectorGenome, rng: random.Random,
            cfg: SearchConfig | None = None) -> DetectorGenome:
     """Apply one random structural edit to the backbone of a valid genome.
 
-    Infeasible draws (out-of-bounds widths or depths, no legal kind swap, an
-    edited stage its own `BlockSpec.validate` rejects) are resampled up to
-    `_MUTATION_DRAWS` times; if everything fails the genome is returned
-    unchanged. Only the specs an edit replaced are validated: an edit keeps
-    the strides, the channel chain, the neck and the head, so a valid genome
-    stays valid when they are. The input must be valid (`search` validates
-    its seed, and every child is a mutant of it).
+    Infeasible draws (out-of-bounds widths or depths, no legal kind swap) are
+    resampled up to `_MUTATION_DRAWS` times; if everything fails the genome
+    is returned unchanged. The bounds are the one legality rule: a
+    `width_max` above 65536 channels or a `depth_max` above 1024 acts as
+    that genome maximum. An edit within them keeps the strides, kernels,
+    channel chain, neck and head, and swaps only among Mob/Res/Csp, so a
+    valid genome stays valid unchecked. The input must be valid (`search`
+    validates its seed, and every child is a mutant of it).
     """
     if cfg is None:
         cfg = _DEFAULT_MUTATION_CFG
     ops = cfg.mutation_ops
     for _ in range(_MUTATION_DRAWS):
-        op = ops[rng.randrange(len(ops))]
-        edit = _edit(genome, op, rng, cfg)
-        if edit is None:
-            continue
-        blocks, replaced = edit
-        try:
-            for spec in replaced:
-                spec.validate()
-        except ValidationError:
-            continue
-        return genome.with_backbone(blocks)
+        blocks = _edit(genome, ops[rng.randrange(len(ops))], rng, cfg)
+        if blocks is not None:
+            return genome.with_backbone(blocks)
     return genome
 
 
@@ -620,9 +612,10 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     tests/test_search.py) exactly; memory grows with the distinct segments,
     parts and genomes the search evaluates. The seed is validated here, and
     each child is a `mutate` of a valid genome, which keeps it valid. A seed
-    whose modeled latency overflows (a profile rate out of range) raises
-    `ValidationError`, whatever the budget; a child whose latency overflows
-    is infeasible, whatever the budget.
+    whose modeled latency overflows (a profile rate out of range) or whose
+    score overflows (~1014 Res units above a tap) raises `ValidationError`,
+    whatever the budget; a child whose latency or score overflows is
+    infeasible, whatever the budget.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)
@@ -634,6 +627,9 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     if not math.isfinite(seed_entry.latency_ms):
         raise ValidationError(f"the seed genome's latency is not finite ({seed_entry.latency_ms} ms): "
                               "a rate or overhead is out of range", path="device_profile")
+    if not math.isfinite(seed_entry.score.value):
+        raise ValidationError(f"the seed genome's proxy score is not finite ({seed_entry.score.value}): "
+                              "its residual stacks are too deep", path="backbone")
     if seed_entry.latency_ms > cfg.latency_budget_ms:
         raise InfeasibleError(
             f"seed genome is infeasible: latency {seed_entry.latency_ms:.4f} ms "
@@ -649,8 +645,9 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
             entries = [cache.evaluate(g) for g in _offspring(population, rng, cfg)]
         record = []
         for entry in entries:
-            # an overflowed latency is infeasible under any budget, "inf" included
-            feasible = entry.latency_ms <= cfg.latency_budget_ms and math.isfinite(entry.latency_ms)
+            # an overflowed latency or score is infeasible under any budget, "inf" included
+            feasible = (entry.latency_ms <= cfg.latency_budget_ms
+                        and math.isfinite(entry.latency_ms) and math.isfinite(entry.score.value))
             record.append((entry.score.value, entry.latency_ms, feasible))
             if feasible:
                 population.append(entry)

@@ -25,7 +25,7 @@ from detkit.cost import builtin_profile
 from detkit.search import MUTATION_OPS, SearchConfig, search
 from detkit.tensorops import Tensor4, save_raw_tensor
 
-from test_search import reference_evaluate
+from test_search import deep_s, reference_evaluate
 
 
 @pytest.fixture
@@ -436,6 +436,34 @@ class TestSearchCommand:
             assert row.startswith(f"{gen},{leader.score.value:.6f},")
             assert (text, cell) == (f"{leader.latency_ms:.4e}", f"{leader.latency_ms:.6e}")
             assert len(text) <= 16 and len(cell) <= 16
+
+    # `s` with 1002 Res units in stage 3 scores ~2.2e8, and each deepened child
+    # (or the seed at 1003) overflows to an inf score
+    def _deepen_only_search(self, tmp_path, caplog, depth):
+        space, cfg, out = tmp_path / "deep.json", tmp_path / "deepen.json", tmp_path / "archive.ndjson"
+        space.write_text(genome_to_json(deep_s(depth)))
+        cfg.write_text(json.dumps({"population": 4, "generations": 3, "mutations_per_child": 1,
+                                   "latency_budget_ms": "inf", "seed": 0, "mutation_ops": ["deepen"],
+                                   "depth_max": 1024}))
+        caplog.set_level(logging.INFO, logger="detkit.search")
+        code = main(["search", "--space", str(space), "--config", str(cfg), "--out", str(out)])
+        return code, out, [m for m in caplog.messages if m.startswith("generation=")]
+
+    def test_children_whose_score_overflows_are_infeasible(self, tmp_path, caplog):
+        code, out, logged = self._deepen_only_search(tmp_path, caplog, 1002)
+        assert code == 0
+        records = [strict_json(line) for line in out.read_text().splitlines()[1:]]
+        assert len(records) == 1 and records[0]["score"] == pytest.approx(219156722.155, abs=1e-3)
+        assert all(math.isfinite(value) for r in records for value in [r["score"], *r["per_scale"]])
+        assert len(logged) == 4 and "inf" not in " ".join(logged)
+
+    def test_a_seed_whose_score_overflows_exits_2(self, tmp_path, capsys, caplog):
+        code, out, logged = self._deepen_only_search(tmp_path, caplog, 1003)
+        assert code == 2
+        assert not out.exists() and logged == []
+        assert capsys.readouterr().err == (
+            "error: backbone: the seed genome's proxy score is not finite (inf): "
+            "its residual stacks are too deep\n")
 
     @settings(max_examples=100, deadline=None)
     @given(config=search_configs())
@@ -1430,6 +1458,15 @@ class TestPresetCommand:
             text = capsys.readouterr().out
             genome = genome_from_json(text)
             assert genome == preset_genome(name)
+
+    @pytest.mark.parametrize("name", ["s", "tiny"])
+    def test_out_file_is_the_plain_genome_document(self, tmp_path, name):
+        # no trailing "manifest" key: the file stays a genome that cost, score
+        # and search --space read; the sidecar still records the command
+        out = tmp_path / f"{name}.json"
+        assert main(["preset", "--name", name, "--out", str(out)]) == 0
+        assert out.read_bytes() == genome_to_json(preset_genome(name)).encode()
+        assert json.loads((tmp_path / f"{name}.json.manifest.json").read_text())["command"] == "preset"
 
     def test_missing_input_file_exits_2(self, tmp_path):
         assert main(["cost", "--genome", str(tmp_path / "nope.json")]) == 2

@@ -580,6 +580,26 @@ class TestMutate:
             g = mutate(g, rng, cfg)
             g.validate()
 
+    @pytest.mark.parametrize("depth_max", [3, 1024, 2000])
+    @pytest.mark.parametrize("width_max", [96, 1024, 65536, 70000])
+    def test_every_edit_is_a_valid_genome(self, width_max, depth_max):
+        # the bounds are the one legality rule: under bounds below, at and above
+        # the genome's maxima, every backbone `_edit` returns passes the full
+        # validation; the width and depth edges (the two oracle cases that
+        # reject draws) sit at those maxima, so a bound past them must be capped
+        cfg = make_cfg(width_max=width_max, depth_max=depth_max)
+        rng = random.Random(width_max * depth_max)
+        edges = [genome for genome, _, rejects in oracle_cases() if rejects]
+        edits = collections.Counter()
+        for genome, draws in [(random_genome(rng), 4) for _ in range(200)] + [(g, 40) for g in edges]:
+            for op in MUTATION_OPS:
+                for _ in range(draws):
+                    blocks = search_module._edit(genome, op, rng, cfg)
+                    if blocks is not None:
+                        genome.with_backbone(blocks).validate()
+                        edits[op] += 1
+        assert set(edits) == set(MUTATION_OPS)
+
     @staticmethod
     def swapped_kinds(genome, cfg, seed):
         rng = random.Random(seed)
@@ -624,6 +644,13 @@ def single_stage_space(width=32):
     return genome
 
 
+def deep_s(depth: int) -> DetectorGenome:
+    """`s` with `depth` Res units in stage 3, its stride-16 tap: at 1002 it
+    scores ~2.2e8, at 1003 the doubled variance overflows and it scores inf."""
+    s = preset_genome("s")
+    return s.with_backbone(replace(b, depth=depth) if i == 3 else b for i, b in enumerate(s.backbone))
+
+
 class TestSearch:
     def test_generation0_archive_is_nondominated_subset(self):
         g = preset_genome("tiny")
@@ -662,6 +689,21 @@ class TestSearch:
         cfg = make_cfg(latency_budget_ms=1e-3)
         with pytest.raises(InfeasibleError, match="infeasible"):
             search(g, cfg)
+
+    def test_children_whose_score_overflows_are_infeasible(self):
+        seed_genome = deep_s(1002)
+        archive = search(seed_genome, make_cfg(mutation_ops=("deepen",), depth_max=1024))
+        assert [e.genome for e in archive.entries] == [seed_genome]
+        assert all(math.isfinite(e.score.value) for e in archive.entries + archive.leaders)
+        rows = [row for record in archive.history for row in record]
+        assert len(rows) == 16 and any(math.isinf(score) for score, _, _ in rows)
+        assert all(feasible == math.isfinite(score) for score, _, feasible in rows)
+
+    @pytest.mark.parametrize("budget", [math.inf, 1e6])
+    def test_seed_whose_score_overflows_raises(self, budget):
+        with pytest.raises(ValidationError, match="proxy score is not finite") as raised:
+            search(deep_s(1003), make_cfg(latency_budget_ms=budget))
+        assert raised.value.path == "backbone"
 
     def test_width_only_search_reaches_maximal_width(self):
         # single mutable width dimension: with an infinite budget the best
