@@ -61,7 +61,7 @@ from .losses import (
     total_loss,
 )
 from .reparam import RepBranchParams, reparam_fold
-from .search import SearchConfig, entropy_score, search
+from .search import SearchConfig, _finite_score, entropy_score, search
 from .tensorops import BnParams, ConvParams, load_raw_tensor
 
 EXIT_OK = 0
@@ -107,22 +107,29 @@ def _parse_res(raw: str) -> tuple[int, int]:
     return res
 
 
-def _emit(out: str | None, args, *, doc: dict | None = None,
+def _json(value, **layout) -> str:
+    """`value` as JSON text in `json.dumps`' `layout`. NaN or infinity, which
+    JSON cannot hold, means that finite inputs overflowed: an input error."""
+    try:
+        return json.dumps(value, allow_nan=False, **layout)
+    except ValueError:
+        raise ValidationError(_NOT_FINITE) from None
+
+
+def _emit(out: str | None, args, *, doc: str | None = None,
           records: list | None = None, text: str | None = None, seed: int | None = None) -> None:
-    """Write one primary output, given as a JSON `doc`, NDJSON `records` or
+    """Write one primary output, given as a JSON `doc` (one object's text
+    in `json.dumps(indent=2)` layout, with its newline), NDJSON `records` or
     plain `text`, to `out` or to stdout. A file gets a `<file>.manifest.json`
     sidecar hashing the command's options `args` and the input files it read;
-    a doc names it in a trailing "manifest" key, records in a leading
-    {"manifest": ...} line."""
+    a doc names it in a "manifest" key put before its closing brace, records
+    in a leading {"manifest": ...} line."""
     ref = None if out is None else Path(out).name + ".manifest.json"
-    try:
-        if doc is not None:
-            text = json.dumps(doc if ref is None else {**doc, "manifest": ref}, indent=2, allow_nan=False) + "\n"
-        elif records is not None:
-            head = [] if ref is None else [{"manifest": ref}]
-            text = "\n".join(json.dumps(r, sort_keys=True, allow_nan=False) for r in head + records) + "\n"
-    except ValueError:  # NaN or infinity, which JSON cannot hold; finite inputs overflowed
-        raise ValidationError(_NOT_FINITE) from None
+    if doc is not None:
+        text = doc if ref is None else f'{doc[:-3]},\n  "manifest": {json.dumps(ref)}\n}}\n'
+    elif records is not None:
+        head = [] if ref is None else [{"manifest": ref}]
+        text = "\n".join(_json(r, sort_keys=True) for r in head + records) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -170,14 +177,15 @@ def cmd_cost(args) -> int:
     if args.format == "table":
         _emit(args.out, args, text=report.to_table())
     else:
-        _emit(args.out, args, doc=report.to_doc())
+        _emit(args.out, args, doc=report.to_json())
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
     genome = genome_from_json(_read(args.genome))
-    score = entropy_score(build_graph(genome))
-    _emit(args.out, args, doc={"value": score.value, "per_scale": list(score.per_scale)})
+    score = _finite_score(entropy_score(build_graph(genome)), "the genome's")
+    _emit(args.out, args, doc=_json({"value": score.value, "per_scale": list(score.per_scale)},
+                                    indent=2) + "\n")
     return EXIT_OK
 
 
@@ -332,14 +340,14 @@ def cmd_loss(args) -> int:
 
     breakdown = loss_breakdown((q, d, g), weights, distill=distill,
                                epoch=epoch, schedule=schedule)
-    _emit(args.out, args, doc={
+    _emit(args.out, args, doc=_json({
         "qfl": breakdown.qfl,
         "dfl": breakdown.dfl,
         "giou": breakdown.giou,
         "distill": breakdown.distill,
         "distill_weight": breakdown.distill_weight,
         "total": breakdown.total,
-    })
+    }, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -379,13 +387,13 @@ def cmd_fold(args) -> int:
                                               identity_bn=identity_bn))
     except ShapeError as e:  # every shape comes from the block document
         raise ValidationError(str(e), path="block") from None
-    _emit(args.out, args, doc={
+    _emit(args.out, args, doc=_json({
         "weight": folded.weights.tolist(),
         "bias": folded.bias.tolist(),
         "kernel": 3,
         "stride": folded.stride,
         "padding": folded.padding,
-    })
+    }, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -158,9 +158,9 @@ class CostReport:
         return CostReport(sum(flops), sum(params), fold_sum(latencies) if timed else None, tuple(rows))
 
     def to_json(self) -> str:
-        """`to_doc` exactly as `json.dumps(indent=2)` writes it, each row from
-        one template: strings through json's own escaper, ints and floats by
-        their `__repr__`."""
+        """The report as one JSON object in `json.dumps(indent=2)` layout, each
+        row from one template: strings through json's own escaper, ints and
+        floats by their `__repr__`. `detkit cost` writes this text."""
         enc, irepr = encode_basestring_ascii, int.__repr__
         rows = ",\n".join([
             f'    {{\n      "name": {enc(name)},\n      "kind": {enc(kind)},\n'
@@ -170,24 +170,6 @@ class CostReport:
         per_node = f"\n{rows}\n  " if rows else ""  # json.dumps writes an empty list as []
         return (f'{{\n  "flops": {irepr(self.flops)},\n  "params": {irepr(self.params)},\n'
                 f'  "latency_ms": {_json_number(self.latency_ms)},\n  "per_node": [{per_node}]\n}}\n')
-
-    def to_doc(self) -> dict:
-        return {
-            "flops": self.flops,
-            "params": self.params,
-            "latency_ms": self.latency_ms,
-            "per_node": [
-                {
-                    "name": n.name,
-                    "kind": n.kind,
-                    "flops": n.flops,
-                    "params": n.params,
-                    "bytes": n.bytes,
-                    "latency_ms": n.latency_ms,
-                }
-                for n in self.per_node
-            ],
-        }
 
     def to_table(self) -> str:
         header = f"{'node':<40}{'kind':<16}{'flops':>16}{'params':>12}{'bytes':>14}{'lat_ms':>10}"

@@ -179,6 +179,15 @@ def entropy_score(graph: OpGraph) -> ProxyScore:
     return _proxy((nodes[nid].out_shape, state[nid]) for nid in taps)
 
 
+def _finite_score(score: ProxyScore, whose: str) -> ProxyScore:
+    """`score`, unless it overflowed (~1014 Res units above a tap double the
+    variance past float range): then a `ValidationError` at `backbone`."""
+    if not math.isfinite(score.value):
+        raise ValidationError(f"{whose} proxy score is not finite ({score.value}): "
+                              "its residual stacks are too deep", path="backbone")
+    return score
+
+
 def _proxy(pairs) -> ProxyScore:
     """The proxy over (scored output shape, its variance segments) pairs, one per scale."""
     per_scale = tuple(_scale_entropy(shape, segments) for shape, segments in pairs)
@@ -333,9 +342,8 @@ def _edit(genome: DetectorGenome, op: str, rng: random.Random, cfg: SearchConfig
     raise ValidationError(f"unknown mutation op {op!r}")
 
 
-def mutate(genome: DetectorGenome, rng: random.Random,
-           cfg: SearchConfig | None = None) -> DetectorGenome:
-    """Apply one random structural edit to the backbone of a valid genome.
+def mutate(genome: DetectorGenome, rng: random.Random, cfg: SearchConfig) -> DetectorGenome:
+    """Apply one random structural edit, drawn from `cfg`'s ops, to the backbone of a valid genome.
 
     Infeasible draws (out-of-bounds widths or depths, no legal kind swap) are
     resampled up to `_MUTATION_DRAWS` times; if everything fails the genome
@@ -346,21 +354,12 @@ def mutate(genome: DetectorGenome, rng: random.Random,
     valid genome stays valid unchecked. The input must be valid (`search`
     validates its seed, and every child is a mutant of it).
     """
-    if cfg is None:
-        cfg = _DEFAULT_MUTATION_CFG
     ops = cfg.mutation_ops
     for _ in range(_MUTATION_DRAWS):
         blocks = _edit(genome, ops[rng.randrange(len(ops))], rng, cfg)
         if blocks is not None:
             return genome.with_backbone(blocks)
     return genome
-
-
-_DEFAULT_MUTATION_CFG = SearchConfig(
-    population=2, generations=0, mutations_per_child=1,
-    latency_budget_ms=math.inf, seed=0,
-    device_profile=builtin_profile("t4-like"),
-)
 
 
 # --- archive -------------------------------------------------------------------
@@ -627,9 +626,7 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     if not math.isfinite(seed_entry.latency_ms):
         raise ValidationError(f"the seed genome's latency is not finite ({seed_entry.latency_ms} ms): "
                               "a rate or overhead is out of range", path="device_profile")
-    if not math.isfinite(seed_entry.score.value):
-        raise ValidationError(f"the seed genome's proxy score is not finite ({seed_entry.score.value}): "
-                              "its residual stacks are too deep", path="backbone")
+    _finite_score(seed_entry.score, "the seed genome's")
     if seed_entry.latency_ms > cfg.latency_budget_ms:
         raise InfeasibleError(
             f"seed genome is infeasible: latency {seed_entry.latency_ms:.4f} ms "

@@ -25,6 +25,7 @@ from detkit.cost import builtin_profile
 from detkit.search import MUTATION_OPS, SearchConfig, search
 from detkit.tensorops import Tensor4, save_raw_tensor
 
+from test_cost import reference_doc, reference_to_json
 from test_search import deep_s, reference_evaluate
 
 
@@ -571,6 +572,28 @@ class TestCostCommand:
         assert code == 0
         assert out == cost_report(build_graph(preset_genome(preset)), builtin_profile("t4-like")).to_json()
 
+    @pytest.mark.parametrize("preset", ["s", "tiny"])
+    @pytest.mark.parametrize("profile", ["t4-like", "x86-like", "file"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_out_file_is_the_reference_document_with_its_manifest_last(self, tmp_path, preset, profile,
+                                                                        strict):
+        from detkit.cost import DeviceProfile, cost_report
+        from detkit.graph import build_graph
+        genome = tmp_path / f"{preset}.json"
+        genome.write_text(genome_to_json(preset_genome(preset)))
+        device = {"name": "dev", "flops_per_ms": 3.3e9, "bytes_per_ms": 7.1e8, "per_op_overhead_ms": 0.003}
+        (tmp_path / "dev.json").write_text(json.dumps(device))
+        flag, device = ((str(tmp_path / "dev.json"), DeviceProfile(**device)) if profile == "file"
+                        else (profile, builtin_profile(profile)))
+        argv = ["cost", "--genome", str(genome), "--profile", flag] + ["--strict"] * strict
+        report = cost_report(build_graph(preset_genome(preset)), device, strict=strict)
+        out = tmp_path / 'cost "caf\u00e9".json'  # a name json escapes: a quote and a non-ASCII letter
+        assert run_main(argv) == (0, reference_to_json(report))
+        assert run_main(argv + ["--out", str(out)]) == (0, "")
+        name = out.name + ".manifest.json"
+        assert out.read_text() == json.dumps({**reference_doc(report), "manifest": name}, indent=2) + "\n"
+        assert (tmp_path / name).exists()
+
 
     @pytest.mark.parametrize("profile, where", BAD_PROFILES, ids=_PROFILE_IDS)
     def test_bad_profile_file_exits_2_naming_the_field(self, tmp_path, capsys, tiny_genome_path,
@@ -825,6 +848,20 @@ class TestScoreCommand:
         expected = entropy_score(build_graph(preset_genome("tiny")))
         assert doc["value"] == pytest.approx(expected.value, rel=1e-12)
         assert doc["per_scale"] == pytest.approx(list(expected.per_scale), rel=1e-12)
+
+    # `s` with 1002 Res units in stage 3 scores ~2.2e8; at 1003 the score overflows
+    def test_a_score_that_overflows_exits_2_naming_the_backbone(self, tmp_path, capsys):
+        genome, out = tmp_path / "deep.json", tmp_path / "score.json"
+        genome.write_text(genome_to_json(deep_s(1002)))
+        code, text = run_main(["score", "--genome", str(genome)])
+        assert code == 0 and strict_json(text)["value"] == pytest.approx(219156722.155, abs=1e-3)
+        genome.write_text(genome_to_json(deep_s(1003)))
+        for argv in ([], ["--out", str(out)]):
+            assert run_main(["score", "--genome", str(genome), *argv]) == (2, "")
+            assert capsys.readouterr().err == (
+                "error: backbone: the genome's proxy score is not finite (inf): "
+                "its residual stacks are too deep\n")
+        assert list(tmp_path.iterdir()) == [genome]
 
 
 def _pred(box=(0, 0, 4, 4), scores=(0.9,), **extra):
@@ -1288,6 +1325,14 @@ class TestLossCommand:
         path.write_text(json.dumps({"components": {}, "epoch": -1, "distill": {"teacher": ["t.bin"]}}))
         assert main(["loss", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: distill.student: ")
+
+    def test_a_total_that_overflows_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path, out = tmp_path / "pairs.json", tmp_path / "loss.json"
+        path.write_text(json.dumps({"weights": {"qfl": 1e308}, "components": {"qfl": 10}}))
+        for argv in ([], ["--out", str(out)]):
+            assert run_main(["loss", "--input", str(path), *argv]) == (2, "")
+            assert capsys.readouterr().err == "error: the result is not finite: an input value is out of range\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_both_modes_exits_2(self, tmp_path):
         path = tmp_path / "pairs.json"
