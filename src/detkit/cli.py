@@ -61,7 +61,7 @@ from .losses import (
     total_loss,
 )
 from .reparam import RepBranchParams, reparam_fold
-from .search import SearchConfig, _finite_score, entropy_score, search
+from .search import SearchConfig, entropy_score, search
 from .tensorops import BnParams, ConvParams, load_raw_tensor
 
 EXIT_OK = 0
@@ -183,7 +183,7 @@ def cmd_cost(args) -> int:
 
 def cmd_score(args) -> int:
     genome = genome_from_json(_read(args.genome))
-    score = _finite_score(entropy_score(build_graph(genome)), "the genome's")
+    score = entropy_score(build_graph(genome))
     _emit(args.out, args, doc=_json({"value": score.value, "per_scale": list(score.per_scale)},
                                     indent=2) + "\n")
     return EXIT_OK

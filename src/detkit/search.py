@@ -4,11 +4,12 @@ The default proxy needs no weights: it propagates a closed-form activation
 variance through the graph (convolutions with fan-in-scaled initialization
 preserve variance, residual adds sum branch variances, concats carry per-part
 variances, resampling preserves variance) and scores the differential entropy
-of Gaussian feature maps at the three pyramid features,
-sum over scales of elements * 0.5 * ln(2*pi*e * variance). Deeper residual
-stacks raise the variance term, wider pyramid features raise the element term,
-and the latency budget pushes back; normalization and activation attributes
-are treated as variance-transparent because the proxy tracks the linear signal
+of Gaussian feature maps at the three pyramid features, sum over scales of
+elements * 0.5 * ln(2*pi*e * variance), the variance carried as its log2 so
+that no valid genome's score overflows. Deeper residual stacks raise the
+variance term, wider pyramid features raise the element term, and the
+latency budget pushes back; normalization and activation attributes are
+treated as variance-transparent because the proxy tracks the linear signal
 path at initialization. The proxy is scored on the multi-scale feature
 extractor; fusion and head layers only enter through the cost term.
 
@@ -98,28 +99,31 @@ def _refine_pair(a, b):
 
 
 def _mean_variance(segs) -> float:
-    """Channel-weighted mean variance of a segment list.
-
-    A single segment `(ch, v)` gives `ch * v / ch`, the same float as the
-    fold: a one-term fold adds its term to 0 and has nothing to round.
-    """
+    """log2 of the channel-weighted mean variance of log2 segments: their
+    largest value m plus log2 of the mean of 2^(lv - m), so at most m. A
+    single segment keeps its value, the float the formula gives it."""
     if len(segs) == 1:
-        ch, v = segs[0]
-        return ch * v / ch
-    total = sum(ch for ch, _ in segs)
-    return fold_sum(ch * v for ch, v in segs) / total
+        return segs[0][1]
+    m = max(lv for _, lv in segs)
+    return m + math.log2(fold_sum(ch * 2.0 ** (lv - m) for ch, lv in segs) / sum(ch for ch, _ in segs))
+
+
+def _add_variance(a: float, b: float) -> float:
+    """log2 of the sum of two log2 variances: the larger plus at most 1, exactly 1 if equal."""
+    return max(a, b) + math.log2(1.0 + 2.0 ** -abs(a - b))
 
 
 def _propagate_variance(graph: OpGraph, input_segments=None) -> list[list[tuple[int, float]]]:
-    """Variance segments of every node up to the last scored one, indexed by
-    node id. Input nodes start at unit variance, or at `input_segments` when a
-    segment graph's placeholder stands for a feature computed elsewhere.
+    """Variance segments `(channels, log2 variance)` of every node up to the
+    last scored one, indexed by node id. Input nodes start at 0.0, or at
+    `input_segments` when a segment graph's placeholder stands for a feature
+    computed elsewhere; from 0.0 a state is at most the adds upstream of it.
 
     Most states are one segment: a conv folds its input into one, and only a
     concat of parts with different variances (a Csp stage's `[y, bypass]`)
-    makes more. An add of two one-segment states is their one sum
-    `[(ch, va + vb)]`, the float that splitting both to common boundaries
-    would add; other adds and every concat go through the segment lists.
+    makes more. An add of two one-segment states is their one sum, the
+    float that splitting both to common boundaries would add; other adds and
+    every concat go through the segment lists.
     Nodes are visited through `graph.topo_order()`, the graph's one
     dependency order, rather than over `graph.nodes`: perfbench's traced run
     counts its calls as the graph walks a workload makes.
@@ -139,14 +143,14 @@ def _propagate_variance(graph: OpGraph, input_segments=None) -> list[list[tuple[
             for src in n.inputs[1:]:
                 other = state[src]
                 if len(acc) == 1 and len(other) == 1:
-                    acc = [(acc[0][0], acc[0][1] + other[0][1])]
+                    acc = [(acc[0][0], _add_variance(acc[0][1], other[0][1]))]
                 else:
                     acc, other = _refine_pair(acc, other)
-                    acc = [(ch, va + vb) for (ch, va), (_, vb) in zip(acc, other)]
+                    acc = [(ch, _add_variance(va, vb)) for (ch, va), (_, vb) in zip(acc, other)]
             # a one-segment sum built above is merged already
             state.append(acc if len(acc) == 1 and len(n.inputs) > 1 else _merge_segments(acc))
         elif kind == "input":
-            state.append(input_segments or [(n.out_shape[1], 1.0)])
+            state.append(input_segments or [(n.out_shape[1], 0.0)])
         elif kind == "concat":
             segs = []
             for src in n.inputs:
@@ -179,28 +183,24 @@ def entropy_score(graph: OpGraph) -> ProxyScore:
     return _proxy((nodes[nid].out_shape, state[nid]) for nid in taps)
 
 
-def _finite_score(score: ProxyScore, whose: str) -> ProxyScore:
-    """`score`, unless it overflowed (~1014 Res units above a tap double the
-    variance past float range): then a `ValidationError` at `backbone`."""
-    if not math.isfinite(score.value):
-        raise ValidationError(f"{whose} proxy score is not finite ({score.value}): "
-                              "its residual stacks are too deep", path="backbone")
-    return score
-
-
 def _proxy(pairs) -> ProxyScore:
     """The proxy over (scored output shape, its variance segments) pairs, one per scale."""
     per_scale = tuple(_scale_entropy(shape, segments) for shape, segments in pairs)
     return ProxyScore(value=fold_sum(per_scale), per_scale=per_scale)
 
 
+_LN_2PI_E = math.log(2.0 * math.pi * math.e)
+_LN_2 = math.log(2.0)
+
+
 def _scale_entropy(shape, segments) -> float:
     """Differential entropy of one Gaussian feature map of this shape with
-    these variance segments."""
+    these log2 variance segments; with at most MAX_CHANNELS * MAX_INPUT_RES^2
+    (~1.8e13) elements a scale, a valid genome's is finite."""
     b, _, h, wdt = shape
     contrib = 0.0
-    for ch, v in segments:
-        contrib += ch * b * h * wdt * 0.5 * math.log(2.0 * math.pi * math.e * v)
+    for ch, lv in segments:
+        contrib += ch * b * h * wdt * 0.5 * (_LN_2PI_E + lv * _LN_2)
     return contrib
 
 
@@ -554,7 +554,7 @@ class _SegmentCache:
         entries = self.entries
         latency, flops, params = 0, 0, 0
         shapes = [(1, genome.backbone[0].in_ch, *genome.input_res)]  # one per feature
-        variance = ((shapes[0][1], 1.0),)
+        variance = ((shapes[0][1], 0.0),)
         stage_out = []  # (output shape, its variance segments) per stage
         stages, taps = len(genome.backbone), genome.pyramid_taps()
         neck_key = genome.neck, genome.head, genome.num_classes, taps, stages
@@ -610,11 +610,10 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     those of lowering every candidate whole (`reference_evaluate` in
     tests/test_search.py) exactly; memory grows with the distinct segments,
     parts and genomes the search evaluates. The seed is validated here, and
-    each child is a `mutate` of a valid genome, which keeps it valid. A seed
-    whose modeled latency overflows (a profile rate out of range) or whose
-    score overflows (~1014 Res units above a tap) raises `ValidationError`,
-    whatever the budget; a child whose latency or score overflows is
-    infeasible, whatever the budget.
+    each child is a `mutate` of a valid genome, which keeps it valid. Scores
+    are finite (variance is carried as log2), but a seed whose modeled
+    latency overflows (a profile rate out of range) raises `ValidationError`
+    and a child whose latency overflows is infeasible, whatever the budget.
     """
     seed_genome.validate()
     rng = random.Random(cfg.seed)
@@ -626,7 +625,6 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
     if not math.isfinite(seed_entry.latency_ms):
         raise ValidationError(f"the seed genome's latency is not finite ({seed_entry.latency_ms} ms): "
                               "a rate or overhead is out of range", path="device_profile")
-    _finite_score(seed_entry.score, "the seed genome's")
     if seed_entry.latency_ms > cfg.latency_budget_ms:
         raise InfeasibleError(
             f"seed genome is infeasible: latency {seed_entry.latency_ms:.4f} ms "
@@ -642,9 +640,8 @@ def search(seed_genome: DetectorGenome, cfg: SearchConfig) -> ParetoArchive:
             entries = [cache.evaluate(g) for g in _offspring(population, rng, cfg)]
         record = []
         for entry in entries:
-            # an overflowed latency or score is infeasible under any budget, "inf" included
-            feasible = (entry.latency_ms <= cfg.latency_budget_ms
-                        and math.isfinite(entry.latency_ms) and math.isfinite(entry.score.value))
+            # an overflowed latency is infeasible under any budget, "inf" included
+            feasible = entry.latency_ms <= cfg.latency_budget_ms and math.isfinite(entry.latency_ms)
             record.append((entry.score.value, entry.latency_ms, feasible))
             if feasible:
                 population.append(entry)

@@ -22,7 +22,8 @@ from detkit.assign import GroundTruthArrays, PredictionArrays, align_cost, dynam
 from detkit.cli import main
 from detkit.genome import genome_from_json, genome_to_json, preset_genome
 from detkit.cost import builtin_profile
-from detkit.search import MUTATION_OPS, SearchConfig, search
+from detkit.graph import build_graph
+from detkit.search import MUTATION_OPS, SearchConfig, entropy_score, search
 from detkit.tensorops import Tensor4, save_raw_tensor
 
 from test_cost import reference_doc, reference_to_json
@@ -438,8 +439,8 @@ class TestSearchCommand:
             assert (text, cell) == (f"{leader.latency_ms:.4e}", f"{leader.latency_ms:.6e}")
             assert len(text) <= 16 and len(cell) <= 16
 
-    # `s` with 1002 Res units in stage 3 scores ~2.2e8, and each deepened child
-    # (or the seed at 1003) overflows to an inf score
+    # `s` with 1002 Res units in stage 3 scores ~2.2e8; a linear variance
+    # overflowed one unit deeper, and the log2 one keeps every child finite
     def _deepen_only_search(self, tmp_path, caplog, depth):
         space, cfg, out = tmp_path / "deep.json", tmp_path / "deepen.json", tmp_path / "archive.ndjson"
         space.write_text(genome_to_json(deep_s(depth)))
@@ -450,21 +451,21 @@ class TestSearchCommand:
         code = main(["search", "--space", str(space), "--config", str(cfg), "--out", str(out)])
         return code, out, [m for m in caplog.messages if m.startswith("generation=")]
 
-    def test_children_whose_score_overflows_are_infeasible(self, tmp_path, caplog):
+    def test_children_deeper_than_1002_are_feasible(self, tmp_path, caplog):
         code, out, logged = self._deepen_only_search(tmp_path, caplog, 1002)
         assert code == 0
         records = [strict_json(line) for line in out.read_text().splitlines()[1:]]
-        assert len(records) == 1 and records[0]["score"] == pytest.approx(219156722.155, abs=1e-3)
+        assert len(records) > 1 and records[-1]["score"] == pytest.approx(219156722.155, abs=1e-3)
         assert all(math.isfinite(value) for r in records for value in [r["score"], *r["per_scale"]])
         assert len(logged) == 4 and "inf" not in " ".join(logged)
 
-    def test_a_seed_whose_score_overflows_exits_2(self, tmp_path, capsys, caplog):
+    def test_a_seed_at_depth_1003_exits_0_with_finite_scores(self, tmp_path, caplog):
         code, out, logged = self._deepen_only_search(tmp_path, caplog, 1003)
-        assert code == 2
-        assert not out.exists() and logged == []
-        assert capsys.readouterr().err == (
-            "error: backbone: the seed genome's proxy score is not finite (inf): "
-            "its residual stacks are too deep\n")
+        assert code == 0
+        records = [strict_json(line) for line in out.read_text().splitlines()[1:]]
+        assert records and all(math.isfinite(value) for r in records for value in [r["score"], *r["per_scale"]])
+        assert records[0]["score"] > entropy_score(build_graph(deep_s(1003))).value
+        assert len(logged) == 4 and "inf" not in " ".join(logged)
 
     @settings(max_examples=100, deadline=None)
     @given(config=search_configs())
@@ -849,19 +850,20 @@ class TestScoreCommand:
         assert doc["value"] == pytest.approx(expected.value, rel=1e-12)
         assert doc["per_scale"] == pytest.approx(list(expected.per_scale), rel=1e-12)
 
-    # `s` with 1002 Res units in stage 3 scores ~2.2e8; at 1003 the score overflows
-    def test_a_score_that_overflows_exits_2_naming_the_backbone(self, tmp_path, capsys):
+    # `s` with 1002 Res units in stage 3 scores ~2.2e8; at 1003 a linear
+    # variance overflowed, and the log2 one scores it finite and higher
+    def test_a_score_at_depth_1003_is_finite_and_above_depth_1002s(self, tmp_path):
         genome, out = tmp_path / "deep.json", tmp_path / "score.json"
         genome.write_text(genome_to_json(deep_s(1002)))
         code, text = run_main(["score", "--genome", str(genome)])
         assert code == 0 and strict_json(text)["value"] == pytest.approx(219156722.155, abs=1e-3)
+        shallower = strict_json(text)["value"]
         genome.write_text(genome_to_json(deep_s(1003)))
-        for argv in ([], ["--out", str(out)]):
-            assert run_main(["score", "--genome", str(genome), *argv]) == (2, "")
-            assert capsys.readouterr().err == (
-                "error: backbone: the genome's proxy score is not finite (inf): "
-                "its residual stacks are too deep\n")
-        assert list(tmp_path.iterdir()) == [genome]
+        code, text = run_main(["score", "--genome", str(genome)])
+        assert code == 0 and math.isfinite(strict_json(text)["value"]) and strict_json(text)["value"] > shallower
+        assert run_main(["score", "--genome", str(genome), "--out", str(out)]) == (0, "")
+        written = strict_json(out.read_text())
+        assert {k: written[k] for k in ("value", "per_scale")} == strict_json(text)
 
 
 def _pred(box=(0, 0, 4, 4), scores=(0.9,), **extra):

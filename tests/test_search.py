@@ -14,6 +14,7 @@ from detkit.cost import builtin_profile, cost_report, fold_sum
 from detkit.errors import InfeasibleError, ValidationError
 from detkit.genome import (
     FUSION_STYLES,
+    MAX_DEPTH,
     BlockSpec,
     DetectorGenome,
     HeadConfig,
@@ -200,11 +201,12 @@ def res_units_above(genome: DetectorGenome, stage: int) -> int:
 
 class TestProxyClosedForm:
     """At fan-in-scaled init a conv passes on its input's mean variance and a
-    Res unit's add doubles it, so on a Res-only backbone the score is
-    sum over taps t of elements_t * 1/2 * (ln 2 pi e + D_t ln 2), D_t the Res
-    units above tap t: the width of a stage that is not a tap does not count."""
+    Res unit's add doubles it, raising its log2 by exactly 1, so on a
+    Res-only backbone the score is sum over taps t of
+    elements_t * 1/2 * (ln 2 pi e + D_t ln 2), D_t the Res units above tap t:
+    the width of a stage that is not a tap does not count."""
 
-    def test_each_tap_variance_is_two_to_the_res_units_above_it(self):
+    def test_each_tap_log2_variance_is_the_res_units_above_it(self):
         genomes = res_only_mutants()
         assert [res_units_above(genomes[0], t) for t in genomes[0].pyramid_taps()] == [7, 15, 19]
         assert len(set(genomes)) > 15
@@ -212,7 +214,7 @@ class TestProxyClosedForm:
             graph = build_graph(genome)
             state = search_module._propagate_variance(graph)
             for t, nid in zip(genome.pyramid_taps(), graph.pyramid):
-                assert state[nid] == [(graph.nodes[nid].out_shape[1], 2.0 ** res_units_above(genome, t))]
+                assert state[nid] == [(graph.nodes[nid].out_shape[1], float(res_units_above(genome, t)))]
 
     @pytest.mark.parametrize("stage", [1, 2, 3, 4])
     def test_deepen_adds_elements_ln2_over_2_at_each_downstream_tap(self, stage):
@@ -301,24 +303,23 @@ class TestEarlyStop:
         assert entropy_score(graph) == entropy_score(truncated)
 
 
-def reference_propagate_variance(graph: OpGraph, input_segments=None):
-    """The generic variance pass: every rule written over segment lists of any
-    length, with no one-segment shortcut."""
+def generic_propagate_variance(graph: OpGraph, input_segments, unit: float, mean, add):
+    """A variance pass with every rule written over segment lists of any
+    length, with no one-segment shortcut: inputs start at `unit`, a conv
+    takes `mean(segments)`, and an add sums channel by channel with `add`."""
     stop = max(graph.pyramid or graph.outputs) + 1
     state = []
     for nid in graph.topo_order()[:stop]:
         n = graph.nodes[nid]
         if n.kind == "input":
-            state.append(input_segments or [(n.out_shape[1], 1.0)])
+            state.append(input_segments or [(n.out_shape[1], unit)])
         elif n.kind == "conv":
-            segs = state[n.inputs[0]]
-            mean = sum(ch * v for ch, v in segs) / sum(ch for ch, _ in segs)
-            state.append([(n.out_shape[1], mean)])
+            state.append([(n.out_shape[1], mean(state[n.inputs[0]]))])
         elif n.kind == "add":
             acc = state[n.inputs[0]]
             for src in n.inputs[1:]:
                 acc, other = search_module._refine_pair(acc, state[src])
-                acc = [(ch, va + vb) for (ch, va), (_, vb) in zip(acc, other)]
+                acc = [(ch, add(va, vb)) for (ch, va), (_, vb) in zip(acc, other)]
             state.append(search_module._merge_segments(acc))
         elif n.kind == "concat":
             segs = []
@@ -334,6 +335,108 @@ def reference_propagate_variance(graph: OpGraph, input_segments=None):
     return state
 
 
+def reference_log2_propagate_variance(graph: OpGraph, input_segments=None):
+    """The generic pass over log2 variances, the proxy's own domain."""
+
+    def mean(segs):
+        m = max(lv for _, lv in segs)
+        return m + math.log2(fold_sum(ch * 2.0 ** (lv - m) for ch, lv in segs) / sum(ch for ch, _ in segs))
+
+    def add(a, b):
+        return max(a, b) + math.log2(1.0 + 2.0 ** (min(a, b) - max(a, b)))
+
+    return generic_propagate_variance(graph, input_segments, 0.0, mean, add)
+
+
+def reference_propagate_variance(graph: OpGraph, input_segments=None):
+    """The generic pass over linear variances, which the proxy carried before
+    it carried log2: a second oracle, equal to the log2 pass up to rounding
+    wherever a linear variance stays finite."""
+    return generic_propagate_variance(
+        graph, input_segments, 1.0,
+        lambda segs: sum(ch * v for ch, v in segs) / sum(ch for ch, _ in segs), lambda a, b: a + b)
+
+
+def assert_matches_linear(log2_segments, linear_segments):
+    """Each segment's 2^lv against the linear variance of the same channels,
+    the two lists split to common boundaries, to 1e-12 relative."""
+    got, want = search_module._refine_pair(log2_segments, linear_segments)
+    for (_, lv), (_, v) in zip(got, want):
+        assert math.isclose(2.0 ** lv, v, rel_tol=1e-12), (log2_segments, linear_segments)
+
+
+def assert_both_oracles(graph: OpGraph, input_segments=None):
+    """`_propagate_variance` equals the log2 pass bit for bit and, node by
+    node, the linear pass up to rounding; returns its state."""
+    state = search_module._propagate_variance(graph, input_segments)
+    assert state == reference_log2_propagate_variance(graph, input_segments)
+    linear = reference_propagate_variance(graph, input_segments and [(ch, 2.0 ** lv) for ch, lv in input_segments])
+    assert len(linear) == len(state)
+    for got, want in zip(state, linear):
+        assert_matches_linear(got, want)
+    return state
+
+
+def adds_upstream(graph: OpGraph) -> list[int]:
+    """Per node, the add nodes it reads through any path, itself included."""
+    above = []
+    for nid, n in enumerate(graph.nodes):
+        bits = 1 << nid if n.kind == "add" else 0
+        for src in n.inputs:
+            bits |= above[src]
+        above.append(bits)
+    return [bits.bit_count() for bits in above]
+
+
+class TestLog2Variance:
+    """Why no valid genome's score can overflow, and pins that hold on any
+    libm: they rest only on log2(2) = 1 and 2^0 = 1, so a failure of a pin
+    is a logic fault, while a failure of only the golden scores elsewhere
+    tells a libm difference in `log2` or `pow`."""
+
+    def test_every_state_lies_between_0_and_the_adds_upstream_and_scores_are_finite(self):
+        # from unit inputs an add raises a state by at most 1 and a mean never
+        # exceeds its largest term: with the element counts bounded by the
+        # genome maxima, this is the argument that every valid score is finite
+        rng = random.Random(5)
+        cfg = make_cfg(depth_max=4)
+        s = preset_genome("s")
+        # the depth-edge genome, and `s` with every Res stage at that edge
+        genomes = [deep_s(MAX_DEPTH), s.with_backbone(replace(b, depth=MAX_DEPTH) if b.kind == "Res" else b
+                                                      for b in s.backbone)]
+        for n in range(120):
+            genomes.append(random_genome(rng) if n % 6 == 0 else mutate(genomes[-1], rng, cfg))
+        for genome in genomes:
+            graph = build_graph(genome)
+            state, bound = search_module._propagate_variance(graph), adds_upstream(graph)
+            for nid, segs in enumerate(state):
+                assert all(0.0 <= lv <= bound[nid] for _, lv in segs), (graph.nodes[nid].name, segs, bound[nid])
+            score = entropy_score(graph)
+            assert all(math.isfinite(v) for v in (score.value, *score.per_scale))
+
+    @pytest.mark.parametrize("lv", [0.0, 0.3, -2.5, 7.0, 1000.0, 1e6])
+    def test_an_add_of_equal_states_raises_by_exactly_one(self, lv):
+        assert search_module._add_variance(lv, lv) == lv + 1.0
+        gb = GraphBuilder()
+        x = gb.input((1, 8, 4, 4))
+        graph = gb.finish(outputs=(gb.add([gb.conv(x, 8, name="c"), x], name="res"),))
+        assert search_module._propagate_variance(graph, [(8, lv)])[-1] == [(8, lv + 1.0)]
+
+    def test_the_taps_of_s_read_exactly_7_15_19(self):
+        graph = build_graph(preset_genome("s"))
+        state = search_module._propagate_variance(graph)
+        assert [state[nid] for nid in graph.pyramid] == [[(128, 7.0)], [(256, 15.0)], [(512, 19.0)]]
+
+    @pytest.mark.parametrize("lv", [0.0, 0.3819624387983612, 1.4426950408889634, -3.75, 1000.0])
+    def test_a_one_segment_conv_keeps_its_value_bit_for_bit(self, lv):
+        # 24 * 0.3819624387983612 / 24 is not the value: a linear mean that
+        # scales and divides a one-segment input would not keep it
+        gb = GraphBuilder()
+        x = gb.input((1, 24, 8, 8))
+        graph = gb.finish(outputs=(gb.conv(x, 32, name="c"),))
+        assert search_module._propagate_variance(graph, [(24, lv)])[-1] == [(32, lv)]
+
+
 def golden_genomes() -> list[DetectorGenome]:
     """The score cases and every genome in a search golden's archive."""
     genomes = [make() for make in SCORE_CASES.values()]
@@ -344,24 +447,24 @@ def golden_genomes() -> list[DetectorGenome]:
 
 
 class TestVarianceOracle:
-    """`_propagate_variance` equals the generic pass bit for bit: the same
-    state lists, compared as (int, float) tuples."""
+    """`_propagate_variance` equals the generic log2 pass bit for bit: the
+    same state lists, compared as (int, float) tuples. The linear pass checks
+    both up to rounding."""
 
     def test_golden_genomes(self):
         genomes = golden_genomes()
         assert len(genomes) > len(SCORE_CASES)
         for genome in genomes:
-            graph = build_graph(genome)
-            assert search_module._propagate_variance(graph) == reference_propagate_variance(graph)
+            assert_both_oracles(build_graph(genome))
 
     # every stage kind in each stride it has: Focus only downsamples, Spp never does
     @pytest.mark.parametrize("kind, stride", [
         (kind, stride) for kind in ("Res", "Mob", "Csp", "Focus", "Spp", "ConvBnAct") for stride in (1, 2)
         if (kind, stride) not in (("Focus", 1), ("Spp", 2))])
-    @pytest.mark.parametrize("input_segments", [
-        None, [(32, 1.0)], [(32, 2.718281828459045)], [(16, 0.5), (16, 2.0)],
-        [(8, 3.0), (16, 0.25), (8, 1.5)],
-        [(32, 0.3819624387983612)],  # 24 * v / 24 != v: a 24-channel conv input is not v
+    @pytest.mark.parametrize("input_segments", [  # log2 variances
+        None, [(32, 0.0)], [(32, 1.4426950408889634)], [(16, -1.0), (16, 1.0)],
+        [(8, 1.584962500721156), (16, -2.0), (8, 0.5849625007211562)],
+        [(32, 1000.0)],  # 2^1000: near the top of a linear variance's float range
     ])
     def test_each_stage_kind_on_a_placeholder(self, kind, stride, input_segments):
         for out_ch in (24, 32, 48):
@@ -370,8 +473,7 @@ class TestVarianceOracle:
             spec = BlockSpec(kind, 32, out_ch, stride=stride, depth=1 if kind in ("Focus", "Spp") else 2,
                              kernel=5 if kind == "Spp" else 3)
             graph = gb.finish(outputs=chained(gb, [x], None, stage_parts(spec, 1, 0.5 if kind == "Csp" else None)))
-            got = search_module._propagate_variance(graph, input_segments)
-            assert got == reference_propagate_variance(graph, input_segments)
+            assert_both_oracles(graph, input_segments)
 
     def test_add_over_mixed_one_and_multi_segment_states(self):
         gb = GraphBuilder()
@@ -386,20 +488,21 @@ class TestVarianceOracle:
             [[one, two, three], [three, two, one], [one, one, two], [one, one, one], [two, two, one],
              [two, flipped]])]
         graph = gb.finish(outputs=outs)
-        state = search_module._propagate_variance(graph)
-        assert state == reference_propagate_variance(graph)
+        state = assert_both_oracles(graph)
+        # sums of equal variances are exact in log2
         assert [state[n] for n in (one, two, three)] == [
-            [(32, 1.0)], [(16, 1.0), (16, 2.0)], [(8, 1.0), (16, 4.0), (8, 1.0)]]
-        assert state[outs[0]] == [(8, 3.0), (8, 6.0), (8, 7.0), (8, 4.0)]
-        assert state[outs[3]] == [(32, 3.0)]
-        assert state[outs[5]] == [(32, 3.0)]  # two segments of equal sums merge
+            [(32, 0.0)], [(16, 0.0), (16, 1.0)], [(8, 0.0), (16, 2.0), (8, 0.0)]]
+        assert_matches_linear(state[outs[0]], [(8, 3.0), (8, 6.0), (8, 7.0), (8, 4.0)])
+        assert_matches_linear(state[outs[3]], [(32, 3.0)])
+        assert len(state[outs[5]]) == 1  # two segments of equal sums merge
+        assert_matches_linear(state[outs[5]], [(32, 3.0)])
 
     def test_a_one_input_add_merges_its_input(self):
         gb = GraphBuilder()
         x = gb.input((1, 32, 8, 8))
         graph = gb.finish(outputs=(gb.add([x], name="a"),))
-        for segs in (((16, 1.0), (16, 1.0)), ((32, 1.0),), [(8, 2.0), (24, 0.5)]):
-            assert search_module._propagate_variance(graph, segs) == reference_propagate_variance(graph, segs)
+        for segs in (((16, 0.0), (16, 0.0)), ((32, 0.0),), [(8, 1.0), (24, -1.0)]):
+            assert_both_oracles(graph, segs)
 
     @pytest.mark.parametrize("preset, cfg", [
         ("tiny", make_cfg(population=8, generations=20, seed=1)),
@@ -423,8 +526,9 @@ class TestVarianceOracle:
         # after its placeholder all belong to one later repeat `backbone.sI.rR`
         prefixes = [{".".join(n.name.split(".")[:3]) for n in graph.nodes[1:]} for graph, _, _ in passes]
         assert any(len(p) == 1 and not p.pop().endswith(".r0") for p in prefixes)
+        monkeypatch.undo()
         for graph, input_segments, state in passes:
-            assert state == reference_propagate_variance(graph, input_segments)
+            assert state == assert_both_oracles(graph, input_segments)
 
 
 def reference_evaluate(genome: DetectorGenome, profile) -> ArchiveEntry:
@@ -646,7 +750,8 @@ def single_stage_space(width=32):
 
 def deep_s(depth: int) -> DetectorGenome:
     """`s` with `depth` Res units in stage 3, its stride-16 tap: at 1002 it
-    scores ~2.2e8, at 1003 the doubled variance overflows and it scores inf."""
+    scores ~2.2e8; at 1003 a linear variance overflowed, and the log2 one
+    scores it finite."""
     s = preset_genome("s")
     return s.with_backbone(replace(b, depth=depth) if i == 3 else b for i, b in enumerate(s.backbone))
 
@@ -690,20 +795,19 @@ class TestSearch:
         with pytest.raises(InfeasibleError, match="infeasible"):
             search(g, cfg)
 
-    def test_children_whose_score_overflows_are_infeasible(self):
-        seed_genome = deep_s(1002)
-        archive = search(seed_genome, make_cfg(mutation_ops=("deepen",), depth_max=1024))
-        assert [e.genome for e in archive.entries] == [seed_genome]
-        assert all(math.isfinite(e.score.value) for e in archive.entries + archive.leaders)
-        rows = [row for record in archive.history for row in record]
-        assert len(rows) == 16 and any(math.isinf(score) for score, _, _ in rows)
-        assert all(feasible == math.isfinite(score) for score, _, feasible in rows)
+    def test_deep_s_scores_are_finite_and_rise_with_depth(self):
+        values = [entropy_score(build_graph(deep_s(depth))).value for depth in (1002, 1003, MAX_DEPTH)]
+        assert all(math.isfinite(v) for v in values) and values[0] < values[1] < values[2]
+        assert values[0] == 219156722.15528834
 
-    @pytest.mark.parametrize("budget", [math.inf, 1e6])
-    def test_seed_whose_score_overflows_raises(self, budget):
-        with pytest.raises(ValidationError, match="proxy score is not finite") as raised:
-            search(deep_s(1003), make_cfg(latency_budget_ms=budget))
-        assert raised.value.path == "backbone"
+    def test_a_search_from_depth_1003_has_finite_scores(self):
+        seed_genome = deep_s(1003)
+        archive = search(seed_genome, make_cfg(mutation_ops=("deepen",), depth_max=MAX_DEPTH))
+        rows = [row for record in archive.history for row in record]
+        assert len(rows) == 16 and all(feasible and math.isfinite(score) for score, _, feasible in rows)
+        assert all(math.isfinite(v) for e in archive.entries + archive.leaders
+                   for v in (e.score.value, *e.score.per_scale))
+        assert archive.best.score.value > entropy_score(build_graph(seed_genome)).value
 
     def test_width_only_search_reaches_maximal_width(self):
         # single mutable width dimension: with an infinite budget the best
